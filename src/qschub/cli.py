@@ -1,7 +1,8 @@
 """Command line driver: compute members, expand, verify, and emit tables.
 
 Exit codes: 0 on success and on verified identities, 1 when a verification
-suite finds a falsified identity, 2 on usage errors.
+suite finds a falsified identity, 2 on usage errors, 3 on an internal error
+(an unexpected exception, reported in one line).
 """
 
 from __future__ import annotations
@@ -18,11 +19,13 @@ from .poly import (
     parse_polynomial,
     polynomial_to_json,
 )
-from .quantum_ring import StructureTable
+from .quantum_ring import CHEVALLEY_FLAVORS, StructureTable
 from .schubert import FAMILY_KINDS, expand_in_schubert_basis, schubert_polynomial
 from .weyl import ParabolicContext, format_permutation, length, parse_permutation
 
 FAMILY_FLAGS = tuple(kind.replace("_", "-") for kind in FAMILY_KINDS)
+FLAVOR_FLAGS = tuple(kind.replace("_", "-") for kind in CHEVALLEY_FLAVORS)
+EXIT_INTERNAL = 3
 
 VERIFY_SUITES = {
     "chevalley": "divisor multiplication rule",
@@ -74,7 +77,10 @@ def _cmd_poly(args) -> int:
         flag = args.family or "quantum-double"
         if flag not in FAMILY_FLAGS:
             raise UsageError(f"--family must be one of {', '.join(FAMILY_FLAGS)}")
-        f = schubert_polynomial(w, flag.replace("-", "_"))
+        try:
+            f = schubert_polynomial(w, flag.replace("-", "_"))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     if args.format == "json":
         _emit(args, json.dumps(polynomial_to_json(f)))
     else:
@@ -133,7 +139,13 @@ def _check_stability(max_n: int) -> tuple:
 
 def _cmd_verify(args) -> int:
     max_n = args.max_n
+    if max_n < 1:
+        raise UsageError(f"--max-n must be >= 1, got {max_n}")
     flavor = args.flavor.replace("-", "_") if args.flavor else None
+    if flavor is not None and flavor not in CHEVALLEY_FLAVORS:
+        raise UsageError(
+            f"unknown --flavor {args.flavor!r}; choose one of {', '.join(FLAVOR_FLAGS)}"
+        )
     if args.suite == "chevalley":
         ok, detail = selftest.check_chevalley(max_n=max_n, flavor=flavor)
     elif args.suite == "cauchy":
@@ -166,10 +178,12 @@ def _format_table_text(table: StructureTable) -> str:
 
 
 def _cmd_table(args) -> int:
-    if bool(args.n) == bool(args.parabolic):
+    if (args.n is None) == (args.parabolic is None):
         raise UsageError("pass exactly one of --n or --parabolic")
-    domain = _parse_composition(args.parabolic) if args.parabolic else args.n
-    table = StructureTable.build(domain, max_workers=args.workers)
+    if args.n is not None and args.n < 1:
+        raise UsageError(f"--n must be >= 1, got {args.n}")
+    domain = _parse_composition(args.parabolic) if args.parabolic is not None else args.n
+    table = StructureTable.build(domain)
     if args.format == "json":
         _emit(args, table.to_json())
     else:
@@ -215,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--parabolic", help='composition, e.g. "2,1,3"')
     table.add_argument("--format", choices=("text", "json"), default="json")
     table.add_argument("--out")
-    table.add_argument("--workers", type=int, default=1)
     table.set_defaults(func=_cmd_table)
 
     selftest_cmd = sub.add_parser("selftest", help="run every acceptance criterion")
@@ -231,6 +244,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # an internal crash must never read as "falsified"
+        detail = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ replaces each g factor by the matching G.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 
 from .poly import (
     Polynomial,
@@ -27,15 +27,14 @@ from .poly import (
     elementary_symmetric,
     q,
     x,
+    x_order_key,
 )
-from .quantization import EchelonSlice
+from .quantization import EchelonSlice, _check_slice_width
 from .schubert import (
     divided_difference,
     schubert_polynomial,
     x_lead_vector,
     x_to_minus_a,
-    _x_coefficient,
-    _x_key,
 )
 from .weyl import (
     ParabolicContext,
@@ -132,7 +131,10 @@ def _p_top(composition: tuple) -> Polynomial:
     return total
 
 
-@cache
+# Bounded: chain intermediates near the top of S_7+ run to millions of terms,
+# and an unbounded cache pins every one of them for the life of the process.
+# 2048 entries still holds two full families of S_6 chains with room to spare.
+@lru_cache(maxsize=2048)
 def _p_dd(composition: tuple, v: Permutation) -> Polynomial:
     if v == identity:
         return _p_top(composition)
@@ -268,14 +270,14 @@ def G_tuple(ctx: ParabolicContext, tup) -> Polynomial:
     return total
 
 
-def _tuple_lead_key(ctx: ParabolicContext, tup, width: int) -> tuple:
+def _tuple_lead_key(ctx: ParabolicContext, tup, width: int) -> int:
     vec = [0] * width
     for j, lam in enumerate(tup, start=1):
         nj = ctx.partial_sums[j - 1]
         for part in lam:
             for t in range(nj - part, nj):
                 vec[t] += 1
-    return tuple(reversed(vec))
+    return x_order_key(vec)
 
 
 @cache
@@ -284,24 +286,21 @@ def _g_slice(composition: tuple, degree: int) -> EchelonSlice:
     ctx = base.extend(degree + 1)
     levels = base.k + degree
     width = ctx.partial_sums[levels - 1]
+    _check_slice_width(width)
     pending = sorted(
         (_tuple_lead_key(ctx, tup, width), tup)
         for tup in partition_tuples(ctx, degree, levels)
     )
-    return EchelonSlice(width, pending, lambda tup: g_tuple(ctx, tup))
+    return EchelonSlice(pending, lambda tup: g_tuple(ctx, tup))
 
 
 def _invariant_decompose(ctx: ParabolicContext, f: Polynomial) -> dict:
-    by_degree: dict[int, dict] = {}
-    for mono, c in f.terms.items():
-        d = sum(e for _, e in mono)
-        by_degree.setdefault(d, {})[mono] = c
     out: dict = {}
-    for d, terms in by_degree.items():
+    for d, part in f.homogeneous_parts().items():
         if d == 0:
-            out[()] = out.get((), 0) + terms[()]
+            out[()] = out.get((), 0) + part.constant_value()
             continue
-        coords = _g_slice(ctx.composition, d).decompose(terms)
+        coords = _g_slice(ctx.composition, d).decompose(part)
         for tup, c in coords.items():
             out[tup] = out.get(tup, 0) + c
     return {tup: c for tup, c in out.items() if c}
@@ -366,13 +365,12 @@ def expand_in_parabolic_basis(f: Polynomial, ctx: ParabolicContext) -> dict:
         if rounds > bound:
             raise RuntimeError("expansion failed to terminate; order assumption violated")
         vec = x_lead_vector(f)
-        if previous is not None:
-            width = max(f.max_index("x"), len(vec), len(previous))
-            if not _x_key(vec, width) < _x_key(previous, width):
-                raise RuntimeError(
-                    "expansion leading term did not decrease; order assumption violated"
-                )
-        previous = vec
+        lead = x_order_key(vec)
+        if previous is not None and not lead < previous:
+            raise RuntimeError(
+                "expansion leading term did not decrease; order assumption violated"
+            )
+        previous = lead
         w = perm_from_code(vec)
         sub = _context_for(ctx, w)
         if not sub.is_min_rep(w):
@@ -380,7 +378,7 @@ def expand_in_parabolic_basis(f: Polynomial, ctx: ParabolicContext) -> dict:
                 f"leading code {list(vec)} is not the code of a minimal "
                 f"representative; input outside the parabolic span"
             )
-        coeff = _x_coefficient(f, vec)
+        coeff = f.x_coefficient(vec)
         result[w] = result.get(w, Polynomial.zero()) + coeff
         f = f - coeff * parabolic_q_double_schubert(sub, w)
     return {w: c for w, c in result.items() if c}

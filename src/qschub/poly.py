@@ -2,10 +2,31 @@
 
 Everything in this package lives in the ring Z[x1,x2,...; a1,a2,...;
 q1,q2,...].  Coefficients are Python ints, so arithmetic is exact at every
-step; no floats appear anywhere.  A monomial is a sorted tuple of
-((family, index), exponent) pairs with positive exponents, and a polynomial
-is a dict from monomials to nonzero integer coefficients.  Polynomial values
-are treated as immutable once constructed.
+step; no floats appear anywhere.  A polynomial is a dict from monomials to
+nonzero integer coefficients, and polynomial values are treated as immutable
+once constructed.
+
+Packed monomials.  Inside `Polynomial.terms` a monomial is one Python int
+made of 8-bit fields, each a 7-bit exponent topped by a guard bit.  From the
+most significant field down the layout is
+
+    deg_x | x16 ... x1 | q16 ... q1 | a16 ... a1
+
+where deg_x is the total x-degree.  Comparing two such ints therefore
+compares the monomials in the x-leading order (x-degree first, then the x
+exponents from the largest index down), so a leading term is a plain `max`.
+Multiplying monomials is adding their ints: an exponent sum above 127 sets
+a guard bit and never reaches a neighbouring field, and the product raises
+ValueError when it sees one.  Divided differences and substitutions edit
+fields with shifts and masks.
+
+The layout bounds what can be written down: indices 1..16 in every family,
+and exponents (and x-degrees) up to 127.  `Polynomial.var`,
+`Polynomial.from_terms`, the constructor, `parse_polynomial` and
+`polynomial_from_json` raise ValueError for anything beyond that, before any
+computation starts.  Only this module knows the packed form; everywhere else
+a monomial is a tuple of ((family, index), exponent) pairs, as accepted by
+the constructor, `from_terms` and `coefficient` and returned by `split`.
 
 >>> f = (x(1) - a(1)) * (x(1) - a(2)) - q(1)
 >>> print(f)
@@ -20,6 +41,8 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 __all__ = [
     "Polynomial",
@@ -37,6 +60,9 @@ __all__ = [
     "format_polynomial",
     "polynomial_to_json",
     "polynomial_from_json",
+    "x_order_key",
+    "MAX_EXPONENT",
+    "SLOTS",
 ]
 
 FAMILIES = ("x", "a", "q")
@@ -45,29 +71,139 @@ FAMILIES = ("x", "a", "q")
 Variable = tuple[str, int]
 Monomial = tuple[tuple[Variable, int], ...]
 
-_EMPTY: Monomial = ()
+# -- the packed layout ---------------------------------------------------------
+
+EXP_BITS = 7
+MAX_EXPONENT = (1 << EXP_BITS) - 1
+SLOTS = 16  # largest index in every family
+
+_W = EXP_BITS + 1  # field width: exponent bits plus the guard bit
+_EXP = MAX_EXPONENT  # mask of one exponent, shifted down to bit 0
+# First field of each family block, lowest first; the x-degree field tops it.
+_FIRST = {"a": 0, "q": SLOTS, "x": 2 * SLOTS}
+_DEG_SHIFT = 3 * SLOTS * _W
+_GUARD = sum(1 << (f * _W + EXP_BITS) for f in range(3 * SLOTS + 1))
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    d = dict(m1)
-    for v, e in m2:
-        d[v] = d.get(v, 0) + e
-    return tuple(sorted(d.items()))
+def _shift(family: str, index: int) -> int:
+    return (_FIRST[family] + index - 1) * _W
 
 
-def _mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
+def _block_mask(family: str, lo: int = 1) -> int:
+    """Exponent bits of the family's variables with index >= lo."""
+    return sum(_EXP << _shift(family, t) for t in range(lo, SLOTS + 1))
 
 
-def _mono_part(m: Monomial, families: str) -> tuple[Monomial, Monomial]:
-    """Split a monomial into (part over families, remaining part)."""
-    inside = tuple(p for p in m if p[0][0] in families)
-    outside = tuple(p for p in m if p[0][0] not in families)
-    return inside, outside
+# The key added per unit exponent of each variable; an x unit also bumps the
+# x-degree field, so int addition keeps that field right.
+_UNITS = {
+    (fam, t): (1 << _shift(fam, t)) + ((1 << _DEG_SHIFT) if fam == "x" else 0)
+    for fam in FAMILIES
+    for t in range(1, SLOTS + 1)
+}
+_VARIABLE_AT = {_shift(fam, t) // _W: (fam, t) for fam, t in _UNITS}
+# Whole-family masks for split(); the x mask includes the x-degree field.
+_FAMILY_MASK = {
+    "a": _block_mask("a"),
+    "q": _block_mask("q"),
+    "x": _block_mask("x") | (_EXP << _DEG_SHIFT),
+}
+_AQ_MASK = _FAMILY_MASK["a"] | _FAMILY_MASK["q"]
+_VARS_MASK = _AQ_MASK | _block_mask("x")
+# Every other exponent field of the a and q blocks: with 16 bits between
+# them, such a value is congruent to its field sum modulo 2^16 - 1, and that
+# sum (at most 16 * 127) is below the modulus.
+_ALTERNATE = sum(_EXP << (2 * f * _W) for f in range(SLOTS))
+
+
+def _aq_degree(m: int) -> int:
+    m &= _AQ_MASK
+    return (m & _ALTERNATE) % 0xFFFF + ((m >> _W) & _ALTERNATE) % 0xFFFF
+
+
+def _degree(m: int) -> int:
+    return (m >> _DEG_SHIFT) + _aq_degree(m)
+
+
+def _unit(v) -> int:
+    unit = _UNITS.get(v)
+    if unit is None:
+        fam, index = v
+        if fam not in FAMILIES:
+            raise ValueError(f"unknown variable family {fam!r}")
+        if index < 1:
+            raise ValueError(f"variable index must be >= 1, got {index}")
+        raise ValueError(
+            f"{fam}{index} is beyond the packed layout: indices go up to {SLOTS}"
+        )
+    return unit
+
+
+def _check_guard(key: int, what: str):
+    if key & _GUARD:
+        raise ValueError(
+            f"{what} has an exponent or x-degree above {MAX_EXPONENT}, beyond the "
+            f"packed layout"
+        )
+
+
+def _pack(mono) -> int:
+    """Key of a monomial given as ((family, index), exponent) pairs."""
+    key = 0
+    for v, e in mono:
+        if e:
+            if not 0 < e <= MAX_EXPONENT:
+                raise ValueError(
+                    f"exponent {e} is outside 1..{MAX_EXPONENT} (packed layout)"
+                )
+            key += e * _unit(v)
+    _check_guard(key, "monomial")
+    return key
+
+
+def _pairs(m: int) -> list:
+    """The ((family, index), exponent) pairs of a key, in sorted order."""
+    out = []
+    m &= _VARS_MASK
+    while m:
+        field = ((m & -m).bit_length() - 1) // _W
+        shift = field * _W
+        e = (m >> shift) & _EXP
+        out.append((_VARIABLE_AT[field], e))
+        m -= e << shift
+    return out
+
+
+def _exponents(m: int, family: str, width: int) -> list:
+    base = _FIRST[family] * _W
+    return [(m >> (base + t * _W)) & _EXP for t in range(width)]
+
+
+def x_order_key(vec) -> int:
+    """Key of the monomial x^vec, as stored in `Polynomial.terms`.
+
+    Keys of x-monomials compare in the x-leading order: larger total degree
+    first, ties broken at the largest index where the exponents differ.
+
+    >>> x_order_key((0, 1)) > x_order_key((1,))
+    True
+    """
+    return _pack([(("x", t), e) for t, e in enumerate(vec, start=1)])
+
+
+def _poly(terms: dict) -> "Polynomial":
+    p = object.__new__(Polynomial)
+    p.terms = terms
+    return p
+
+
+def _packed(items) -> dict:
+    acc: dict = {}
+    for mono, coeff in items:
+        if coeff:
+            key = _pack(mono)
+            acc[key] = acc.get(key, 0) + coeff
+    return {m: c for m, c in acc.items() if c}
 
 
 class Polynomial:
@@ -76,36 +212,25 @@ class Polynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict):
-        # Trusted constructor: `terms` must already be normalized (no zero
-        # coefficients, monomials sorted with positive exponents).
-        self.terms = terms
+        # `terms` maps monomials, as ((family, index), exponent) pairs, to
+        # integer coefficients; they are validated and packed here.
+        self.terms = _packed(terms.items())
 
     @classmethod
     def from_terms(cls, items) -> "Polynomial":
-        acc: dict = {}
-        for mono, coeff in items:
-            if coeff:
-                key = tuple(sorted((v, e) for v, e in mono if e))
-                acc[key] = acc.get(key, 0) + coeff
-                if not acc[key]:
-                    del acc[key]
-        return cls(acc)
+        return _poly(_packed(items))
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls({})
+        return _poly({})
 
     @classmethod
     def const(cls, c: int) -> "Polynomial":
-        return cls({_EMPTY: c}) if c else cls({})
+        return _poly({0: c} if c else {})
 
     @classmethod
     def var(cls, family: str, index: int) -> "Polynomial":
-        if family not in FAMILIES:
-            raise ValueError(f"unknown variable family {family!r}")
-        if index < 1:
-            raise ValueError(f"variable index must be >= 1, got {index}")
-        return cls({(((family, index), 1),): 1})
+        return _poly({_unit((family, index)): 1})
 
     # -- ring operations ---------------------------------------------------
 
@@ -122,7 +247,7 @@ class Polynomial:
     __hash__ = None
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self.terms.items()})
+        return _poly({m: -c for m, c in self.terms.items()})
 
     def __add__(self, other) -> "Polynomial":
         if isinstance(other, int):
@@ -137,9 +262,9 @@ class Polynomial:
             s = acc.get(m, 0) + c
             if s:
                 acc[m] = s
-            elif m in acc:
+            else:
                 del acc[m]
-        return Polynomial(acc)
+        return _poly(acc)
 
     __radd__ = __add__
 
@@ -156,24 +281,23 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, int):
             if not other:
-                return Polynomial({})
-            return Polynomial({m: c * other for m, c in self.terms.items()})
+                return _poly({})
+            return _poly({m: c * other for m, c in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        acc: dict = {}
         if len(self.terms) < len(other.terms):
             fa, fb = self.terms, other.terms
         else:
             fa, fb = other.terms, self.terms
+        acc: dict = {}
+        get = acc.get
+        items = fb.items()
         for m1, c1 in fa.items():
-            for m2, c2 in fb.items():
-                key = _mono_mul(m1, m2)
-                s = acc.get(key, 0) + c1 * c2
-                if s:
-                    acc[key] = s
-                elif key in acc:
-                    del acc[key]
-        return Polynomial(acc)
+            for m2, c2 in items:
+                key = m1 + m2
+                acc[key] = get(key, 0) + c1 * c2
+        _check_guard(reduce(or_, acc, 0), "product")
+        return _poly({m: c for m, c in acc.items() if c})
 
     __rmul__ = __mul__
 
@@ -192,48 +316,73 @@ class Polynomial:
     # -- queries -----------------------------------------------------------
 
     def is_constant(self) -> bool:
-        return all(m == _EMPTY for m in self.terms)
+        return all(not m for m in self.terms)
 
     def constant_value(self) -> int:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms.get(_EMPTY, 0)
+        return self.terms.get(0, 0)
 
     def total_degree(self) -> int:
         """Plain total degree (every variable weighted 1); 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(_mono_degree(m) for m in self.terms)
+        return max(map(_degree, self.terms), default=0)
 
     def max_index(self, family: str) -> int:
         """Largest index of the given family appearing, or 0."""
-        best = 0
-        for m in self.terms:
-            for (fam, idx), _ in m:
-                if fam == family and idx > best:
-                    best = idx
-        return best
+        block = reduce(or_, self.terms, 0) & _block_mask(family)
+        return (block.bit_length() - _FIRST[family] * _W + _W - 1) // _W if block else 0
 
     def coefficient(self, mono: Monomial) -> int:
-        return self.terms.get(tuple(sorted(mono)), 0)
+        return self.terms.get(_pack(mono), 0)
+
+    def homogeneous_parts(self) -> dict:
+        """{total degree: the terms of that degree}, every variable weighted 1."""
+        acc: dict = {}
+        for m, c in self.terms.items():
+            acc.setdefault(_degree(m), {})[m] = c
+        return {d: _poly(t) for d, t in acc.items()}
 
     def split(self, families: str) -> dict:
         """Group terms by their sub-monomial over `families`.
 
-        Returns a dict mapping each sub-monomial to the polynomial of
-        everything else that multiplies it.
+        Returns a dict mapping each sub-monomial, as ((family, index),
+        exponent) pairs, to the polynomial of everything else that
+        multiplies it.
 
         >>> f = x(1) * a(1) + 2 * x(1) - q(1)
         >>> parts = f.split("x")
         >>> print(parts[((("x", 1), 1),)])
         a1 + 2
         """
+        mask = 0
+        for fam in families:
+            mask |= _FAMILY_MASK[fam]
         acc: dict = {}
         for m, c in self.terms.items():
-            inside, outside = _mono_part(m, families)
-            bucket = acc.setdefault(inside, {})
-            bucket[outside] = bucket.get(outside, 0) + c
-        return {k: Polynomial(v) for k, v in acc.items()}
+            inside = m & mask
+            acc.setdefault(inside, {})[m - inside] = c
+        return {tuple(_pairs(k)): _poly(v) for k, v in acc.items()}
+
+    # -- x-leading terms ---------------------------------------------------
+
+    def x_lead(self) -> tuple | None:
+        """Exponent vector of the x-leading monomial, trailing zeros dropped;
+        None for the zero polynomial.
+
+        >>> (x(1) * x(2) + x(2) ** 2 * a(1)).x_lead()
+        (0, 2)
+        """
+        if not self.terms:
+            return None
+        vec = _exponents(max(self.terms), "x", SLOTS)
+        while vec and not vec[-1]:
+            vec.pop()
+        return tuple(vec)
+
+    def x_coefficient(self, vec) -> "Polynomial":
+        """The polynomial in a and q multiplying x^vec."""
+        key, mask = x_order_key(vec), _FAMILY_MASK["x"]
+        return _poly({m - key: c for m, c in self.terms.items() if m & mask == key})
 
     # -- substitutions -----------------------------------------------------
 
@@ -244,46 +393,75 @@ class Polynomial:
         >>> print(f.specialize({("a", 1): 0}))
         x1^2
         """
-        fixed = {
-            v: (p if isinstance(p, Polynomial) else Polynomial.const(p))
+        fixed = [
+            (_unit(v), _shift(*v), p if isinstance(p, Polynomial) else Polynomial.const(p))
             for v, p in assignment.items()
-        }
-        total = Polynomial({})
+        ]
+        acc: dict = {}
         for m, c in self.terms.items():
-            factor = Polynomial.const(c)
-            for v, e in m:
-                if v in fixed:
-                    factor = factor * (fixed[v] ** e)
-                    if not factor:
-                        break
-                else:
-                    factor = factor * Polynomial({((v, e),): 1})
-            total = total + factor
-        return total
+            rest, factors = m, []
+            for unit, shift, value in fixed:
+                e = (m >> shift) & _EXP
+                if e:
+                    rest -= e * unit
+                    factors.append(value**e)
+            factor = _poly({rest: c})
+            for p in factors:
+                factor = factor * p
+            for k, v in factor.terms.items():
+                acc[k] = acc.get(k, 0) + v
+        return _poly({m: c for m, c in acc.items() if c})
 
     def zero_out(self, family: str, min_index: int = 1) -> "Polynomial":
         """Set every variable of `family` with index >= min_index to zero."""
-        acc = {}
-        for m, c in self.terms.items():
-            if any(fam == family and idx >= min_index for (fam, idx), _ in m):
-                continue
-            acc[m] = c
-        return Polynomial(acc)
+        mask = _block_mask(family, max(min_index, 1))
+        return _poly({m: c for m, c in self.terms.items() if not m & mask})
 
     def swap_indices(self, family: str, i: int, j: int) -> "Polynomial":
         """Exchange the variables (family, i) and (family, j)."""
-        vi, vj = (family, i), (family, j)
+        ui, uj = _unit((family, i)), _unit((family, j))
+        si, sj = _shift(family, i), _shift(family, j)
         acc: dict = {}
         for m, c in self.terms.items():
-            d = dict(m)
-            ei, ej = d.pop(vi, 0), d.pop(vj, 0)
-            if ei:
-                d[vj] = ei
-            if ej:
-                d[vi] = ej
-            key = tuple(sorted(d.items()))
-            acc[key] = acc.get(key, 0) + c
-        return Polynomial({m: c for m, c in acc.items() if c})
+            d = ((m >> sj) & _EXP) - ((m >> si) & _EXP)
+            acc[m + d * (ui - uj)] = c
+        return _poly(acc)
+
+    def divided_difference(self, family: str, i: int) -> "Polynomial":
+        """(f - s_i f) / (v_i - v_{i+1}) for the variables v of `family`.
+
+        For a single monomial rest*v_i^p*v_{i+1}^r the quotient is the finite
+        geometric sum rest * sum v_i^e v_{i+1}^{p+r-1-e}, so the division is
+        exact by construction and no generic polynomial division is needed.
+
+        >>> print((a(1) ** 2).divided_difference("a", 1))
+        a1 + a2
+        """
+        ui, uj = _unit((family, i)), _unit((family, i + 1))
+        si, sj = _shift(family, i), _shift(family, i + 1)
+        mi, mj = _EXP << si, _EXP << sj
+        step = ui - uj
+        acc: dict = {}
+        get = acc.get
+        for m, c in self.terms.items():
+            p = (m & mi) >> si
+            r = (m & mj) >> sj
+            # The exponent of v_i runs up from min(p, r) while that of
+            # v_{i+1} runs down from max(p, r) - 1, d terms in all.
+            if p > r:
+                d = p - r
+                key = m - d * ui + (d - 1) * uj
+            elif p < r:
+                c = -c
+                d = r - p
+                key = m - uj
+            else:
+                continue
+            acc[key] = get(key, 0) + c
+            for _ in range(d - 1):
+                key += step
+                acc[key] = get(key, 0) + c
+        return _poly({m: c for m, c in acc.items() if c})
 
     # -- presentation --------------------------------------------------------
 
@@ -320,10 +498,8 @@ def elementary_symmetric(k: int, variables: list) -> Polynomial:
         return Polynomial.zero()
     if k == 0:
         return Polynomial.const(1)
-    acc = {}
-    for combo in itertools.combinations(sorted(variables), k):
-        acc[tuple((v, 1) for v in combo)] = 1
-    return Polynomial(acc)
+    units = [_unit(v) for v in variables]
+    return _poly({sum(combo): 1 for combo in itertools.combinations(units, k)})
 
 
 def graded_degree(f: Polynomial, q_degrees=None):
@@ -339,13 +515,12 @@ def graded_degree(f: Polynomial, q_degrees=None):
     True
     """
     degs = set()
+    width = f.max_index("q")
     for m in f.terms:
-        d = 0
-        for (fam, idx), e in m:
-            if fam == "q":
-                d += e * (2 if q_degrees is None else q_degrees[idx])
-            else:
-                d += e
+        d = _degree(m)
+        for t, e in enumerate(_exponents(m, "q", width), start=1):
+            if e:
+                d += e * ((2 if q_degrees is None else q_degrees[t]) - 1)
         degs.add(d)
     if not degs:
         return 0
@@ -419,32 +594,30 @@ def char_poly_coeffs(m: SymbolicMatrix) -> list:
 # -- canonical text form ------------------------------------------------------
 
 
-def _family_vector(m: Monomial, family: str, width: int) -> list:
-    vec = [0] * width
-    for (fam, idx), e in m:
-        if fam == family:
-            vec[idx - 1] = e
-    return vec
+def _sorted_terms(f: Polynomial) -> list:
+    wa, wq = max(1, f.max_index("a")), max(1, f.max_index("q"))
+    x_fields = _block_mask("x")
 
-
-def _term_sort_key(m: Monomial, widths: dict):
-    xv = _family_vector(m, "x", widths["x"])
-    av = _family_vector(m, "a", widths["a"])
-    qv = _family_vector(m, "q", widths["q"])
     # Descending total degree; then the x parts in reverse-lex order where at
     # the largest differing index the larger exponent comes first; then the a
     # and q parts lexicographically from the low indices.
-    return (
-        -_mono_degree(m),
-        tuple(-e for e in reversed(xv)),
-        tuple(-e for e in av),
-        tuple(-e for e in qv),
-    )
+    def key(item):
+        m = item[0]
+        return (
+            -_degree(m),
+            -(m & x_fields),
+            [-e for e in _exponents(m, "a", wa)],
+            [-e for e in _exponents(m, "q", wq)],
+        )
+
+    return sorted(f.terms.items(), key=key)
 
 
-def _sorted_terms(f: Polynomial) -> list:
-    widths = {fam: max(1, f.max_index(fam)) for fam in FAMILIES}
-    return sorted(f.terms.items(), key=lambda mc: _term_sort_key(mc[0], widths))
+def _family_pairs(m: int) -> dict:
+    out = {fam: [] for fam in FAMILIES}
+    for (fam, idx), e in _pairs(m):
+        out[fam].append((idx, e))
+    return out
 
 
 def format_polynomial(f: Polynomial) -> str:
@@ -454,9 +627,9 @@ def format_polynomial(f: Polynomial) -> str:
     pieces = []
     for m, c in _sorted_terms(f):
         factors = []
-        for fam in ("x", "a", "q"):
-            for (vfam, idx), e in sorted(p for p in m if p[0][0] == fam):
-                factors.append(f"{vfam}{idx}" + (f"^{e}" if e > 1 else ""))
+        for fam, pairs in _family_pairs(m).items():
+            for idx, e in pairs:
+                factors.append(f"{fam}{idx}" + (f"^{e}" if e > 1 else ""))
         mag = abs(c)
         if factors and mag == 1:
             body = "*".join(factors)
@@ -505,7 +678,7 @@ def parse_polynomial(text: str) -> Polynomial:
     """Parse the canonical text form back into a Polynomial.
 
     Raises PolynomialParseError (a ValueError) with the offending position on
-    malformed input.
+    malformed input, and on variables or exponents beyond the packed layout.
 
     >>> print(parse_polynomial("x1^2 - 2*x1*a1 + a1^2 - q1") + q(1))
     x1^2 - 2*x1*a1 + a1^2
@@ -520,9 +693,10 @@ def parse_polynomial(text: str) -> Polynomial:
     def parse_factor(i):
         kind, val, pos = tokens[i]
         if kind == "var":
-            fam, idx = val
-            if idx < 1:
-                raise PolynomialParseError("variable index must be >= 1", pos)
+            try:
+                factor = Polynomial.var(*val)
+            except ValueError as exc:
+                raise PolynomialParseError(str(exc), pos) from None
             i += 1
             exp = 1
             if i < n and tokens[i][0] == "pow":
@@ -530,8 +704,13 @@ def parse_polynomial(text: str) -> Polynomial:
                 if i >= n or tokens[i][0] != "int":
                     raise PolynomialParseError("expected integer exponent", tokens[i - 1][2])
                 exp = tokens[i][1]
+                if exp > MAX_EXPONENT:
+                    raise PolynomialParseError(
+                        f"exponent {exp} is above {MAX_EXPONENT} (packed layout)",
+                        tokens[i][2],
+                    )
                 i += 1
-            return Polynomial.var(fam, idx) ** exp, i
+            return factor**exp, i
         if kind == "int":
             return Polynomial.const(val), i + 1
         raise PolynomialParseError("expected a variable or integer", pos)
@@ -555,8 +734,12 @@ def parse_polynomial(text: str) -> Polynomial:
             i += 1
             if i >= n:
                 raise PolynomialParseError("dangling '*'", tokens[i - 1][2])
+            pos = tokens[i][2]
             factor, i = parse_factor(i)
-            term = term * factor
+            try:
+                term = term * factor
+            except ValueError as exc:
+                raise PolynomialParseError(str(exc), pos) from None
         total = total + term * sign
     return total
 
@@ -568,9 +751,9 @@ def polynomial_to_json(f: Polynomial) -> list:
     """JSON-ready list of term objects; round-trips bit-exactly."""
     out = []
     for m, c in _sorted_terms(f):
-        entry = {"c": str(c), "x": [], "a": [], "q": []}
-        for (fam, idx), e in sorted(m):
-            entry[fam].append([idx, e])
+        entry = {"c": str(c)}
+        for fam, pairs in _family_pairs(m).items():
+            entry[fam] = [[idx, e] for idx, e in pairs]
         out.append(entry)
     return out
 

@@ -15,10 +15,9 @@ becomes its pivot.  Rows are built lazily and cached per degree slice.
 
 from __future__ import annotations
 
-import threading
 from functools import cache
 
-from .poly import Polynomial, elementary_symmetric
+from .poly import SLOTS, Polynomial, elementary_symmetric, x_order_key
 from .weyl import Permutation  # noqa: F401  (re-exported type alias context)
 from .schubert import quantum_elementary
 
@@ -121,48 +120,37 @@ def _strip(index) -> tuple:
 # -- triangular elimination over the e_I table --------------------------------
 
 
-def _x_vector(mono, width: int) -> tuple:
-    vec = [0] * width
-    for (_, idx), e in mono:
-        vec[idx - 1] = e
-    return vec
-
-
-def _naive_lead_key(index, width: int) -> tuple:
+def _naive_lead_key(index, width: int) -> int:
     # Plain leading monomial of e_I: each nonzero level r contributes ones at
-    # the window of the top i_r positions among 1..r.  Reverse-lex key with
-    # the largest index most significant.
+    # the window of the top i_r positions among 1..r.
     vec = [0] * width
     for r, i in enumerate(index, start=1):
         for t in range(r - i, r):
             vec[t] += 1
-    return tuple(reversed(vec))
+    return x_order_key(vec)
 
 
 class EchelonSlice:
     """Echelon rows for one homogeneous slice of a triangular basis table.
 
-    `pending` holds (plain-lead key, label) pairs sorted ascending; rows are
-    built on demand from the back (largest lead first), each reduced against
-    the rows already placed, so pivots and decompositions stay exact.
+    `pending` holds (plain-lead key, label) pairs sorted ascending, the keys
+    from `x_order_key`; rows are built on demand from the back (largest lead
+    first), each reduced against the rows already placed, so pivots and
+    decompositions stay exact.  Monomials are compared as the keys of
+    `Polynomial.terms`, whose integer order is the x-leading order.
     """
 
-    def __init__(self, width: int, pending: list, row_fn):
-        self.width = width
+    def __init__(self, pending: list, row_fn):
         self.pending = pending
         self.row_fn = row_fn
         self.rows: dict = {}  # pivot monomial -> (pivot coeff, row dict, coords)
-        self.lock = threading.Lock()
-
-    def _mono_key(self, mono) -> tuple:
-        return tuple(reversed(_x_vector(mono, self.width)))
 
     def _place_next_row(self):
         _, label = self.pending.pop()
         work = dict(self.row_fn(label).terms)
         coords = {label: 1}
         while work:
-            mono = max(work, key=self._mono_key)
+            mono = max(work)
             placed = self.rows.get(mono)
             if placed is None:
                 self.rows[mono] = (work[mono], work, coords)
@@ -191,37 +179,49 @@ class EchelonSlice:
                 del coords[ix]
 
     def _pivot_for(self, mono):
-        key = self._mono_key(mono)
         while mono not in self.rows:
-            if not self.pending or self.pending[-1][0] < key:
+            if not self.pending or self.pending[-1][0] < mono:
                 return None
             self._place_next_row()
         return self.rows[mono]
 
-    def decompose(self, terms: dict) -> dict:
+    def decompose(self, f: Polynomial) -> dict:
         # Eliminating rows from -f drives the work dict to zero while the
         # accumulated coordinates converge to the expansion of +f.
-        with self.lock:
-            coords: dict = {}
-            work = {m: -c for m, c in terms.items()}
-            while work:
-                mono = max(work, key=self._mono_key)
-                placed = self._pivot_for(mono)
-                if placed is None:
-                    raise RuntimeError(
-                        f"no standard monomial covers {mono}; level bound too small"
-                    )
-                self._eliminate(work, coords, mono, placed)
-            return coords
+        coords: dict = {}
+        work = {m: -c for m, c in f.terms.items()}
+        while work:
+            mono = max(work)
+            placed = self._pivot_for(mono)
+            if placed is None:
+                raise RuntimeError(
+                    "no standard monomial covers the leading term; level bound too small"
+                )
+            self._eliminate(work, coords, mono, placed)
+        return coords
+
+
+def _check_slice_width(width: int):
+    """Reject a slice that needs x variables beyond the packed layout.
+
+    Every slice of positive degree has a row whose lead uses x_width, so this
+    fails at once instead of after enumerating the rows.
+    """
+    if width > SLOTS:
+        raise ValueError(
+            f"this decomposition needs x1..x{width}, beyond the packed layout "
+            f"(x{SLOTS})"
+        )
 
 
 @cache
 def _slice(degree: int, max_level: int) -> EchelonSlice:
+    _check_slice_width(max_level)
     pending = sorted(
         (_naive_lead_key(index, max_level), index)
         for index in standard_indices(degree, max_level)
     )
-    return EchelonSlice(max_level, pending, e_monomial)
+    return EchelonSlice(pending, e_monomial)
 
 
 def standard_decompose(f: Polynomial) -> dict:
@@ -235,20 +235,15 @@ def standard_decompose(f: Polynomial) -> dict:
     >>> sorted(standard_decompose(x1 * x1).items())
     [((0, 2), -1), ((1, 1), 1)]
     """
-    for mono, _ in f.terms.items():
-        if any(fam != "x" for (fam, _), _ in mono):
-            raise ValueError("standard_decompose expects a polynomial in x alone")
-    by_degree: dict[int, dict] = {}
-    for mono, c in f.terms.items():
-        d = sum(e for _, e in mono)
-        by_degree.setdefault(d, {})[mono] = c
+    if f.max_index("a") or f.max_index("q"):
+        raise ValueError("standard_decompose expects a polynomial in x alone")
     out: dict = {}
     width = f.max_index("x")
-    for d, terms in by_degree.items():
+    for d, part in f.homogeneous_parts().items():
         if d == 0:
-            out[()] = out.get((), 0) + terms[()]
+            out[()] = out.get((), 0) + part.constant_value()
             continue
-        coords = _slice(d, width + d).decompose(terms)
+        coords = _slice(d, width + d).decompose(part)
         for ix, c in coords.items():
             out[ix] = out.get(ix, 0) + c
     return {ix: c for ix, c in out.items() if c}
@@ -277,15 +272,14 @@ def decompose_in_E(f: Polynomial) -> dict:
     the q-free part of f determines the constant coefficients, and peeling
     E_I multiples raises the minimum q-degree of the remainder each round.
     """
-    for mono, _ in f.terms.items():
-        if any(fam == "a" for (fam, _), _ in mono):
-            raise ValueError("decompose_in_E expects a polynomial in x and q alone")
+    if f.max_index("a"):
+        raise ValueError("decompose_in_E expects a polynomial in x and q alone")
     out: dict = {}
     rest = f
     guard = 0
     while rest:
         strata = rest.split("q")
-        lowest = min(strata, key=lambda m: sum(e for _, e in m))
+        lowest = min(strata, key=lambda m: Polynomial({m: 1}).total_degree())
         coords = standard_decompose(strata[lowest])
         carrier = Polynomial({lowest: 1})
         for ix, c in coords.items():

@@ -12,7 +12,6 @@ Weyl group (or outside the minimal coset representatives) are dropped.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .poly import Polynomial, a, format_polynomial, parse_polynomial
@@ -298,25 +297,18 @@ class StructureTable:
         self.entries = entries
 
     @classmethod
-    def build(cls, domain, max_workers: int = 1) -> "StructureTable":
+    def build(cls, domain) -> "StructureTable":
         if isinstance(domain, ParabolicContext):
             ctx, n = domain, domain.n
             basis = ctx.minimal_reps()
         else:
             ctx, n = None, int(domain)
             basis = sorted(all_perms(n), key=lambda w: (length(w), w))
-        pairs = [(u, v) for u in basis for v in basis]
         domain_arg = ctx if ctx is not None else n
-
-        def row(pair):
-            return structure_constants(domain_arg, *pair)
-
-        if max_workers > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                rows = list(pool.map(row, pairs))
-        else:
-            rows = [row(pair) for pair in pairs]
-        return cls(n, ctx, basis, dict(zip(pairs, rows)))
+        entries = {
+            (u, v): structure_constants(domain_arg, u, v) for u in basis for v in basis
+        }
+        return cls(n, ctx, basis, entries)
 
     def product(self, u, v) -> dict:
         return self.entries[(trim(u), trim(v))]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import cache, lru_cache
 
-from .poly import Polynomial, SymbolicMatrix, a, char_poly_coeffs, q, x
+from .poly import Polynomial, SymbolicMatrix, a, char_poly_coeffs, q, x, x_order_key
 from .weyl import (
     Permutation,
     compose,
@@ -51,43 +51,15 @@ FAMILY_KINDS = ("classical", "double", "quantum", "quantum_double")
 
 
 def divided_difference(i: int, f: Polynomial) -> Polynomial:
-    """The operator (f - s_i^a f) / (a_i - a_{i+1}), evaluated term by term.
-
-    For a single monomial rest*a_i^p*a_{i+1}^r the quotient is the finite
-    geometric sum rest * sum a_i^e a_{i+1}^{p+r-1-e}, so the division is
-    exact by construction and no generic polynomial division is needed.
-    """
+    """The operator (f - s_i^a f) / (a_i - a_{i+1}); see
+    `Polynomial.divided_difference`."""
     return _divided_difference_in("a", i, f)
 
 
 def _divided_difference_in(fam: str, i: int, f: Polynomial) -> Polynomial:
     if i < 1:
         raise ValueError("divided difference index must be >= 1")
-    vi, vj = (fam, i), (fam, i + 1)
-    acc: dict = {}
-    for m, c in f.terms.items():
-        d = dict(m)
-        p = d.pop(vi, 0)
-        r = d.pop(vj, 0)
-        if p == r:
-            continue
-        sign_c = c if p > r else -c
-        lo, hi = (r, p) if p > r else (p, r)
-        rest = sorted(d.items())
-        for e1 in range(lo, hi):
-            e2 = p + r - 1 - e1
-            mono = list(rest)
-            if e1:
-                mono.append((vi, e1))
-            if e2:
-                mono.append((vj, e2))
-            key = tuple(sorted(mono))
-            s = acc.get(key, 0) + sign_c
-            if s:
-                acc[key] = s
-            elif key in acc:
-                del acc[key]
-    return Polynomial(acc)
+    return f.divided_difference(fam, i)
 
 
 def divided_difference_w(w: Permutation, f: Polynomial) -> Polynomial:
@@ -253,40 +225,17 @@ def x_lead_vector(f: Polynomial) -> tuple | None:
     Leading means maximal total x-degree, ties broken reverse-lex: at the
     largest index where two vectors differ, the larger exponent wins.
     """
-    if not f.terms:
-        return None
-    width = f.max_index("x")
-    best = None
-    for m in f.terms:
-        vec = [0] * width
-        deg = 0
-        for (fam, idx), e in m:
-            if fam == "x":
-                vec[idx - 1] = e
-                deg += e
-        key = (deg, tuple(reversed(vec)))
-        if best is None or key > best:
-            best = key
-    vec = list(reversed(best[1]))
-    while vec and vec[-1] == 0:
-        vec.pop()
-    return tuple(vec)
-
-
-def _x_key(vec: tuple, width: int) -> tuple:
-    padded = list(vec) + [0] * (width - len(vec))
-    return (sum(vec), tuple(reversed(padded)))
+    return f.x_lead()
 
 
 def _check_ring(f: Polynomial, family: str, what: str):
     allowed = _FAMILY_VARS[family]
-    for m in f.terms:
-        for (fam, _), _ in m:
-            if fam not in allowed:
-                raise ValueError(
-                    f"{what} contains {fam}-variables, not allowed for the "
-                    f"{family} family"
-                )
+    for fam in "aq":
+        if fam not in allowed and f.max_index(fam):
+            raise ValueError(
+                f"{what} contains {fam}-variables, not allowed for the "
+                f"{family} family"
+            )
 
 
 def expand_in_schubert_basis(f: Polynomial, family: str) -> dict:
@@ -313,32 +262,18 @@ def expand_in_schubert_basis(f: Polynomial, family: str) -> dict:
         if rounds > bound:
             raise RuntimeError("expansion failed to terminate; order assumption violated")
         vec = x_lead_vector(f)
-        if previous is not None:
-            width = max(f.max_index("x"), len(vec), len(previous))
-            if not _x_key(vec, width) < _x_key(previous, width):
-                raise RuntimeError(
-                    "expansion leading term did not decrease; order assumption violated"
-                )
-        previous = vec
-        coeff = _x_coefficient(f, vec)
+        lead = x_order_key(vec)
+        if previous is not None and not lead < previous:
+            raise RuntimeError(
+                "expansion leading term did not decrease; order assumption violated"
+            )
+        previous = lead
+        coeff = f.x_coefficient(vec)
         _check_ring(coeff, family, "coefficient")
         w = perm_from_code(vec)
         result[w] = result.get(w, Polynomial.zero()) + coeff
         f = f - coeff * schubert_polynomial(w, family)
     return {w: c for w, c in result.items() if c}
-
-
-def _x_coefficient(f: Polynomial, vec: tuple) -> Polynomial:
-    target = tuple(
-        (("x", i), e) for i, e in enumerate(vec, start=1) if e
-    )
-    acc = {}
-    for m, c in f.terms.items():
-        xpart = tuple(p for p in m if p[0][0] == "x")
-        if xpart == target:
-            rest = tuple(p for p in m if p[0][0] != "x")
-            acc[rest] = c
-    return Polynomial(acc)
 
 
 def reconstruct(expansion: dict, family: str) -> Polynomial:

@@ -16,9 +16,10 @@ and the identity is the empty tuple.  Products compose as functions,
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
-from .poly import Polynomial
+from .poly import Polynomial, q
 
 __all__ = [
     "Permutation",
@@ -261,8 +262,8 @@ def coroot_vector(alpha: Root) -> dict:
 
 def q_coroot(alpha: Root) -> Polynomial:
     """q_{alpha^vee} = q_r q_{r+1} ... q_{s-1}."""
-    mono = tuple((("q", t), 1) for t in sorted(coroot_vector(alpha)))
-    return Polynomial({mono: 1})
+    factors = (q(t) for t in sorted(coroot_vector(alpha)))
+    return math.prod(factors, start=Polynomial.const(1))
 
 
 # -- parabolic contexts -------------------------------------------------------
@@ -410,10 +411,8 @@ def _block_splits(values, sizes):
 def eta_p(alpha: Root, ctx: ParabolicContext) -> Polynomial:
     """q_{eta_P(alpha^vee)} = prod of q_i over the nodes N_i in [r, s)."""
     r, s = alpha
-    factors = tuple(
-        (("q", i), 1) for i, node in enumerate(ctx.nodes, start=1) if r <= node < s
-    )
-    return Polynomial({factors: 1})
+    factors = (q(i) for i, node in enumerate(ctx.nodes, start=1) if r <= node < s)
+    return math.prod(factors, start=Polynomial.const(1))
 
 
 def parabolic_decompose(w: Permutation, ctx: ParabolicContext):

@@ -124,6 +124,11 @@ class TestExpand:
         assert exit_code == 2
         assert err
 
+    def test_index_beyond_layout_fails_at_once(self, capsys):
+        exit_code, _, err = run(capsys, "expand", "--poly", "x200^2", "--family", "quantum")
+        assert exit_code == 2
+        assert err.startswith("error:") and "packed layout" in err
+
     def test_outside_span(self, capsys):
         exit_code, _, err = run(
             capsys, "expand", "--poly", "x1", "--parabolic", "2,1"
@@ -187,3 +192,43 @@ def test_usage_error_on_unknown_subcommand(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+class TestExitCodes:
+    """Usage errors exit 2 with one `error:` line; crashes never exit 1."""
+
+    def assert_usage_error(self, capsys, *argv):
+        exit_code, out, err = run(capsys, *argv)
+        assert exit_code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("suite", ["cauchy", "bijection"])
+    def test_verify_max_n_zero(self, capsys, suite):
+        err = self.assert_usage_error(capsys, "verify", suite, "--max-n", "0")
+        assert "--max-n" in err
+
+    def test_verify_chevalley_max_n_zero_is_not_vacuous(self, capsys):
+        self.assert_usage_error(capsys, "verify", "chevalley", "--max-n", "0")
+
+    def test_verify_unknown_flavor(self, capsys):
+        err = self.assert_usage_error(capsys, "verify", "chevalley", "--flavor", "bogus")
+        assert "bogus" in err
+
+    def test_table_negative_n(self, capsys):
+        self.assert_usage_error(capsys, "table", "--n", "-2")
+
+    def test_table_zero_n(self, capsys):
+        err = self.assert_usage_error(capsys, "table", "--n", "0")
+        assert "--n must be >= 1" in err
+
+    def test_internal_error_has_its_own_code(self, capsys, monkeypatch):
+        def crash(max_n=4):
+            raise KeyError("planted\ncrash")
+
+        monkeypatch.setattr(selftest, "check_cauchy", crash)
+        exit_code, out, err = run(capsys, "verify", "cauchy")
+        assert exit_code == 3
+        assert out == ""
+        assert err.startswith("internal error: KeyError") and err.count("\n") == 1

@@ -312,3 +312,18 @@ class TestExpansion:
     def test_rejects_outside_span(self):
         with pytest.raises(ValueError):
             expand_in_parabolic_basis(x(1), ParabolicContext((2, 1)))
+
+
+class TestChainCache:
+    def test_chain_caches_share_one_bounded_policy(self):
+        from qschub import parabolic, schubert
+
+        for comp in compositions(4):
+            ctx = ParabolicContext(comp)
+            for w in ctx.minimal_reps():
+                parabolic_q_double_schubert(ctx, w)
+        schubert_polynomial((2, 4, 1, 3), "quantum_double")
+        for chain in (parabolic._p_dd, schubert._dd_from_top):
+            info = chain.cache_info()
+            assert info.maxsize == 2048
+            assert 0 < info.currsize <= info.maxsize

@@ -186,3 +186,9 @@ class TestEDecomposition:
     def test_rejects_a_variables(self):
         with pytest.raises(ValueError):
             decompose_in_E(variable("a", 1) * x1)
+
+
+def test_slice_beyond_the_layout_fails_at_once():
+    # Degree 12 in x1..x5 needs e_I rows up to level 17, past x16.
+    with pytest.raises(ValueError, match="packed layout"):
+        theta(variable("x", 5) ** 12)

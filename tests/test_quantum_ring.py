@@ -181,10 +181,8 @@ class TestStructureConstants:
     def test_variable_ranges_respect_truncation(self):
         res = structure_constants(3, (3, 1, 2), (3, 1, 2))
         for coeff in res.values():
-            for mono in coeff.terms:
-                for (family, index), _ in mono:
-                    assert family in ("a", "q")
-                    assert index <= 3 if family == "a" else index <= 2
+            assert coeff.max_index("x") == 0
+            assert coeff.max_index("a") <= 3 and coeff.max_index("q") <= 2
 
 
 def divisor_checks(table):
@@ -226,9 +224,6 @@ class TestFullFlagTable:
 
     def test_json_round_trip(self, table):
         assert StructureTable.from_json(table.to_json()) == table
-
-    def test_parallel_build_matches(self, table):
-        assert StructureTable.build(3, max_workers=4) == table
 
 
 class TestParabolicTables:
