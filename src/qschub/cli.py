@@ -121,30 +121,21 @@ def _cmd_expand(args) -> int:
     return 0
 
 
-def _check_stability(max_n: int) -> tuple:
-    """Members are unchanged by appending a trailing singleton block."""
-    count = 0
-    for n in range(2, max_n + 1):
-        for comp in selftest.compositions(n):
-            ctx = ParabolicContext(comp)
-            wider = ctx.extend(1)
-            for w in ctx.minimal_reps():
-                if parabolic_q_double_schubert(
-                    wider, w
-                ) != parabolic_q_double_schubert(ctx, w):
-                    return False, f"extension changes the member at {comp}, {list(w)}"
-                count += 1
-    return True, f"{count} members stable under extension"
-
-
 def _cmd_verify(args) -> int:
     max_n = args.max_n
     if max_n < 1:
         raise UsageError(f"--max-n must be >= 1, got {max_n}")
     flavor = args.flavor.replace("-", "_") if args.flavor else None
+    if flavor is not None and args.suite != "chevalley":
+        raise UsageError("--flavor applies to the chevalley suite only")
     if flavor is not None and flavor not in CHEVALLEY_FLAVORS:
         raise UsageError(
             f"unknown --flavor {args.flavor!r}; choose one of {', '.join(FLAVOR_FLAGS)}"
+        )
+    # Both run over compositions of n >= 2 only; --max-n 1 would check nothing.
+    if max_n < 2 and (args.suite == "stability" or flavor == "parabolic"):
+        raise UsageError(
+            f"the stability suite and the parabolic flavor need --max-n >= 2, got {max_n}"
         )
     if args.suite == "chevalley":
         ok, detail = selftest.check_chevalley(max_n=max_n, flavor=flavor)
@@ -153,7 +144,7 @@ def _cmd_verify(args) -> int:
     elif args.suite == "quantization":
         ok, detail = selftest.check_quantization(max_n=max_n)
     elif args.suite == "stability":
-        ok, detail = _check_stability(max_n)
+        ok, detail = selftest.check_stability(max_n=max_n)
     else:
         ok, detail = selftest.check_bijections(max_n=max_n)
     status = "verified" if ok else "FALSIFIED"

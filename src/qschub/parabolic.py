@@ -23,6 +23,7 @@ from .poly import (
     Polynomial,
     SymbolicMatrix,
     a,
+    char_poly_at,
     char_poly_coeffs,
     elementary_symmetric,
     q,
@@ -31,9 +32,9 @@ from .poly import (
 )
 from .quantization import EchelonSlice, _check_slice_width
 from .schubert import (
+    _expand_by_leads,
     divided_difference,
     schubert_polynomial,
-    x_lead_vector,
     x_to_minus_a,
 )
 from .weyl import (
@@ -109,15 +110,6 @@ def G_polynomial(ctx: ParabolicContext, i: int, j: int) -> Polynomial:
     return _d_char_coeffs(ctx.composition, j)[i]
 
 
-def _det_d_at(ctx: ParabolicContext, j: int, value: Polynomial) -> Polynomial:
-    coeffs = _d_char_coeffs(ctx.composition, j)
-    size = ctx.partial_sums[j - 1]
-    total = Polynomial.zero()
-    for i, g in enumerate(coeffs):
-        total = total + g * ((-value) ** (size - i))
-    return total
-
-
 @cache
 def _p_top(composition: tuple) -> Polynomial:
     ctx = ParabolicContext(composition)
@@ -127,7 +119,7 @@ def _p_top(composition: tuple) -> Polynomial:
         lo = n - ctx.partial_sums[j] + 1
         hi = n - ctx.partial_sums[j - 1]
         for i in range(lo, hi + 1):
-            total = total * _det_d_at(ctx, j, a(i))
+            total = total * char_poly_at(_d_char_coeffs(composition, j), a(i))
     return total
 
 
@@ -356,21 +348,8 @@ def expand_in_parabolic_basis(f: Polynomial, ctx: ParabolicContext) -> dict:
     code must belong to a minimal coset representative; anything else means
     f was not in the span and raises.
     """
-    result: dict = {}
-    previous = None
-    rounds = 0
-    bound = 4 * (len(f.terms) + 4) * (f.total_degree() + 4) ** 2
-    while f.terms:
-        rounds += 1
-        if rounds > bound:
-            raise RuntimeError("expansion failed to terminate; order assumption violated")
-        vec = x_lead_vector(f)
-        lead = x_order_key(vec)
-        if previous is not None and not lead < previous:
-            raise RuntimeError(
-                "expansion leading term did not decrease; order assumption violated"
-            )
-        previous = lead
+
+    def member(vec, coeff):
         w = perm_from_code(vec)
         sub = _context_for(ctx, w)
         if not sub.is_min_rep(w):
@@ -378,10 +357,9 @@ def expand_in_parabolic_basis(f: Polynomial, ctx: ParabolicContext) -> dict:
                 f"leading code {list(vec)} is not the code of a minimal "
                 f"representative; input outside the parabolic span"
             )
-        coeff = f.x_coefficient(vec)
-        result[w] = result.get(w, Polynomial.zero()) + coeff
-        f = f - coeff * parabolic_q_double_schubert(sub, w)
-    return {w: c for w, c in result.items() if c}
+        return w, parabolic_q_double_schubert(sub, w)
+
+    return _expand_by_leads(f, member)
 
 
 if __name__ == "__main__":

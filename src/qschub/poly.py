@@ -55,6 +55,7 @@ __all__ = [
     "variable",
     "elementary_symmetric",
     "char_poly_coeffs",
+    "char_poly_at",
     "graded_degree",
     "parse_polynomial",
     "format_polynomial",
@@ -546,49 +547,47 @@ class SymbolicMatrix:
 def char_poly_coeffs(m: SymbolicMatrix) -> list:
     """Coefficients [E_0, ..., E_n] with det(m - t*Id) = sum_j (-t)^(n-j) E_j.
 
-    Computed by exact cofactor expansion; entries stay in Z[x,a,q]
-    throughout.
+    m must be lower Hessenberg (no nonzero entry above the superdiagonal),
+    which C_n and D are; anything else raises ValueError.  With s = -t,
+    p_k = det of the leading k x k corner of m + s*Id satisfies
+
+        p_k = (m_kk + s) p_{k-1}
+              + sum_{i<k} (-1)^(k-i) m_ki (m_{i,i+1} ... m_{k-1,k}) p_{i-1},
+
+    and E_j is the s^(n-j) coefficient of p_n.  Entries stay in Z[x,a,q].
     """
     n = m.size
-    # A polynomial in t is a list of Polynomial coefficients, low degree first.
+    for (r, c), entry in m.entries.items():
+        if c > r + 1 and entry:
+            raise ValueError(f"entry ({r}, {c}) lies above the superdiagonal")
     zero = Polynomial.zero()
-    memo: dict = {}
-
-    def det(cols: tuple) -> list:
-        if not cols:
-            return [Polynomial.const(1)]
-        if cols in memo:
-            return memo[cols]
-        row = len(cols)
-        total: list = [zero]
-        for pos, col in enumerate(cols):
-            ent = [m.entry(row, col)]
-            if col == row:
-                ent.append(Polynomial.const(-1))
-            if len(ent) == 1 and not ent[0]:
+    # p[k] is a polynomial in s: a list of Polynomial coefficients, low first.
+    p = [[Polynomial.const(1)]]
+    for k in range(1, n + 1):
+        pk = [zero] + p[k - 1]
+        for d, c in enumerate(p[k - 1]):
+            pk[d] = pk[d] + m.entry(k, k) * c
+        chain = Polynomial.const(1)  # m_{i,i+1} ... m_{k-1,k}
+        for i in range(k - 1, 0, -1):
+            chain = chain * m.entry(i, i + 1)
+            factor = m.entry(k, i) * chain
+            if not factor:
                 continue
-            sub = det(cols[:pos] + cols[pos + 1 :])
-            sign = 1 if (row + pos + 1) % 2 == 0 else -1
-            prod = [zero] * (len(ent) + len(sub) - 1)
-            for i, ei in enumerate(ent):
-                if not ei:
-                    continue
-                for j, sj in enumerate(sub):
-                    prod[i + j] = prod[i + j] + ei * sj
-            if len(prod) > len(total):
-                total += [zero] * (len(prod) - len(total))
-            for i, p in enumerate(prod):
-                total[i] = total[i] + (p if sign > 0 else -p)
-        memo[cols] = total
-        return total
+            if (k - i) % 2:
+                factor = -factor
+            for d, c in enumerate(p[i - 1]):
+                pk[d] = pk[d] + factor * c
+        p.append(pk)
+    return [p[n][n - j] for j in range(n + 1)]
 
-    full = det(tuple(range(1, n + 1)))
-    full += [zero] * (n + 1 - len(full))
-    result = []
-    for j in range(n + 1):
-        c = full[n - j]
-        result.append(c if (n - j) % 2 == 0 else -c)
-    return result
+
+def char_poly_at(coeffs: list, value: Polynomial) -> Polynomial:
+    """det(m - value*Id) from coeffs = char_poly_coeffs(m), by Horner's rule
+    in -value."""
+    total = Polynomial.zero()
+    for c in coeffs:
+        total = total * -value + c
+    return total
 
 
 # -- canonical text form ------------------------------------------------------

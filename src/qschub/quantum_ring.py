@@ -15,7 +15,11 @@ import json
 from dataclasses import dataclass
 
 from .poly import Polynomial, a, format_polynomial, parse_polynomial
-from .parabolic import expand_in_parabolic_basis, parabolic_q_double_schubert
+from .parabolic import (
+    _context_for,
+    expand_in_parabolic_basis,
+    parabolic_q_double_schubert,
+)
 from .schubert import expand_in_schubert_basis, schubert_polynomial
 from .weyl import (
     ParabolicContext,
@@ -62,12 +66,8 @@ class ChevalleyRootSets:
     B: frozenset
 
 
-def _extended_ctx(ctx: ParabolicContext, m: int) -> ParabolicContext:
-    return ctx if m <= ctx.n else ctx.extend(m - ctx.n)
-
-
 def _pi_p(ctx: ParabolicContext, w: Permutation) -> Permutation:
-    return _extended_ctx(ctx, len(w)).min_rep(w)
+    return _context_for(ctx, w).min_rep(w)
 
 
 def _in_a_set(w, alpha, ctx) -> bool:
@@ -78,7 +78,7 @@ def _in_a_set(w, alpha, ctx) -> bool:
     if ctx.is_p_root(alpha):
         return False
     moved = reflect(w, alpha)
-    return _extended_ctx(ctx, len(moved)).is_min_rep(moved)
+    return _context_for(ctx, moved).is_min_rep(moved)
 
 
 def _in_b_set(w, alpha, ctx) -> bool:
@@ -147,9 +147,34 @@ def weight_term(w, i: int) -> Polynomial:
 
 def _member(flavor: str, w, ctx) -> Polynomial:
     if flavor == "parabolic":
-        sub = _extended_ctx(ctx, len(w))
-        return parabolic_q_double_schubert(sub, w)
+        return parabolic_q_double_schubert(_context_for(ctx, w), w)
     return schubert_polynomial(w, flavor)
+
+
+def _chevalley_terms(i: int, w, flavor: str, ctx) -> dict:
+    """The node-i Chevalley-Monk rule as {basis element: coefficient}.
+
+    The weight term sits on w itself (double, quantum_double, parabolic),
+    each cover contributes 1, and each length drop contributes its q-monomial
+    (q_coroot for the full flag, eta_P on pi_P(w s_alpha) for parabolic).
+    """
+    sets = chevalley_root_sets(w, i, ctx if flavor == "parabolic" else None)
+    terms: dict = {}
+
+    def add(z, coeff):
+        terms[z] = terms.get(z, Polynomial.zero()) + coeff
+
+    if flavor in ("double", "quantum_double", "parabolic"):
+        add(w, weight_term(w, i))
+    for alpha in sorted(sets.A):
+        add(reflect(w, alpha), Polynomial.const(1))
+    if flavor in ("quantum", "quantum_double"):
+        for alpha in sorted(sets.B):
+            add(reflect(w, alpha), q_coroot(alpha))
+    elif flavor == "parabolic":
+        for alpha in sorted(sets.B):
+            add(_pi_p(ctx, reflect(w, alpha)), eta_p(alpha, ctx))
+    return {z: c for z, c in terms.items() if c}
 
 
 def chevalley_rhs(
@@ -171,20 +196,9 @@ def chevalley_rhs(
             raise ValueError("parabolic flavor needs a composition context")
         if not ctx.is_min_rep(w):
             raise ValueError(f"{list(w)} is not minimal in its coset")
-    w = trim(w)
-    sets = chevalley_root_sets(w, i, ctx if flavor == "parabolic" else None)
     total = Polynomial.zero()
-    if flavor in ("double", "quantum_double", "parabolic"):
-        total = total + weight_term(w, i) * _member(flavor, w, ctx)
-    for alpha in sorted(sets.A):
-        total = total + _member(flavor, reflect(w, alpha), ctx)
-    if flavor in ("quantum", "quantum_double"):
-        for alpha in sorted(sets.B):
-            total = total + q_coroot(alpha) * _member(flavor, reflect(w, alpha), ctx)
-    elif flavor == "parabolic":
-        for alpha in sorted(sets.B):
-            target = _pi_p(ctx, reflect(w, alpha))
-            total = total + eta_p(alpha, ctx) * _member(flavor, target, ctx)
+    for z, coeff in _chevalley_terms(i, trim(w), flavor, ctx).items():
+        total = total + coeff * _member(flavor, z, ctx)
     return total
 
 
@@ -217,7 +231,7 @@ def bijection_check(w, ctx: ParabolicContext | None = None) -> bool:
 
     first = set()
     for v in weak_order_ideal(w):
-        if ctx is not None and not _extended_ctx(ctx, len(v)).is_min_rep(v):
+        if ctx is not None and not _context_for(ctx, v).is_min_rep(v):
             return False
         for alpha in b_root_set(v, ctx):
             first.add((v, alpha))
@@ -255,6 +269,10 @@ def _truncate(expansion: dict, n: int, q_from: int, reps=None) -> dict:
         if c:
             out[w] = c
     return out
+
+
+def _zero_out(row: dict, family: str) -> dict:
+    return {z: c2 for z, c in row.items() if (c2 := c.zero_out(family))}
 
 
 def structure_constants(domain, u, v) -> dict:
@@ -313,17 +331,11 @@ class StructureTable:
     def product(self, u, v) -> dict:
         return self.entries[(trim(u), trim(v))]
 
-    def _expand_product(self, expansion: dict, t) -> dict:
+    def _expand_product(self, expansion: dict, row) -> dict:
+        """sum_w c_w * row(w) for a row lookup w -> {z: coefficient}."""
         out: dict = {}
         for w, cw in expansion.items():
-            for z, cz in self.entries[(w, t)].items():
-                out[z] = out.get(z, Polynomial.zero()) + cw * cz
-        return {z: c for z, c in out.items() if c}
-
-    def _expand_product_left(self, u, expansion: dict) -> dict:
-        out: dict = {}
-        for w, cw in expansion.items():
-            for z, cz in self.entries[(u, w)].items():
+            for z, cz in row(w).items():
                 out[z] = out.get(z, Polynomial.zero()) + cw * cz
         return {z: c for z, c in out.items() if c}
 
@@ -340,29 +352,18 @@ class StructureTable:
                 uv = self.entries[(u, v)]
                 for t in self.basis:
                     vt = self.entries[(v, t)]
-                    if self._expand_product(uv, t) != self._expand_product_left(u, vt):
+                    left = self._expand_product(uv, lambda w: self.entries[(w, t)])
+                    right = self._expand_product(vt, lambda w: self.entries[(u, w)])
+                    if left != right:
                         return False
         return True
 
     def _divisor_expected(self, i: int, w) -> dict:
-        expected: dict = {}
-
-        def add(key, value):
-            expected[key] = expected.get(key, Polynomial.zero()) + value
-
-        weight = weight_term(w, i)
-        if weight:
-            add(w, weight)
-        sets = chevalley_root_sets(w, i, self.ctx)
-        for alpha in sets.A:
-            if alpha[1] <= self.n:
-                add(reflect(w, alpha), Polynomial.const(1))
-        for alpha in sets.B:
-            if self.ctx is None:
-                add(reflect(w, alpha), q_coroot(alpha))
-            else:
-                add(_pi_p(self.ctx, reflect(w, alpha)), eta_p(alpha, self.ctx))
-        return {z: c for z, c in expected.items() if c}
+        if self.ctx is None:
+            terms, q_from = _chevalley_terms(i, w, "quantum_double", None), self.n
+        else:
+            terms, q_from = _chevalley_terms(i, w, "parabolic", self.ctx), self.ctx.k
+        return _truncate(terms, self.n, q_from, set(self.basis))
 
     def divisor_nodes(self) -> list:
         if self.ctx is None:
@@ -378,49 +379,24 @@ class StructureTable:
                     return False
         return True
 
-    def check_quantum_specialization(self) -> bool:
-        """a -> 0 on divisor rows: covers plus q-corrections, no weight term."""
+    def _specialized_rows(self, family: str):
+        """(w, table row, rule row) at every divisor row, `family` set to 0."""
         for i in self.divisor_nodes():
             si = simple(i)
             for w in self.basis:
-                got = {
-                    z: c2
-                    for z, c in self.entries[(si, w)].items()
-                    if (c2 := c.zero_out("a"))
-                }
-                expected = {
-                    z: c2
-                    for z, c in self._divisor_expected(i, w).items()
-                    if (c2 := c.zero_out("a"))
-                }
-                if got != expected:
-                    return False
-                if any(z == w for z in got):
-                    return False
-        return True
+                got = _zero_out(self.entries[(si, w)], family)
+                yield w, got, _zero_out(self._divisor_expected(i, w), family)
+
+    def check_quantum_specialization(self) -> bool:
+        """a -> 0 on divisor rows: covers plus q-corrections, no weight term."""
+        return all(
+            got == expected and w not in got
+            for w, got, expected in self._specialized_rows("a")
+        )
 
     def check_classical_specialization(self) -> bool:
         """q -> 0 on divisor rows: weight term plus covers only."""
-        for i in self.divisor_nodes():
-            si = simple(i)
-            for w in self.basis:
-                got = {
-                    z: c2
-                    for z, c in self.entries[(si, w)].items()
-                    if (c2 := c.zero_out("q"))
-                }
-                expected: dict = {}
-                weight = weight_term(w, i)
-                if weight:
-                    expected[w] = weight
-                sets = chevalley_root_sets(w, i, self.ctx)
-                for alpha in sets.A:
-                    if alpha[1] <= self.n:
-                        z = reflect(w, alpha)
-                        expected[z] = expected.get(z, Polynomial.zero()) + 1
-                if got != {z: c for z, c in expected.items() if c}:
-                    return False
-        return True
+        return all(got == expected for _, got, expected in self._specialized_rows("q"))
 
     def _format_perm(self, w) -> str:
         return format_permutation(extend(w, self.n))

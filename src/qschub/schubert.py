@@ -16,7 +16,16 @@ from __future__ import annotations
 
 from functools import cache, lru_cache
 
-from .poly import Polynomial, SymbolicMatrix, a, char_poly_coeffs, q, x, x_order_key
+from .poly import (
+    Polynomial,
+    SymbolicMatrix,
+    a,
+    char_poly_at,
+    char_poly_coeffs,
+    q,
+    x,
+    x_order_key,
+)
 from .weyl import (
     Permutation,
     compose,
@@ -95,20 +104,12 @@ def quantum_elementary(j: int, n: int) -> Polynomial:
     return _c_char_coeffs(n)[j]
 
 
-def _det_c_at(n: int, value: Polynomial) -> Polynomial:
-    """det(C_n - value*Id) by substituting into the characteristic coefficients."""
-    total = Polynomial.zero()
-    for j in range(n + 1):
-        total = total + quantum_elementary(j, n) * ((-value) ** (n - j))
-    return total
-
-
 @cache
 def _top_product(n: int, quantum: bool) -> Polynomial:
     total = Polynomial.const(1)
     for i in range(1, n):
         if quantum:
-            total = total * _det_c_at(i, a(n - i))
+            total = total * char_poly_at(_c_char_coeffs(i), a(n - i))
         else:
             factor = Polynomial.const(1)
             for j in range(1, i + 1):
@@ -238,6 +239,33 @@ def _check_ring(f: Polynomial, family: str, what: str):
             )
 
 
+def _expand_by_leads(f: Polynomial, member) -> dict:
+    """Strip x-leading terms off f until nothing is left.
+
+    `member(vec, coeff)` takes the leading exponent vector and its full
+    coefficient (a polynomial in the non-x variables), and returns the basis
+    element w whose code is vec together with its member; it raises
+    ValueError when either lies outside the basis' span.
+    """
+    result: dict = {}
+    previous = None
+    # Lead keys are nonnegative ints and must strictly decrease, so the loop
+    # ends without a round bound.
+    while f.terms:
+        vec = x_lead_vector(f)
+        lead = x_order_key(vec)
+        if previous is not None and not lead < previous:
+            raise RuntimeError(
+                "expansion leading term did not decrease; order assumption violated"
+            )
+        previous = lead
+        coeff = f.x_coefficient(vec)
+        w, g = member(vec, coeff)
+        result[w] = result.get(w, Polynomial.zero()) + coeff
+        f = f - coeff * g
+    return {w: c for w, c in result.items() if c}
+
+
 def expand_in_schubert_basis(f: Polynomial, family: str) -> dict:
     """Expand f over the chosen family; returns {w: coefficient Polynomial}.
 
@@ -253,27 +281,13 @@ def expand_in_schubert_basis(f: Polynomial, family: str) -> dict:
     if family not in FAMILY_KINDS:
         raise ValueError(f"unknown family {family!r}")
     _check_ring(f, family, "input")
-    result: dict = {}
-    previous = None
-    rounds = 0
-    bound = 4 * (len(f.terms) + 4) * (f.total_degree() + 4) ** 2
-    while f.terms:
-        rounds += 1
-        if rounds > bound:
-            raise RuntimeError("expansion failed to terminate; order assumption violated")
-        vec = x_lead_vector(f)
-        lead = x_order_key(vec)
-        if previous is not None and not lead < previous:
-            raise RuntimeError(
-                "expansion leading term did not decrease; order assumption violated"
-            )
-        previous = lead
-        coeff = f.x_coefficient(vec)
+
+    def member(vec, coeff):
         _check_ring(coeff, family, "coefficient")
         w = perm_from_code(vec)
-        result[w] = result.get(w, Polynomial.zero()) + coeff
-        f = f - coeff * schubert_polynomial(w, family)
-    return {w: c for w, c in result.items() if c}
+        return w, schubert_polynomial(w, family)
+
+    return _expand_by_leads(f, member)
 
 
 def reconstruct(expansion: dict, family: str) -> Polynomial:

@@ -29,7 +29,6 @@ from .schubert import (
     divided_difference,
     expand_in_schubert_basis,
     schubert_polynomial,
-    x_lead_vector,
 )
 from .weyl import (
     ParabolicContext,
@@ -125,6 +124,22 @@ def check_cauchy(max_n: int = 4) -> tuple:
     return True, f"S_{max_n} plus {cosets} parabolic cases"
 
 
+def check_stability(max_n: int) -> tuple:
+    """Members are unchanged by appending a trailing singleton block."""
+    count = 0
+    for n in range(2, max_n + 1):
+        for comp in compositions(n):
+            ctx = ParabolicContext(comp)
+            wider = ctx.extend(1)
+            for w in ctx.minimal_reps():
+                if parabolic_q_double_schubert(
+                    wider, w
+                ) != parabolic_q_double_schubert(ctx, w):
+                    return False, f"extension changes the member at {comp}, {list(w)}"
+                count += 1
+    return True, f"{count} members stable under extension"
+
+
 def check_chevalley(max_n: int = 4, flavor: str | None = None) -> tuple:
     """Divisor multiplication rule, all flavors, including every composition."""
     stable = [flavor] if flavor in FAMILY_KINDS else list(FAMILY_KINDS)
@@ -169,7 +184,7 @@ def check_leading_terms(max_n: int = 5) -> tuple:
     for w in all_perms(max_n):
         for kind in FAMILY_KINDS:
             f = schubert_polynomial(w, kind)
-            lead = x_lead_vector(f)
+            lead = f.x_lead()
             vec = tuple(lead) if lead else ()
             while vec and vec[-1] == 0:
                 vec = vec[:-1]

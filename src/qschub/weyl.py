@@ -47,10 +47,8 @@ __all__ = [
     "cycle",
     "pair_omega",
     "pair_two_rho",
-    "coroot_vector",
     "q_coroot",
     "eta_p",
-    "parabolic_decompose",
     "parse_permutation",
     "format_permutation",
 ]
@@ -254,16 +252,11 @@ def pair_two_rho(alpha: Root) -> int:
     return 2 * (s - r)
 
 
-def coroot_vector(alpha: Root) -> dict:
-    """alpha_{rs}^vee = sum of alpha_t^vee over r <= t < s, as {t: 1}."""
-    r, s = alpha
-    return {t: 1 for t in range(r, s)}
-
-
 def q_coroot(alpha: Root) -> Polynomial:
-    """q_{alpha^vee} = q_r q_{r+1} ... q_{s-1}."""
-    factors = (q(t) for t in sorted(coroot_vector(alpha)))
-    return math.prod(factors, start=Polynomial.const(1))
+    """q_{alpha^vee} = q_r q_{r+1} ... q_{s-1}, as alpha_{rs}^vee is the sum
+    of the simple coroots alpha_t^vee over r <= t < s."""
+    r, s = alpha
+    return math.prod((q(t) for t in range(r, s)), start=Polynomial.const(1))
 
 
 # -- parabolic contexts -------------------------------------------------------
@@ -413,10 +406,6 @@ def eta_p(alpha: Root, ctx: ParabolicContext) -> Polynomial:
     r, s = alpha
     factors = (q(i) for i, node in enumerate(ctx.nodes, start=1) if r <= node < s)
     return math.prod(factors, start=Polynomial.const(1))
-
-
-def parabolic_decompose(w: Permutation, ctx: ParabolicContext):
-    return ctx.decompose(w)
 
 
 # -- text forms ---------------------------------------------------------------

@@ -216,6 +216,24 @@ class TestExitCodes:
         err = self.assert_usage_error(capsys, "verify", "chevalley", "--flavor", "bogus")
         assert "bogus" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["stability"], ["chevalley", "--flavor", "parabolic"]],
+        ids=["stability", "chevalley-parabolic"],
+    )
+    def test_verify_max_n_one_is_not_vacuous(self, capsys, argv):
+        err = self.assert_usage_error(capsys, "verify", *argv, "--max-n", "1")
+        assert "--max-n >= 2" in err
+
+    @pytest.mark.parametrize(
+        "suite", ["cauchy", "bijection", "quantization", "stability"]
+    )
+    def test_verify_flavor_outside_chevalley(self, capsys, suite):
+        err = self.assert_usage_error(
+            capsys, "verify", suite, "--max-n", "2", "--flavor", "quantum"
+        )
+        assert "--flavor" in err
+
     def test_table_negative_n(self, capsys):
         self.assert_usage_error(capsys, "table", "--n", "-2")
 

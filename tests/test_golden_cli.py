@@ -1,0 +1,81 @@
+"""Golden CLI output: SHA-256 of stdout and the exit code, byte for byte.
+
+Any change to a member, an expansion, a verification report or a structure
+table changes a digest, so refactors are checked against these.  Re-record
+only for a change that is meant to alter output, and say so where the
+change is described.
+"""
+
+import hashlib
+
+import pytest
+
+from qschub.cli import main
+
+GOLDEN = [
+    (
+        ["poly", "--w", "[3,1,2]", "--family", "quantum-double"],
+        0,
+        "03a2ba2d7b0a659046dbca52ca3d956609d2cc351bf8a66cdaac2f7228207123",
+    ),
+    (
+        ["poly", "--w", "[4,2,5,1,3]", "--family", "double", "--format", "json"],
+        0,
+        "e408163ae4d98158b2bc7a894352c54f02292c039711ef88d7bd0241f9003fb8",
+    ),
+    (
+        ["poly", "--w", "[3,4,1,2]", "--parabolic", "2,2", "--format", "json"],
+        0,
+        "a07f54ab7f8572c0d39c598f5ef8cbf15fd6069c909b36ba96dcb390cc83d736",
+    ),
+    (
+        ["poly", "--w", "[5,6,4,1,2,3]", "--parabolic", "2,1,3"],
+        0,
+        "0d9556e61f6c45fd21c27de6853881fd576331e6f89712dc4c3260c59252d2c1",
+    ),
+    (
+        ["expand", "--poly", "x1^3*x2-a1*x1^2+q1*x2", "--family", "quantum-double"],
+        0,
+        "a00eee7305b2f29b6e95b8f12d41b0086ecb1fe964a5cef01cf885d8a76b79eb",
+    ),
+    (
+        ["expand", "--poly", "x1*x2+q1", "--parabolic", "2,2"],
+        0,
+        "07c7c9f43cba1a2fde29acfdc654849d5e7189ea8ba68a4013effa3cd61553ef",
+    ),
+    (
+        ["verify", "chevalley", "--max-n", "3"],
+        0,
+        "826becfacf2f5042a0ac5d721eac76d57074e7bcefc85036f570f9c172e4de86",
+    ),
+    (
+        ["table", "--n", "3"],
+        0,
+        "fa11e2224536f682978cb4338c4674bce8c5676f198a212ae2af4c36784faa8c",
+    ),
+    (
+        ["table", "--parabolic", "2,2"],
+        0,
+        "03d73187ac5bf392f3f64c31dd1ec8a431e5c144fd5f39ed3c8807d59badb586",
+    ),
+    (
+        ["table", "--parabolic", "2,1", "--format", "text"],
+        0,
+        "22e172440219dbb40c7dd172822ab6d515e29d461ed109517515916e018a8cee",
+    ),
+    (
+        ["table", "--parabolic", "1,3"],
+        0,
+        "fdd646ff3f1426bb5656190dc3aeec14773912628f106d6ef6b2a80dde78e912",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN]
+)
+def test_output_is_byte_identical(capsys, argv, exit_code, digest):
+    got = main(list(argv))
+    out = capsys.readouterr().out
+    assert got == exit_code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -1,5 +1,6 @@
 """Ring arithmetic, symbolic determinants and the canonical text/JSON forms."""
 
+import itertools
 import json
 import random
 
@@ -10,6 +11,7 @@ from qschub.poly import (
     PolynomialParseError,
     SymbolicMatrix,
     a,
+    char_poly_at,
     char_poly_coeffs,
     elementary_symmetric,
     format_polynomial,
@@ -168,6 +170,43 @@ def test_char_poly_matches_direct_determinant():
     assert e0 == 1
     assert e1 == x(1) + a(1) + x(2) ** 2
     assert e2 == (x(1) + a(1)) * x(2) ** 2 - 3 * q(2)
+
+
+def leibniz_det(size, entry):
+    """sum over permutations of sign * product, straight from the definition."""
+    total = Polynomial.zero()
+    for sigma in itertools.permutations(range(1, size + 1)):
+        inversions = sum(
+            1 for i in range(size) for j in range(i + 1, size) if sigma[i] > sigma[j]
+        )
+        term = Polynomial.const(-1 if inversions % 2 else 1)
+        for r, c in enumerate(sigma, start=1):
+            term = term * entry(r, c)
+        total = total + term
+    return total
+
+
+def test_char_poly_of_random_lower_hessenberg_matches_leibniz():
+    rng = random.Random(20261018)
+    t = a(9)  # a variable no entry uses, so det(m - t*Id) pins every E_j
+    for _ in range(40):
+        size = rng.randint(1, 4)
+        entries = {
+            (r, c): random_polynomial(rng, max_terms=2, max_vars=4, max_exp=2)
+            for r in range(1, size + 1)
+            for c in range(1, min(r + 1, size) + 1)
+        }
+        m = SymbolicMatrix(size, entries)
+        coeffs = char_poly_coeffs(m)
+        assert len(coeffs) == size + 1 and coeffs[0] == 1
+        expected = leibniz_det(size, lambda r, c: m.entry(r, c) - (t if r == c else 0))
+        assert char_poly_at(coeffs, t) == expected
+
+
+def test_char_poly_rejects_entries_above_the_superdiagonal():
+    m = SymbolicMatrix(3, {(1, 1): x(1), (1, 3): q(1)})
+    with pytest.raises(ValueError, match="superdiagonal"):
+        char_poly_coeffs(m)
 
 
 def test_format_examples():

@@ -24,7 +24,6 @@ from qschub.weyl import (
     longest_element,
     pair_omega,
     pair_two_rho,
-    parabolic_decompose,
     parse_permutation,
     perm,
     perm_from_code,
@@ -201,7 +200,7 @@ def test_parabolic_context_basics():
 def test_parabolic_decompose_worked_example():
     ctx = ParabolicContext((2, 1, 3))
     w0 = longest_element(6)
-    wp, w_p = parabolic_decompose(w0, ctx)
+    wp, w_p = ctx.decompose(w0)
     assert wp == (5, 6, 4, 1, 2, 3)
     assert w_p == (2, 1, 3, 6, 5, 4)
     assert compose(wp, w_p) == w0
@@ -211,8 +210,8 @@ def test_parabolic_decompose_worked_example():
 def test_parabolic_decompose_trivial_cases():
     ctx = ParabolicContext((2, 1, 3))
     for w in ctx.minimal_reps():
-        assert parabolic_decompose(w, ctx) == (w, identity)
-    assert parabolic_decompose(simple(1), ctx) == (identity, simple(1))
+        assert ctx.decompose(w) == (w, identity)
+    assert ctx.decompose(simple(1)) == (identity, simple(1))
     with pytest.raises(ValueError):
         ctx.min_rep(perm_from_code((6,)))
 
@@ -221,7 +220,7 @@ def test_parabolic_decompose_length_additive():
     for comp in compositions(5):
         ctx = ParabolicContext(comp)
         for w in all_perms(5):
-            wp, w_p = parabolic_decompose(w, ctx)
+            wp, w_p = ctx.decompose(w)
             assert compose(wp, w_p) == w
             assert length(wp) + length(w_p) == length(w)
             assert ctx.is_min_rep(wp)
