@@ -2,13 +2,16 @@
 
 Exit codes: 0 on success and on verified identities, 1 when a verification
 suite finds a falsified identity, 2 on usage errors, 3 on an internal error
-(an unexpected exception, reported in one line).
+(an unexpected exception, reported in one line), 141 (128 + SIGPIPE) when
+the reader closed standard output early, as `| head` does, with nothing on
+stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import selftest
@@ -26,6 +29,7 @@ from .weyl import ParabolicContext, format_permutation, length, parse_permutatio
 FAMILY_FLAGS = tuple(kind.replace("_", "-") for kind in FAMILY_KINDS)
 FLAVOR_FLAGS = tuple(kind.replace("_", "-") for kind in CHEVALLEY_FLAVORS)
 EXIT_INTERNAL = 3
+EXIT_CLOSED_PIPE = 141
 
 VERIFY_SUITES = {
     "chevalley": "divisor multiplication rule",
@@ -231,7 +235,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone; point stdout at devnull so the flush at exit
+        # does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

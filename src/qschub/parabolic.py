@@ -5,8 +5,9 @@ matrix with x_i diagonal, -1 superdiagonal and one q_j entry per inner block
 boundary, D_j its upper-left N_j x N_j corner, and G_i^j the coefficients of
 det(D_j - t*Id).  The member attached to w in W^P is the signed divided
 difference chain for w(w_0^P)^{-1} applied to the product of det(D_j - a_i*Id)
-over the staircase of index windows.  Appending singleton blocks (with fixed
-points of w to match) never changes the member, which is what makes the
+over the staircase of index windows; `schubert` builds it, by the same
+construction as the full-flag members.  Appending singleton blocks (with
+fixed points of w to match) never changes the member, which is what makes the
 infinite-composition limit and the basis expansion over it well defined.
 
 The parabolic quantization map theta_P rewrites a W_P-invariant of the x
@@ -17,40 +18,20 @@ replaces each g factor by the matching G.
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import cache
 
-from .poly import (
-    Polynomial,
-    SymbolicMatrix,
-    a,
-    char_poly_at,
-    char_poly_coeffs,
-    elementary_symmetric,
-    q,
-    x,
-    x_order_key,
-)
-from .quantization import EchelonSlice, _check_slice_width
+from .poly import Polynomial, elementary_symmetric, x_order_key
+from .quantization import EchelonSlice, _check_slice_width, _strip
 from .schubert import (
+    _cauchy_sum,
+    _chain_member,
+    _d_char_coeffs,
+    _dd_from_top,
     _expand_by_leads,
-    divided_difference,
-    schubert_polynomial,
-    x_to_minus_a,
+    d_matrix,
+    divided_difference,  # noqa: F401  (perfbench's tracer test reads it here)
 )
-from .weyl import (
-    ParabolicContext,
-    Permutation,
-    compose,
-    extend,
-    identity,
-    inverse,
-    length,
-    perm_from_code,
-    reduced_word,
-    simple,
-    trim,
-    weak_order_ideal,
-)
+from .weyl import ParabolicContext, Permutation, extend, perm_from_code, trim
 
 __all__ = [
     "d_matrix",
@@ -66,37 +47,6 @@ __all__ = [
 ]
 
 
-def d_matrix(ctx: ParabolicContext) -> SymbolicMatrix:
-    """The n x n matrix with x_i diagonal, -1 superdiagonal, and entry
-    (N_{j+1}, N_{j-1}+1) equal to -(-1)^(n_{j+1}) q_j for each inner node.
-
-    >>> m = d_matrix(ParabolicContext((1, 1, 1)))
-    >>> m.entries[(2, 1)] == q(1) and m.entries[(3, 2)] == q(2)
-    True
-    """
-    n = ctx.n
-    entries = {}
-    for i in range(1, n + 1):
-        entries[(i, i)] = x(i)
-    for i in range(1, n):
-        entries[(i, i + 1)] = Polynomial.const(-1)
-    for j in range(1, ctx.k):
-        row = ctx.partial_sums[j]
-        col = (ctx.partial_sums[j - 2] if j >= 2 else 0) + 1
-        sign = 1 if ctx.composition[j] % 2 else -1
-        entries[(row, col)] = q(j) * sign
-    return SymbolicMatrix(n, entries)
-
-
-@cache
-def _d_char_coeffs(composition: tuple, j: int) -> list:
-    ctx = ParabolicContext(composition)
-    size = ctx.partial_sums[j - 1]
-    full = d_matrix(ctx).entries
-    sub = {pos: v for pos, v in full.items() if pos[0] <= size and pos[1] <= size}
-    return char_poly_coeffs(SymbolicMatrix(size, sub))
-
-
 def G_polynomial(ctx: ParabolicContext, i: int, j: int) -> Polynomial:
     """G_i^j, with det(D_j - t*Id) = sum_i (-t)^(N_j - i) G_i^j.
 
@@ -107,31 +57,11 @@ def G_polynomial(ctx: ParabolicContext, i: int, j: int) -> Polynomial:
         raise ValueError(f"level out of range: j={j} for k={ctx.k}")
     if not 0 <= i <= ctx.partial_sums[j - 1]:
         raise ValueError(f"degree out of range: i={i} for N_j={ctx.partial_sums[j-1]}")
-    return _d_char_coeffs(ctx.composition, j)[i]
+    return _d_char_coeffs(ctx.composition[:j])[i]
 
 
-@cache
-def _p_top(composition: tuple) -> Polynomial:
-    ctx = ParabolicContext(composition)
-    n = ctx.n
-    total = Polynomial.const(1)
-    for j in range(1, ctx.k):
-        lo = n - ctx.partial_sums[j] + 1
-        hi = n - ctx.partial_sums[j - 1]
-        for i in range(lo, hi + 1):
-            total = total * char_poly_at(_d_char_coeffs(composition, j), a(i))
-    return total
-
-
-# Bounded: chain intermediates near the top of S_7+ run to millions of terms,
-# and an unbounded cache pins every one of them for the life of the process.
-# 2048 entries still holds two full families of S_6 chains with room to spare.
-@lru_cache(maxsize=2048)
-def _p_dd(composition: tuple, v: Permutation) -> Polynomial:
-    if v == identity:
-        return _p_top(composition)
-    i = reduced_word(v)[0]
-    return divided_difference(i, _p_dd(composition, compose(simple(i), v)))
+# perfbench reads the shared chain's cache_info() under this name.
+_p_dd = _dd_from_top
 
 
 def parabolic_q_double_schubert(ctx: ParabolicContext, w) -> Polynomial:
@@ -144,9 +74,7 @@ def parabolic_q_double_schubert(ctx: ParabolicContext, w) -> Polynomial:
     w = trim(w)
     if not ctx.is_min_rep(w):
         raise ValueError(f"{list(extend(w, ctx.n))} is not minimal in its coset")
-    v = compose(w, inverse(ctx.w0_p()))
-    base = _p_dd(ctx.composition, v)
-    return base if length(v) % 2 == 0 else -base
+    return _chain_member(ctx, True, w)
 
 
 # -- stability -----------------------------------------------------------------
@@ -217,18 +145,11 @@ def partition_tuples(ctx: ParabolicContext, degree: int, levels: int):
                 prefix.pop()
 
     go(1, degree, [])
-    return [_strip_tuple(t) for t in out]
-
-
-def _strip_tuple(tup) -> tuple:
-    tup = list(tup)
-    while tup and not tup[-1]:
-        tup.pop()
-    return tuple(tup)
+    return [_strip(t) for t in out]
 
 
 def _validated_tuple(ctx: ParabolicContext, tup) -> tuple:
-    tup = _strip_tuple(tuple(tuple(lam) for lam in tup))
+    tup = _strip(tuple(tuple(lam) for lam in tup))
     if len(tup) + 1 > ctx.k:
         raise ValueError(f"tuple has {len(tup)} levels, context only {ctx.k - 1}")
     for j, lam in enumerate(tup, start=1):
@@ -272,6 +193,9 @@ def _tuple_lead_key(ctx: ParabolicContext, tup, width: int) -> int:
     return x_order_key(vec)
 
 
+# Unbounded, but held on purpose like quantization._slice: one slice per
+# (composition, degree) whose extended width passes _check_slice_width, so
+# N_k + degree <= 16.
 @cache
 def _g_slice(composition: tuple, degree: int) -> EchelonSlice:
     base = ParabolicContext(composition)
@@ -326,12 +250,7 @@ def parabolic_cauchy_rhs(ctx: ParabolicContext, w) -> Polynomial:
     w = trim(w)
     if not ctx.is_min_rep(w):
         raise ValueError(f"{list(extend(w, ctx.n))} is not minimal in its coset")
-    total = Polynomial.zero()
-    for v in weak_order_ideal(w):
-        left = x_to_minus_a(schubert_polynomial(compose(v, inverse(w)), "classical"))
-        right = parabolic_q_double_schubert(ctx, v).zero_out("a")
-        total = total + left * right
-    return total
+    return _cauchy_sum(w, lambda v: parabolic_q_double_schubert(ctx, v).zero_out("a"))
 
 
 # -- basis expansion over the extended contexts ----------------------------------

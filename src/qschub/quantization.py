@@ -18,7 +18,6 @@ from __future__ import annotations
 from functools import cache
 
 from .poly import SLOTS, Polynomial, elementary_symmetric, x_order_key
-from .weyl import Permutation  # noqa: F401  (re-exported type alias context)
 from .schubert import quantum_elementary
 
 __all__ = [
@@ -44,15 +43,14 @@ def is_standard(index) -> bool:
 
 
 def _validated(index) -> tuple:
-    trimmed = list(index)
-    while trimmed and trimmed[-1] == 0:
-        trimmed.pop()
-    trimmed = tuple(trimmed)
+    trimmed = _strip(index)
     if not is_standard(trimmed):
         raise ValueError(f"not a standard index: {tuple(index)}")
     return trimmed
 
 
+# Unbounded, but small: r <= 16 (the packed layout), and the callers ask for
+# i between -1 and r + 1 only.
 @cache
 def e_level(i: int, r: int) -> Polynomial:
     """e_i(x_1, ..., x_r); zero outside 0 <= i <= r."""
@@ -111,8 +109,10 @@ def standard_indices(degree: int, max_level: int):
 
 
 def _strip(index) -> tuple:
+    """Drop trailing empty entries: zeros of a standard index, empty
+    partitions of a partition tuple."""
     index = list(index)
-    while index and index[-1] == 0:
+    while index and not index[-1]:
         index.pop()
     return tuple(index)
 
@@ -214,6 +214,9 @@ def _check_slice_width(width: int):
         )
 
 
+# Unbounded, but held on purpose: a slice keeps the rows it has built for the
+# next decomposition of its degree.  _check_slice_width caps max_level, hence
+# the degree, at 16, so there are at most 136 slices.
 @cache
 def _slice(degree: int, max_level: int) -> EchelonSlice:
     _check_slice_width(max_level)
@@ -276,18 +279,24 @@ def decompose_in_E(f: Polynomial) -> dict:
         raise ValueError("decompose_in_E expects a polynomial in x and q alone")
     out: dict = {}
     rest = f
-    guard = 0
-    while rest:
-        strata = rest.split("q")
+    # Each E_I - e_I is divisible by some q, so a round cancels the lowest
+    # q-monomial exactly and adds only q-monomials of higher degree; none of
+    # those can bring a processed one back, and the q-degree is bounded by
+    # the graded degree of f, so the loop ends.
+    strata = rest.split("q")
+    while strata:
         lowest = min(strata, key=lambda m: Polynomial({m: 1}).total_degree())
         coords = standard_decompose(strata[lowest])
         carrier = Polynomial({lowest: 1})
         for ix, c in coords.items():
             out[ix] = out.get(ix, Polynomial.zero()) + carrier * c
             rest = rest - carrier * (E_monomial(ix) * c)
-        guard += 1
-        if guard > 100_000:
-            raise RuntimeError("decompose_in_E failed to terminate; input not in span")
+        strata = rest.split("q")
+        if lowest in strata:
+            raise RuntimeError(
+                "decompose_in_E made no progress: the lowest q-monomial "
+                "survived its round"
+            )
     return {ix: c for ix, c in out.items() if c}
 
 

@@ -1,15 +1,18 @@
-"""Divided differences in the a-variables and the four Schubert families.
+"""Divided differences in the a-variables and the construction of every member.
 
-The double family is built from the staircase product
-prod_{i=1}^{n-1} prod_{j=1}^{i} (x_j - a_{n-i}) and the quantum double family
-from prod_{i=1}^{n-1} det(C_i - a_{n-i} Id), where C_i is the tridiagonal
-matrix with diagonal x_1..x_i, superdiagonal -1 and subdiagonal q_1..q_{i-1}.
-Applying the divided-difference chain for w*w_0 with the appropriate sign
-yields the member attached to w; the classical and quantum kinds are the
-a -> 0 specializations.  The classical family is computed by the equivalent
-x-side chain up from the staircase monomial, whose intermediates stay small.
-All members are stable under adding fixed points, so each permutation is
-computed inside the smallest symmetric group that contains it.
+A composition (n_1, ..., n_k) of n fixes the block matrix D: x_i diagonal, -1
+superdiagonal and one q_j entry per inner block boundary; D_j is its
+upper-left N_j x N_j corner.  The top product is the product of
+det(D_j - a_i Id) over the staircase of index windows, and the member attached
+to w is the signed divided-difference chain for w (w_0^P)^{-1} applied to it.
+The full flag is the composition (1, ..., 1): D is the tridiagonal C_n, the
+top product is prod_{i=1}^{n-1} det(C_i - a_{n-i} Id), and the chain gives the
+quantum double member (with q -> 0, the double one).  The classical and
+quantum kinds are the a -> 0 specializations.  The classical family is
+computed by the equivalent x-side chain up from the staircase monomial, whose
+intermediates stay small.  All members are stable under adding fixed points,
+so each permutation is computed inside the smallest symmetric group that
+contains it.
 """
 
 from __future__ import annotations
@@ -27,13 +30,13 @@ from .poly import (
     x_order_key,
 )
 from .weyl import (
+    ParabolicContext,
     Permutation,
     compose,
     extend,
     identity,
     inverse,
     length,
-    longest_element,
     perm_from_code,
     reduced_word,
     simple,
@@ -50,6 +53,7 @@ __all__ = [
     "reconstruct",
     "cauchy_rhs",
     "c_matrix",
+    "d_matrix",
     "quantum_elementary",
     "x_to_minus_a",
     "omega",
@@ -78,21 +82,42 @@ def divided_difference_w(w: Permutation, f: Polynomial) -> Polynomial:
     return f
 
 
-@cache
-def c_matrix(n: int) -> SymbolicMatrix:
-    """Tridiagonal C_n: diagonal x_i, superdiagonal -1, subdiagonal q_i."""
+def d_matrix(ctx: ParabolicContext) -> SymbolicMatrix:
+    """The n x n matrix with x_i diagonal, -1 superdiagonal, and entry
+    (N_{j+1}, N_{j-1}+1) equal to -(-1)^(n_{j+1}) q_j for each inner node.
+
+    >>> m = d_matrix(ParabolicContext((1, 1, 1)))
+    >>> m.entries[(2, 1)] == q(1) and m.entries[(3, 2)] == q(2)
+    True
+    """
+    n = ctx.n
     entries = {}
     for i in range(1, n + 1):
         entries[(i, i)] = x(i)
-        if i < n:
-            entries[(i, i + 1)] = Polynomial.const(-1)
-            entries[(i + 1, i)] = q(i)
+    for i in range(1, n):
+        entries[(i, i + 1)] = Polynomial.const(-1)
+    for j in range(1, ctx.k):
+        row = ctx.partial_sums[j]
+        col = (ctx.partial_sums[j - 2] if j >= 2 else 0) + 1
+        sign = 1 if ctx.composition[j] % 2 else -1
+        entries[(row, col)] = q(j) * sign
     return SymbolicMatrix(n, entries)
 
 
+def c_matrix(n: int) -> SymbolicMatrix:
+    """Tridiagonal C_n: diagonal x_i, superdiagonal -1, subdiagonal q_i; the
+    D matrix of the composition (1, ..., 1)."""
+    return d_matrix(ParabolicContext((1,) * n))
+
+
+# Unbounded, but small: one short coefficient tuple per composition asked
+# for, and compositions are capped by the 16-slot layout.
 @cache
-def _c_char_coeffs(n: int) -> tuple:
-    return tuple(char_poly_coeffs(c_matrix(n)))
+def _d_char_coeffs(blocks: tuple) -> tuple:
+    """Coefficients of det(D - t*Id) for the composition `blocks`.  The
+    upper-left N_j x N_j corner D_j of a longer composition's D is the D of
+    its first j blocks, so D_j's coefficients are _d_char_coeffs(comp[:j])."""
+    return tuple(char_poly_coeffs(d_matrix(ParabolicContext(blocks))))
 
 
 def quantum_elementary(j: int, n: int) -> Polynomial:
@@ -101,35 +126,57 @@ def quantum_elementary(j: int, n: int) -> Polynomial:
         raise ValueError("matrix size must be >= 0")
     if j < 0 or j > n:
         return Polynomial.zero()
-    return _c_char_coeffs(n)[j]
+    if j == 0:  # the leading coefficient, also of the empty determinant
+        return Polynomial.const(1)
+    return _d_char_coeffs((1,) * n)[j]
 
 
-@cache
-def _top_product(n: int, quantum: bool) -> Polynomial:
+def _top_product(composition: tuple, quantum: bool) -> Polynomial:
+    """prod_j prod_i det(D_j - a_i*Id) over the inner levels j and the
+    staircase window n - N_{j+1} < i <= n - N_j.  With the q's zeroed out each
+    factor is prod_{t <= N_j} (x_t - a_i), the double top product."""
+    ctx = ParabolicContext(composition)
+    n = ctx.n
     total = Polynomial.const(1)
-    for i in range(1, n):
-        if quantum:
-            total = total * char_poly_at(_c_char_coeffs(i), a(n - i))
-        else:
-            factor = Polynomial.const(1)
-            for j in range(1, i + 1):
-                factor = factor * (x(j) - a(n - i))
-            total = total * factor
+    for j in range(1, ctx.k):
+        coeffs = _d_char_coeffs(composition[:j])
+        if not quantum:
+            coeffs = [c.zero_out("q") for c in coeffs]
+        for i in range(n - ctx.partial_sums[j] + 1, n - ctx.partial_sums[j - 1] + 1):
+            total = total * char_poly_at(coeffs, a(i))
     return total
 
 
 # Bounded: chain intermediates near the top of S_7+ run to millions of terms,
 # and an unbounded cache pins every one of them for the life of the process.
 # 2048 entries still holds two full families of S_6 chains with room to spare.
+# The identity entry holds the top product, and the full flag is the
+# composition (1, ..., 1), so its members share entries with the parabolic ones.
 @lru_cache(maxsize=2048)
-def _dd_from_top(n: int, quantum: bool, v: Permutation) -> Polynomial:
+def _dd_from_top(composition: tuple, quantum: bool, v: Permutation) -> Polynomial:
     if v == identity:
-        return _top_product(n, quantum)
+        return _top_product(composition, quantum)
     i = reduced_word(v)[0]
-    return divided_difference(i, _dd_from_top(n, quantum, compose(simple(i), v)))
+    above = _dd_from_top(composition, quantum, compose(simple(i), v))
+    return divided_difference(i, above)
 
 
-@cache
+def _chain_member(ctx: ParabolicContext, quantum: bool, w: Permutation) -> Polynomial:
+    """The chain for v = w (w_0^P)^{-1} applied to the top product, times
+    (-1)^l(v)."""
+    v = compose(w, inverse(ctx.w0_p()))
+    base = _dd_from_top(ctx.composition, quantum, v)
+    return base if length(v) % 2 == 0 else -base
+
+
+# The member caches are bounded like the chain, so a long-running process
+# does not pin every member it was ever asked for.
+@lru_cache(maxsize=2048)
+def _member(w: Permutation, family: str, n: int) -> Polynomial:
+    return _chain_member(ParabolicContext((1,) * n), family == "quantum_double", w)
+
+
+@lru_cache(maxsize=2048)
 def _x_chain_member(w: Permutation, n: int) -> Polynomial:
     """Classical member by the x-side chain up from the staircase monomial.
 
@@ -163,21 +210,15 @@ def schubert_polynomial(w, family: str, n: int | None = None) -> Polynomial:
     if family not in FAMILY_KINDS:
         raise ValueError(f"unknown family {family!r}")
     if n is None:
-        n = max(len(w), 1)
+        n = len(w)
     elif len(w) > n:
         raise ValueError(f"{list(w)} does not lie in S_{n}")
+    n = max(n, 1)
     if family == "classical":
         return _x_chain_member(w, n)
     if family == "quantum":
         return _member(w, "quantum_double", n).zero_out("a")
     return _member(w, family, n)
-
-
-@cache
-def _member(w: Permutation, family: str, n: int) -> Polynomial:
-    v = compose(w, longest_element(n))
-    base = _dd_from_top(n, family == "quantum_double", v)
-    return base if length(v) % 2 == 0 else -base
 
 
 def omega(i: int, fam: str = "x") -> Polynomial:
@@ -195,19 +236,24 @@ def x_to_minus_a(f: Polynomial) -> Polynomial:
     )
 
 
+def _cauchy_sum(w: Permutation, right) -> Polynomial:
+    """Sum of Schub_{v w^{-1}}(-a) times right(v) over the left weak order
+    ideal of w."""
+    total = Polynomial.zero()
+    for v in weak_order_ideal(w):
+        left = x_to_minus_a(schubert_polynomial(compose(v, inverse(w)), "classical"))
+        total = total + left * right(v)
+    return total
+
+
 def cauchy_rhs(w, quantum: bool) -> Polynomial:
     """Sum of Schub_{v w^{-1}}(-a) times the (quantum) Schubert of v over v below w.
 
     The sum runs over the left weak order ideal of w and reproduces the
     double (or quantum double) member for w.
     """
-    w = trim(w)
-    total = Polynomial.zero()
-    for v in weak_order_ideal(w):
-        left = x_to_minus_a(schubert_polynomial(compose(v, inverse(w)), "classical"))
-        right = schubert_polynomial(v, "quantum" if quantum else "classical")
-        total = total + left * right
-    return total
+    family = "quantum" if quantum else "classical"
+    return _cauchy_sum(trim(w), lambda v: schubert_polynomial(v, family))
 
 
 # -- expansion in a Schubert family -------------------------------------------

@@ -1,9 +1,14 @@
 """Command line driver: worked examples, formats, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qschub
 from qschub import selftest
 from qschub.cli import main
 from qschub.poly import polynomial_from_json
@@ -250,3 +255,20 @@ class TestExitCodes:
         assert exit_code == 3
         assert out == ""
         assert err.startswith("internal error: KeyError") and err.count("\n") == 1
+
+    def test_closed_pipe_is_not_a_crash(self):
+        # The JSON form of this member is about 200 KB, more than a pipe
+        # holds, so the writer is still blocked when the reader goes away.
+        src = str(Path(qschub.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = ["poly", "--w", "[5,4,3,2,1]", "--format", "json"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qschub.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.stdout.read(64).startswith(b"[{")
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 141

@@ -323,7 +323,26 @@ class TestChainCache:
             for w in ctx.minimal_reps():
                 parabolic_q_double_schubert(ctx, w)
         schubert_polynomial((2, 4, 1, 3), "quantum_double")
-        for chain in (parabolic._p_dd, schubert._dd_from_top):
+        schubert_polynomial((2, 4, 1, 3), "classical")
+        for chain in (
+            parabolic._p_dd,
+            schubert._dd_from_top,
+            schubert._member,
+            schubert._x_chain_member,
+        ):
             info = chain.cache_info()
             assert info.maxsize == 2048
             assert 0 < info.currsize <= info.maxsize
+
+    def test_full_flag_members_reuse_the_parabolic_chain(self):
+        from qschub import schubert
+
+        schubert._member.cache_clear()
+        schubert._dd_from_top.cache_clear()
+        ones = ParabolicContext((1, 1, 1, 1))
+        for w in ones.minimal_reps():
+            parabolic_q_double_schubert(ones, w)
+        misses = schubert._dd_from_top.cache_info().misses
+        for w in all_perms(4):
+            schubert_polynomial(w, "quantum_double", 4)
+        assert schubert._dd_from_top.cache_info().misses == misses

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from qschub import quantization
 from qschub.poly import Polynomial, variable
 from qschub.quantization import (
     E_monomial,
@@ -186,6 +187,13 @@ class TestEDecomposition:
     def test_rejects_a_variables(self):
         with pytest.raises(ValueError):
             decompose_in_E(variable("a", 1) * x1)
+
+    def test_stops_when_a_round_makes_no_progress(self, monkeypatch):
+        # With E_I = 2 e_I a round flips the sign of the lowest q-stratum
+        # instead of removing it, so the loop would never end.
+        monkeypatch.setattr(quantization, "E_monomial", lambda ix: 2 * e_monomial(ix))
+        with pytest.raises(RuntimeError, match="no progress"):
+            decompose_in_E(x1 * x2)
 
 
 def test_slice_beyond_the_layout_fails_at_once():
