@@ -17,6 +17,7 @@ import sys
 from . import selftest
 from .parabolic import expand_in_parabolic_basis, parabolic_q_double_schubert
 from .poly import (
+    SLOTS,
     PolynomialParseError,
     format_polynomial,
     parse_polynomial,
@@ -127,8 +128,8 @@ def _cmd_expand(args) -> int:
 
 def _cmd_verify(args) -> int:
     max_n = args.max_n
-    if max_n < 1:
-        raise UsageError(f"--max-n must be >= 1, got {max_n}")
+    if not 1 <= max_n <= SLOTS:
+        raise UsageError(f"--max-n must be >= 1 and <= {SLOTS}, got {max_n}")
     flavor = args.flavor.replace("-", "_") if args.flavor else None
     if flavor is not None and args.suite != "chevalley":
         raise UsageError("--flavor applies to the chevalley suite only")
@@ -175,8 +176,8 @@ def _format_table_text(table: StructureTable) -> str:
 def _cmd_table(args) -> int:
     if (args.n is None) == (args.parabolic is None):
         raise UsageError("pass exactly one of --n or --parabolic")
-    if args.n is not None and args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
+    if args.n is not None and not 1 <= args.n <= SLOTS:
+        raise UsageError(f"--n must be >= 1 and <= {SLOTS}, got {args.n}")
     domain = _parse_composition(args.parabolic) if args.parabolic is not None else args.n
     table = StructureTable.build(domain)
     if args.format == "json":

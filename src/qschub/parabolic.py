@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from functools import cache
 
-from .poly import Polynomial, elementary_symmetric, x_order_key
-from .quantization import EchelonSlice, _check_slice_width, _strip
+from .poly import Polynomial, x_order_key
+from .quantization import EchelonSlice, _check_slice_width, _strip, e_level
 from .schubert import (
     _cauchy_sum,
     _chain_member,
@@ -166,11 +166,8 @@ def g_tuple(ctx: ParabolicContext, tup) -> Polynomial:
     """g_lam = prod_j prod_i e_{lam^(j)_i}(x_1, ..., x_{N_j})."""
     total = Polynomial.const(1)
     for j, lam in enumerate(_validated_tuple(ctx, tup), start=1):
-        nj = ctx.partial_sums[j - 1]
         for part in lam:
-            total = total * elementary_symmetric(
-                part, [("x", t) for t in range(1, nj + 1)]
-            )
+            total = total * e_level(part, ctx.partial_sums[j - 1])
     return total
 
 

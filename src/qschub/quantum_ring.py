@@ -5,8 +5,10 @@ stored root sets are finite: covers live below s = max(n, i) + 1 and length
 drops below s = n, bounds that the tests re-derive against wider windows.
 Structure constants come from multiplying two basis members, expanding the
 product over the stable basis, and then truncating to the finite ring: q_i and
-a_i beyond their ranges are set to zero and basis terms outside the finite
-Weyl group (or outside the minimal coset representatives) are dropped.
+a_i beyond their ranges are set to zero and basis terms outside the minimal
+coset representatives are dropped.  The full-flag ring of S_n is the ring of
+the composition (1, ..., 1), so an integer domain n means that composition
+and every table is built by the one parabolic route.
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ from .parabolic import (
     expand_in_parabolic_basis,
     parabolic_q_double_schubert,
 )
-from .schubert import expand_in_schubert_basis, schubert_polynomial
+from .schubert import schubert_polynomial
 from .weyl import (
     ParabolicContext,
     Permutation,
-    all_perms,
     apply_to,
     compose,
     eta_p,
@@ -258,75 +259,68 @@ def bijection_check(w, ctx: ParabolicContext | None = None) -> bool:
 # -- structure constants ---------------------------------------------------------
 
 
-def _truncate(expansion: dict, n: int, q_from: int, reps=None) -> dict:
-    out = {}
-    for w, coeff in expansion.items():
-        if len(w) > n:
-            continue
-        if reps is not None and w not in reps:
-            continue
-        c = coeff.zero_out("q", q_from).zero_out("a", n + 1)
-        if c:
-            out[w] = c
-    return out
+def _truncate(expansion: dict, ctx: ParabolicContext, reps) -> dict:
+    """The terms on `reps`, with q_k, q_{k+1}, ... and a_{n+1}, ... set to 0."""
+    return {
+        w: c2
+        for w, c in expansion.items()
+        if w in reps and (c2 := c.zero_out("q", ctx.k).zero_out("a", ctx.n + 1))
+    }
 
 
 def _zero_out(row: dict, family: str) -> dict:
     return {z: c2 for z, c in row.items() if (c2 := c.zero_out(family))}
 
 
+def _ring(domain) -> ParabolicContext:
+    """The composition of a table domain; an integer n is (1, ..., 1)."""
+    if isinstance(domain, ParabolicContext):
+        return domain
+    return ParabolicContext((1,) * int(domain))
+
+
 def structure_constants(domain, u, v) -> dict:
     """Coefficients of the basis expansion of sigma_u . sigma_v after passing
     to the finite ring; keys are basis permutations, values polynomials in
-    the surviving q and a variables.
+    the surviving q and a variables.  `domain` is a composition context or
+    an integer n, the full flag of S_n.
 
     >>> res = structure_constants(2, (2, 1), (2, 1))
     >>> sorted((w, str(c)) for w, c in res.items())
     [((), 'q1'), ((2, 1), '-a1 + a2')]
     """
-    if isinstance(domain, ParabolicContext):
-        ctx = domain
-        for z in (u, v):
-            if not ctx.is_min_rep(z):
-                raise ValueError(f"{list(z)} is not minimal in its coset")
-        product = parabolic_q_double_schubert(ctx, u) * parabolic_q_double_schubert(
-            ctx, v
-        )
-        expansion = expand_in_parabolic_basis(product, ctx)
-        return _truncate(expansion, ctx.n, ctx.k, set(ctx.minimal_reps()))
-    n = int(domain)
+    ctx = _ring(domain)
     for z in (u, v):
-        if len(trim(z)) > n:
-            raise ValueError(f"{list(z)} does not lie in S_{n}")
-    product = schubert_polynomial(u, "quantum_double") * schubert_polynomial(
-        v, "quantum_double"
-    )
-    expansion = expand_in_schubert_basis(product, "quantum_double")
-    return _truncate(expansion, n, n)
+        if not ctx.is_min_rep(z):
+            raise ValueError(f"{list(z)} is not minimal in its coset")
+    product = parabolic_q_double_schubert(ctx, u) * parabolic_q_double_schubert(ctx, v)
+    expansion = expand_in_parabolic_basis(product, ctx)
+    return _truncate(expansion, ctx, set(ctx.minimal_reps()))
 
 
 class StructureTable:
-    """All pairwise products of the basis in the finite (parabolic) ring."""
+    """All pairwise products of the basis in the finite (parabolic) ring.
 
-    def __init__(self, n: int, ctx: ParabolicContext | None, basis, entries):
-        self.n = n
-        self.ctx = ctx
-        self.basis = list(basis)
+    `ring` is the composition the table lives on; `ctx` is the domain as
+    given, None for a full-flag table built from an integer n, and only
+    the JSON label tells the two apart.
+    """
+
+    def __init__(self, domain, entries):
+        self.ring = _ring(domain)
+        self.ctx = domain if isinstance(domain, ParabolicContext) else None
+        self.n = self.ring.n
+        self.basis = self.ring.minimal_reps()
         self.entries = entries
 
     @classmethod
     def build(cls, domain) -> "StructureTable":
-        if isinstance(domain, ParabolicContext):
-            ctx, n = domain, domain.n
-            basis = ctx.minimal_reps()
-        else:
-            ctx, n = None, int(domain)
-            basis = sorted(all_perms(n), key=lambda w: (length(w), w))
-        domain_arg = ctx if ctx is not None else n
+        ring = _ring(domain)
+        basis = ring.minimal_reps()
         entries = {
-            (u, v): structure_constants(domain_arg, u, v) for u in basis for v in basis
+            (u, v): structure_constants(ring, u, v) for u in basis for v in basis
         }
-        return cls(n, ctx, basis, entries)
+        return cls(domain, entries)
 
     def product(self, u, v) -> dict:
         return self.entries[(trim(u), trim(v))]
@@ -359,16 +353,11 @@ class StructureTable:
         return True
 
     def _divisor_expected(self, i: int, w) -> dict:
-        if self.ctx is None:
-            terms, q_from = _chevalley_terms(i, w, "quantum_double", None), self.n
-        else:
-            terms, q_from = _chevalley_terms(i, w, "parabolic", self.ctx), self.ctx.k
-        return _truncate(terms, self.n, q_from, set(self.basis))
+        terms = _chevalley_terms(i, w, "parabolic", self.ring)
+        return _truncate(terms, self.ring, set(self.basis))
 
     def divisor_nodes(self) -> list:
-        if self.ctx is None:
-            return list(range(1, self.n))
-        return list(self.ctx.nodes)
+        return list(self.ring.nodes)
 
     def check_divisor_rows(self) -> bool:
         """Rows at a simple reflection match the Chevalley-Monk rule exactly."""
@@ -427,14 +416,11 @@ class StructureTable:
     @classmethod
     def from_json(cls, text: str) -> "StructureTable":
         blob = json.loads(text)
-        n = blob["n"]
-        ctx = (
-            ParabolicContext(tuple(int(b) for b in blob["parabolic"].split(",")))
-            if blob["parabolic"]
-            else None
-        )
-        basis = ctx.minimal_reps() if ctx else sorted(
-            all_perms(n), key=lambda w: (length(w), w)
+        label = blob["parabolic"]
+        domain = (
+            ParabolicContext(tuple(int(b) for b in label.split(",")))
+            if label
+            else blob["n"]
         )
         entries = {}
         for item in blob["entries"]:
@@ -444,16 +430,15 @@ class StructureTable:
                 trim(parse_permutation(term["w"])): parse_polynomial(term["coeff"])
                 for term in item["terms"]
             }
-        return cls(n, ctx, basis, entries)
+        return cls(domain, entries)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StructureTable):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.ctx == other.ctx
-            and self.basis == other.basis
-            and self.entries == other.entries
+        return (self.ctx, self.ring, self.entries) == (
+            other.ctx,
+            other.ring,
+            other.entries,
         )
 
 

@@ -196,19 +196,24 @@ def check_leading_terms(max_n: int = 5) -> tuple:
     return True, f"{count} members"
 
 
+def _failed_table_check(table: StructureTable) -> str | None:
+    """The first ring-axiom or divisor-row check that fails, shared by every table."""
+    checks = (
+        (table.check_commutative, "table is not commutative"),
+        (table.check_associative, "an associativity triple fails"),
+        (table.check_divisor_rows, "a divisor row disagrees with the rule"),
+        (table.check_quantum_specialization, "a -> 0 divisor row disagrees"),
+        (table.check_classical_specialization, "q -> 0 divisor row disagrees"),
+    )
+    return next((message for check, message in checks if not check()), None)
+
+
 def check_full_flag_table(n: int = 3) -> tuple:
     """Three-strand structure table: ring axioms and divisor rows."""
     table = StructureTable.build(n)
-    if not table.check_commutative():
-        return False, "table is not commutative"
-    if not table.check_associative():
-        return False, "an associativity triple fails"
-    if not table.check_divisor_rows():
-        return False, "a divisor row disagrees with the Chevalley-Monk rule"
-    if not table.check_quantum_specialization():
-        return False, "a -> 0 divisor row disagrees with the quantum rule"
-    if not table.check_classical_specialization():
-        return False, "q -> 0 divisor row disagrees with the double rule"
+    failed = _failed_table_check(table)
+    if failed:
+        return False, failed
     two = StructureTable.build(2)
     if two.product((2, 1), (2, 1)) != {(2, 1): a(2) - a(1), (): q(1)}:
         return False, "the two-strand square is wrong"
@@ -217,25 +222,18 @@ def check_full_flag_table(n: int = 3) -> tuple:
 
 
 def check_parabolic_tables(comps=((2, 2), (2, 1))) -> tuple:
-    """Partial-flag structure tables: divisor rows and basis rank."""
-
+    """Partial-flag structure tables: ring axioms, divisor rows and basis rank."""
     details = []
     for comp in comps:
-        ctx = ParabolicContext(comp)
-        table = StructureTable.build(ctx)
-        rank = math.factorial(ctx.n)
+        table = StructureTable.build(ParabolicContext(comp))
+        rank = math.factorial(table.n)
         for block in comp:
             rank //= math.factorial(block)
         if len(table.basis) != rank:
             return False, f"{comp}: basis rank {len(table.basis)} != {rank}"
-        if not table.check_commutative():
-            return False, f"{comp}: table is not commutative"
-        if not table.check_associative():
-            return False, f"{comp}: an associativity triple fails"
-        if not table.check_divisor_rows():
-            return False, f"{comp}: a divisor row disagrees with the rule"
-        if not table.check_quantum_specialization():
-            return False, f"{comp}: a -> 0 divisor row disagrees"
+        failed = _failed_table_check(table)
+        if failed:
+            return False, f"{comp}: {failed}"
         details.append(f"{comp} rank {rank}")
     return True, "; ".join(details)
 

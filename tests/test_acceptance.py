@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from qschub.selftest import CRITERIA
+from qschub.quantum_ring import StructureTable
+from qschub.selftest import CRITERIA, check_full_flag_table, check_parabolic_tables
 
 
 @pytest.mark.parametrize(
@@ -20,3 +21,13 @@ def test_criterion(index, name, check, capsys):
     with capsys.disabled():
         print(f"{status} criterion {index}: {name} [{detail}] ({elapsed:.2f}s)")
     assert ok, f"criterion {index} ({name}): {detail}"
+
+
+@pytest.mark.parametrize("check", [check_full_flag_table, check_parabolic_tables])
+def test_table_criteria_run_the_same_checks(check, monkeypatch):
+    monkeypatch.setattr(
+        StructureTable, "check_classical_specialization", lambda table: False
+    )
+    ok, detail = check()
+    assert not ok
+    assert detail.endswith("q -> 0 divisor row disagrees")

@@ -10,7 +10,7 @@ import pytest
 
 import qschub
 from qschub import selftest
-from qschub.cli import main
+from qschub.cli import VERIFY_SUITES, main
 from qschub.poly import polynomial_from_json
 from qschub.quantum_ring import StructureTable
 from qschub.schubert import schubert_polynomial
@@ -245,6 +245,15 @@ class TestExitCodes:
     def test_table_zero_n(self, capsys):
         err = self.assert_usage_error(capsys, "table", "--n", "0")
         assert "--n must be >= 1" in err
+
+    def test_table_n_beyond_the_layout(self, capsys):
+        err = self.assert_usage_error(capsys, "table", "--n", "17")
+        assert "<= 16" in err
+
+    @pytest.mark.parametrize("suite", sorted(VERIFY_SUITES))
+    def test_verify_max_n_beyond_the_layout(self, capsys, suite):
+        err = self.assert_usage_error(capsys, "verify", suite, "--max-n", "17")
+        assert "--max-n" in err and "<= 16" in err
 
     def test_internal_error_has_its_own_code(self, capsys, monkeypatch):
         def crash(max_n=4):

@@ -68,6 +68,16 @@ GOLDEN = [
         0,
         "fdd646ff3f1426bb5656190dc3aeec14773912628f106d6ef6b2a80dde78e912",
     ),
+    (
+        ["table", "--n", "2", "--format", "text"],
+        0,
+        "1bdef84037417818f3b82145db442c01ba9a850b1cbe3429496b74654966bb02",
+    ),
+    (
+        ["table", "--parabolic", "1,1,1"],
+        0,
+        "33d1aca083107690852f175885d5f4d717b1dd27df6157faccf12ca2e1f5f0e0",
+    ),
 ]
 
 

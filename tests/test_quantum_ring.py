@@ -13,7 +13,11 @@ from qschub.quantum_ring import (
     verify_chevalley,
     weight_term,
 )
-from qschub.schubert import FAMILY_KINDS
+from qschub.schubert import (
+    FAMILY_KINDS,
+    expand_in_schubert_basis,
+    schubert_polynomial,
+)
 from qschub.weyl import (
     ParabolicContext,
     all_perms,
@@ -183,6 +187,37 @@ class TestStructureConstants:
         for coeff in res.values():
             assert coeff.max_index("x") == 0
             assert coeff.max_index("a") <= 3 and coeff.max_index("q") <= 2
+
+
+def stable_expand_and_truncate(n, u, v):
+    """The product expanded over the stable basis (each member in its smallest
+    S_m), then cut to S_n with q_n, q_{n+1}, ... and a_{n+1}, ... set to 0."""
+    product = schubert_polynomial(u, "quantum_double") * schubert_polynomial(
+        v, "quantum_double"
+    )
+    out = {}
+    for w, coeff in expand_in_schubert_basis(product, "quantum_double").items():
+        if len(w) <= n and (c := coeff.zero_out("q", n).zero_out("a", n + 1)):
+            out[w] = c
+    return out
+
+
+class TestStableOracle:
+    """The (1, ..., 1) table route against the stable expand-and-truncate one."""
+
+    @pytest.mark.parametrize("n, max_len", [(3, 6), (4, 3)])
+    def test_full_flag_pairs(self, n, max_len):
+        # length sum <= 3 keeps every S_4 expansion inside S_5
+        pairs = [
+            (u, v)
+            for u in all_perms(n)
+            for v in all_perms(n)
+            if length(u) + length(v) <= max_len
+        ]
+        for u, v in pairs:
+            assert structure_constants(n, u, v) == stable_expand_and_truncate(
+                n, u, v
+            ), (u, v)
 
 
 def divisor_checks(table):
