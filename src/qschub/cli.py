@@ -47,10 +47,12 @@ class UsageError(Exception):
 
 def _parse_composition(text: str) -> ParabolicContext:
     try:
-        parts = tuple(int(piece) for piece in text.split(","))
-        return ParabolicContext(parts)
+        ctx = ParabolicContext(tuple(int(piece) for piece in text.split(",")))
     except ValueError as exc:
         raise UsageError(f"bad composition {text!r}: {exc}") from None
+    if ctx.n > SLOTS:
+        raise UsageError(f"composition {text!r} sums to {ctx.n}; it must be <= {SLOTS}")
+    return ctx
 
 
 def _parse_perm(text: str):

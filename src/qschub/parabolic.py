@@ -42,7 +42,6 @@ __all__ = [
     "G_tuple",
     "theta_P",
     "parabolic_cauchy_rhs",
-    "stability_trim",
     "expand_in_parabolic_basis",
 ]
 
@@ -75,27 +74,6 @@ def parabolic_q_double_schubert(ctx: ParabolicContext, w) -> Polynomial:
     if not ctx.is_min_rep(w):
         raise ValueError(f"{list(extend(w, ctx.n))} is not minimal in its coset")
     return _chain_member(ctx, True, w)
-
-
-# -- stability -----------------------------------------------------------------
-
-
-def stability_trim(ctx: ParabolicContext, w):
-    """Drop the last block from ctx, given that w fixes all of its positions.
-
-    The member polynomial is unchanged.  Trimming the only block yields the
-    empty context, reported as None; the member attached to it is the
-    constant 1.
-    """
-    w = trim(w)
-    boundary = ctx.partial_sums[-2] if ctx.k > 1 else 0
-    line = extend(w, ctx.n)
-    moved = [r for r in range(boundary + 1, ctx.n + 1) if line[r - 1] != r]
-    if moved:
-        raise ValueError(f"w moves positions {moved} in the last block")
-    if ctx.k == 1:
-        return None, w
-    return ParabolicContext(ctx.composition[:-1]), w
 
 
 # -- partition tuples and the g / G bases ---------------------------------------

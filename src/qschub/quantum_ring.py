@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .poly import Polynomial, a, format_polynomial, parse_polynomial
 from .parabolic import (
@@ -126,8 +127,12 @@ def chevalley_root_sets(
     return ChevalleyRootSets(i, A, B)
 
 
+# Bounded like the member caches: one small frozenset per (w, ctx, window),
+# and the bijection checks of S_5 ask for 660 of them.
+@lru_cache(maxsize=2048)
 def b_root_set(w, ctx: ParabolicContext | None = None, window: int = 0) -> frozenset:
-    """All length-drop roots of w (no node filter); drives the bijection checks."""
+    """All length-drop roots of w (no node filter); drives the bijection checks.
+    w is a tuple, since it is a cache key."""
     w = trim(w)
     bound = len(w) + window
     return frozenset(

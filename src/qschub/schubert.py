@@ -47,16 +47,13 @@ from .weyl import (
 __all__ = [
     "FAMILY_KINDS",
     "divided_difference",
-    "divided_difference_w",
     "schubert_polynomial",
     "expand_in_schubert_basis",
-    "reconstruct",
     "cauchy_rhs",
     "c_matrix",
     "d_matrix",
     "quantum_elementary",
     "x_to_minus_a",
-    "omega",
     "x_lead_vector",
 ]
 
@@ -73,13 +70,6 @@ def _divided_difference_in(fam: str, i: int, f: Polynomial) -> Polynomial:
     if i < 1:
         raise ValueError("divided difference index must be >= 1")
     return f.divided_difference(fam, i)
-
-
-def divided_difference_w(w: Permutation, f: Polynomial) -> Polynomial:
-    """The composite along a reduced word for w (word choice is immaterial)."""
-    for i in reversed(reduced_word(trim(w))):
-        f = divided_difference(i, f)
-    return f
 
 
 def d_matrix(ctx: ParabolicContext) -> SymbolicMatrix:
@@ -221,14 +211,6 @@ def schubert_polynomial(w, family: str, n: int | None = None) -> Polynomial:
     return _member(w, family, n)
 
 
-def omega(i: int, fam: str = "x") -> Polynomial:
-    """The fundamental-weight linear form, e.g. omega(2) = x1 + x2."""
-    total = Polynomial.zero()
-    for t in range(1, i + 1):
-        total = total + Polynomial.var(fam, t)
-    return total
-
-
 def x_to_minus_a(f: Polynomial) -> Polynomial:
     """Substitute x_i -> -a_i; used for the Cauchy coefficients Schub_v(-a)."""
     return f.specialize(
@@ -236,13 +218,22 @@ def x_to_minus_a(f: Polynomial) -> Polynomial:
     )
 
 
+# Bounded like the member caches; S_5's Cauchy sums need one entry per
+# permutation of S_5.
+@lru_cache(maxsize=2048)
+def _cauchy_left(u: Permutation) -> Polynomial:
+    """Schub_u(-a), from the x-side classical chain, so the Cauchy sums stay
+    independent of the a-side chain they are checked against."""
+    return x_to_minus_a(schubert_polynomial(u, "classical"))
+
+
 def _cauchy_sum(w: Permutation, right) -> Polynomial:
     """Sum of Schub_{v w^{-1}}(-a) times right(v) over the left weak order
     ideal of w."""
     total = Polynomial.zero()
+    w_inverse = inverse(w)
     for v in weak_order_ideal(w):
-        left = x_to_minus_a(schubert_polynomial(compose(v, inverse(w)), "classical"))
-        total = total + left * right(v)
+        total = total + _cauchy_left(compose(v, w_inverse)) * right(v)
     return total
 
 
@@ -334,14 +325,6 @@ def expand_in_schubert_basis(f: Polynomial, family: str) -> dict:
         return w, schubert_polynomial(w, family)
 
     return _expand_by_leads(f, member)
-
-
-def reconstruct(expansion: dict, family: str) -> Polynomial:
-    """Sum coeff_w * member_w back into a single polynomial."""
-    total = Polynomial.zero()
-    for w, coeff in expansion.items():
-        total = total + coeff * schubert_polynomial(w, family)
-    return total
 
 
 if __name__ == "__main__":

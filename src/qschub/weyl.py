@@ -41,11 +41,9 @@ __all__ = [
     "reflect",
     "is_cover",
     "bruhat_leq",
-    "left_weak_leq",
     "weak_order_ideal",
     "all_perms",
     "cycle",
-    "pair_omega",
     "pair_two_rho",
     "q_coroot",
     "eta_p",
@@ -201,6 +199,8 @@ def is_cover(w: Permutation, alpha: Root) -> bool:
     return not any(wr < apply_to(w, t) < ws for t in range(r + 1, s))
 
 
+# No caller in the package: Bruhat order is the paper's order on Schubert
+# classes, and the tests check covers and product supports against it.
 def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     """Bruhat order by the rank-matrix (sorted prefix) criterion."""
     n = max(len(u), len(w))
@@ -212,17 +212,34 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     return True
 
 
-def left_weak_leq(v: Permutation, w: Permutation) -> bool:
-    """True iff ell(w v^-1) + ell(v) = ell(w)."""
-    return length(compose(w, inverse(v))) + length(v) == length(w)
-
-
 def weak_order_ideal(w: Permutation) -> list:
-    """All v with v left-weak-below w, in length-increasing order."""
-    n = max(len(w), 1)
-    ideal = [v for v in all_perms(n) if left_weak_leq(v, w)]
-    ideal.sort(key=lambda v: (length(v), v))
-    return ideal
+    """All v with v left-weak-below w (l(w v^-1) + l(v) = l(w)), sorted by
+    (length, one-line form).
+
+    The walk is complete: v <=_L w means w = u v with lengths adding, and
+    peeling a reduced word of u off the left of w one letter at a time
+    removes one left descent per step, so every v is reached.  A left
+    descent of u is an i with i+1 to the left of i, and s_i u swaps those
+    two values; each step drops the length by one, so no length is computed.
+
+    >>> weak_order_ideal((3, 1, 2))
+    [(), (2, 1), (3, 1, 2)]
+    """
+    level = {trim(w)}
+    levels = []
+    while level:
+        levels.append(sorted(level))
+        below = set()
+        for u in level:
+            where = inverse(u)
+            for i in range(1, len(u)):
+                left, right = where[i], where[i - 1]  # positions of i+1 and i
+                if left < right:
+                    line = list(u)
+                    line[left - 1], line[right - 1] = i, i + 1
+                    below.add(trim(line))
+        level = below
+    return [v for same_length in reversed(levels) for v in same_length]
 
 
 def all_perms(n: int) -> list:
@@ -238,12 +255,6 @@ def cycle(i: int, p: int) -> Permutation:
 
 
 # -- pairings and coroots -----------------------------------------------------
-
-
-def pair_omega(alpha: Root, i: int) -> int:
-    """<alpha_{rs}^vee, omega_i>: 1 if r <= i < s else 0."""
-    r, s = alpha
-    return 1 if r <= i < s else 0
 
 
 def pair_two_rho(alpha: Root) -> int:

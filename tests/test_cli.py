@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import qschub
-from qschub import selftest
+from qschub import cli, selftest
 from qschub.cli import VERIFY_SUITES, main
 from qschub.poly import polynomial_from_json
 from qschub.quantum_ring import StructureTable
@@ -249,6 +249,26 @@ class TestExitCodes:
     def test_table_n_beyond_the_layout(self, capsys):
         err = self.assert_usage_error(capsys, "table", "--n", "17")
         assert "<= 16" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table"],
+            ["poly", "--w", "[2,1]"],
+            ["expand", "--poly", "x1"],
+        ],
+        ids=["table", "poly", "expand"],
+    )
+    def test_composition_beyond_the_layout(self, capsys, monkeypatch, argv):
+        # Rejected before any work: building anything here is a crash (exit 3).
+        def build(*args, **kwargs):
+            raise AssertionError("built a domain past the layout")
+
+        monkeypatch.setattr(cli.StructureTable, "build", build)
+        monkeypatch.setattr(cli, "parabolic_q_double_schubert", build)
+        monkeypatch.setattr(cli, "expand_in_parabolic_basis", build)
+        err = self.assert_usage_error(capsys, *argv, "--parabolic", "9,8")
+        assert "sums to 17" in err and "<= 16" in err
 
     @pytest.mark.parametrize("suite", sorted(VERIFY_SUITES))
     def test_verify_max_n_beyond_the_layout(self, capsys, suite):

@@ -14,7 +14,6 @@ from qschub.parabolic import (
     parabolic_cauchy_rhs,
     parabolic_q_double_schubert,
     partition_tuples,
-    stability_trim,
     theta_P,
 )
 from qschub.quantization import theta
@@ -239,6 +238,23 @@ class TestParabolicCauchy:
             parabolic_cauchy_rhs(ParabolicContext((2, 2)), (2, 1))
 
 
+def stability_trim(ctx, w):
+    """Drop the last block from ctx, given that w fixes all of its positions.
+
+    Trimming the only block yields the empty context, reported as None; the
+    member attached to it is the constant 1.
+    """
+    w = trim(w)
+    boundary = ctx.partial_sums[-2] if ctx.k > 1 else 0
+    line = extend(w, ctx.n)
+    moved = [r for r in range(boundary + 1, ctx.n + 1) if line[r - 1] != r]
+    if moved:
+        raise ValueError(f"w moves positions {moved} in the last block")
+    if ctx.k == 1:
+        return None, w
+    return ParabolicContext(ctx.composition[:-1]), w
+
+
 class TestStability:
     def test_trim_keeps_polynomial(self):
         w = (2, 3, 1)
@@ -316,7 +332,7 @@ class TestExpansion:
 
 class TestChainCache:
     def test_chain_caches_share_one_bounded_policy(self):
-        from qschub import parabolic, schubert
+        from qschub import parabolic, quantum_ring, schubert, selftest
 
         for comp in compositions(4):
             ctx = ParabolicContext(comp)
@@ -324,11 +340,14 @@ class TestChainCache:
                 parabolic_q_double_schubert(ctx, w)
         schubert_polynomial((2, 4, 1, 3), "quantum_double")
         schubert_polynomial((2, 4, 1, 3), "classical")
+        assert selftest.check_bijections(4)[0] and selftest.check_cauchy(4)[0]
         for chain in (
             parabolic._p_dd,
             schubert._dd_from_top,
             schubert._member,
             schubert._x_chain_member,
+            schubert._cauchy_left,
+            quantum_ring.b_root_set,
         ):
             info = chain.cache_info()
             assert info.maxsize == 2048

@@ -156,6 +156,20 @@ class TestBijection:
             for w in ctx.minimal_reps():
                 assert bijection_check(w, ctx), (ctx.composition, w)
 
+    def test_warm_root_set_cache_gives_the_same_answers(self):
+        cases = [(w, None) for w in all_perms(4)] + [
+            (w, ctx)
+            for ctx in (ParabolicContext((2, 1, 1)), ParabolicContext((1, 2, 1)))
+            for w in ctx.minimal_reps()
+        ]
+        b_root_set.cache_clear()
+        cold = [bijection_check(w, ctx) for w, ctx in cases]
+        assert b_root_set.cache_info().currsize > 0
+        warm = [bijection_check(w, ctx) for w, ctx in cases]
+        assert cold == warm == [True] * len(cases)
+        for w, ctx in cases:
+            assert b_root_set(w, ctx) == b_root_set(w, ctx, window=2), (w, ctx)
+
 
 class TestStructureConstants:
     def test_two_strands(self):

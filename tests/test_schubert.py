@@ -9,11 +9,8 @@ from qschub.schubert import (
     FAMILY_KINDS,
     cauchy_rhs,
     divided_difference,
-    divided_difference_w,
     expand_in_schubert_basis,
-    omega,
     quantum_elementary,
-    reconstruct,
     schubert_polynomial,
     x_lead_vector,
     x_to_minus_a,
@@ -28,6 +25,7 @@ from qschub.weyl import (
     inverse,
     length,
     perm_from_word,
+    reduced_word,
     simple,
 )
 
@@ -46,6 +44,24 @@ def random_polynomial(rng, families="xaq", max_vars=3, max_exp=3, terms=5, degre
             term = term * Polynomial.var(fam, rng.randint(1, max_vars)) ** e
         f = f + term
     return f
+
+
+def divided_difference_w(w, f):
+    """The composite of divided differences along a reduced word for w."""
+    return _apply_word(reduced_word(w), f)
+
+
+def omega(i, fam="x"):
+    """The fundamental-weight linear form, e.g. omega(2) = x1 + x2."""
+    return sum((Polynomial.var(fam, t) for t in range(1, i + 1)), Polynomial.zero())
+
+
+def reconstruct(expansion, family):
+    """Sum coeff_w * member_w back into a single polynomial."""
+    total = Polynomial.zero()
+    for w, coeff in expansion.items():
+        total = total + coeff * schubert_polynomial(w, family)
+    return total
 
 
 def all_reduced_words(w):

@@ -1,6 +1,7 @@
 """Permutation combinatorics: codes, words, orders, roots, parabolic blocks."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -19,10 +20,8 @@ from qschub.weyl import (
     identity,
     inverse,
     is_cover,
-    left_weak_leq,
     length,
     longest_element,
-    pair_omega,
     pair_two_rho,
     parse_permutation,
     perm,
@@ -34,6 +33,17 @@ from qschub.weyl import (
     simple,
     weak_order_ideal,
 )
+
+
+def left_weak_leq(v, w):
+    """The definition of the left weak order: l(w v^-1) + l(v) = l(w)."""
+    return length(compose(w, inverse(v))) + length(v) == length(w)
+
+
+def pair_omega(alpha, i):
+    """<alpha_{rs}^vee, omega_i>: 1 if r <= i < s else 0."""
+    r, s = alpha
+    return 1 if r <= i < s else 0
 
 
 def compositions(n):
@@ -125,6 +135,18 @@ def test_left_weak_order_examples():
     assert weak_order_ideal((3, 1, 2)) == [identity, (2, 1), (3, 1, 2)]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_weak_order_ideal_matches_brute_force_scan(n):
+    # The walk down left descents against the definition, checked on every
+    # element of S_n (the identity included), in the same order.
+    perms = all_perms(n)
+    for w in perms:
+        scan = sorted(
+            (v for v in perms if left_weak_leq(v, w)), key=lambda v: (length(v), v)
+        )
+        assert weak_order_ideal(w) == scan, w
+
+
 def test_bruhat_examples():
     assert bruhat_leq(identity, (3, 1, 2))
     assert bruhat_leq((2, 1), (3, 1, 2))
@@ -172,6 +194,14 @@ def test_pairings():
     assert pair_two_rho((2, 5)) == 6
     assert q_coroot((1, 3)) == q(1) * q(2)
     assert q_coroot((2, 3)) == q(2)
+    # q_{alpha^vee} and eta_P multiply the q's of the nodes alpha crosses.
+    ctx = ParabolicContext((2, 1, 3))
+    for r in range(1, 7):
+        for s in range(r + 1, 8):
+            crossed = [t for t in range(1, s) if pair_omega((r, s), t)]
+            assert q_coroot((r, s)) == math.prod((q(t) for t in crossed), start=1)
+            at_nodes = [j for j, node in enumerate(ctx.nodes, 1) if node in crossed]
+            assert eta_p((r, s), ctx) == math.prod((q(j) for j in at_nodes), start=1)
 
 
 def test_cycles():
