@@ -1,52 +1,47 @@
-"""Standard monomial bases e_I / E_I and the stable quantization map.
+"""The block bases g_lam / G_lam and the quantization maps theta and theta_P.
 
-A standard index is a trimmed tuple I = (i_1, i_2, ...) with 0 <= i_r <= r;
-it labels the products e_I = prod_r e_{i_r}(x_1..x_r) and E_I = prod_r E_{i_r}^r,
-where E_i^r comes from the characteristic polynomial of the tridiagonal
-matrix C_r.  Both families are Z-bases (of Z[x] and of Z[x,q] over Z[q]), and
-the quantization map sends e_I to E_I, extended coefficient-wise over the a
-and q variables.
+A composition (n_1, ..., n_k) with partial sums N_j labels its basis by
+partition tuples lam = (lam^(1), lam^(2), ...) with lam^(j) inside the
+n_{j+1} x N_j box: g_lam = prod_j prod_i e_{lam^(j)_i}(x_1..x_{N_j}), and
+G_lam replaces each factor by G^j_{lam^(j)_i}, a coefficient of
+det(D_j - t*Id).  The quantization map sends g_lam to G_lam, extended over
+the a and q variables: one loop, `_quantize`, serves the full flag (`theta`)
+and the parabolic case (`parabolic.theta_P`).
 
-Decomposition over {e_I} runs by triangular elimination: candidate indices
-are processed from the largest plain leading monomial downward, each new
-e_I row is reduced against the rows already placed, and the surviving lead
-becomes its pivot.  Rows are built lazily and cached per degree slice.
+On the composition (1, ..., 1) every box is 1 x r, so level r holds (i_r),
+or () when i_r = 0.  The standard index I = (i_1, i_2, ...), 0 <= i_r <= r,
+then labels e_I = prod_r e_{i_r}(x_1..x_r) and E_I = prod_r E_{i_r}^r, the
+quantum elementary monomials of Fomin-Gelfand-Postnikov; `theta` quantizes
+each x part on the (1, ..., 1) composition of its own width.
+
+Decomposition over {g_lam} runs by triangular elimination: candidate tuples
+are processed from the largest plain leading monomial downward, each new row
+is reduced against the rows already placed, and the surviving lead becomes
+its pivot.  Rows are built lazily and cached per (composition, degree) slice.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .poly import SLOTS, Polynomial, elementary_symmetric, x_order_key
-from .schubert import quantum_elementary
+from .poly import SLOTS, Polynomial, elementary_symmetric, q, x_order_key
+from .schubert import _d_char_coeffs, quantum_elementary
+from .weyl import ParabolicContext
 
 __all__ = [
-    "is_standard",
     "e_level",
-    "E_level",
     "e_monomial",
     "E_monomial",
-    "standard_indices",
+    "G_polynomial",
+    "partition_tuples",
+    "g_tuple",
+    "G_tuple",
     "standard_decompose",
     "theta",
     "decompose_in_E",
     "e_relation_residual",
     "E_relation_residual",
 ]
-
-
-def is_standard(index) -> bool:
-    index = tuple(index)
-    if index and index[-1] == 0:
-        return False
-    return all(0 <= entry <= r for r, entry in enumerate(index, start=1))
-
-
-def _validated(index) -> tuple:
-    trimmed = _strip(index)
-    if not is_standard(trimmed):
-        raise ValueError(f"not a standard index: {tuple(index)}")
-    return trimmed
 
 
 # Unbounded, but small: r <= 16 (the packed layout), and the callers ask for
@@ -57,55 +52,17 @@ def e_level(i: int, r: int) -> Polynomial:
     return elementary_symmetric(i, [("x", t) for t in range(1, r + 1)])
 
 
-def E_level(i: int, r: int) -> Polynomial:
-    """E_i^r, the quantum deformation of e_i(x_1, ..., x_r)."""
-    return quantum_elementary(i, r)
+def G_polynomial(ctx: ParabolicContext, i: int, j: int) -> Polynomial:
+    """G_i^j, with det(D_j - t*Id) = sum_i (-t)^(N_j - i) G_i^j.
 
-
-def e_monomial(index) -> Polynomial:
-    """e_I = prod_r e_{i_r}(x_1..x_r).
-
-    >>> print(e_monomial((0, 2)))
-    x1*x2
+    >>> print(G_polynomial(ParabolicContext((2, 1, 3)), 3, 2))
+    x1*x2*x3 + q1
     """
-    total = Polynomial.const(1)
-    for r, i in enumerate(_validated(index), start=1):
-        if i:
-            total = total * e_level(i, r)
-    return total
-
-
-def E_monomial(index) -> Polynomial:
-    """E_I = prod_r E_{i_r}^r.
-
-    >>> print(E_monomial((0, 2)))
-    x1*x2 + q1
-    """
-    total = Polynomial.const(1)
-    for r, i in enumerate(_validated(index), start=1):
-        if i:
-            total = total * E_level(i, r)
-    return total
-
-
-def standard_indices(degree: int, max_level: int):
-    """All standard indices of weight `degree` supported on levels <= max_level."""
-    out = []
-
-    def go(level, remaining, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        if level > max_level:
-            return
-        cap = min(level, remaining)
-        for i in range(cap + 1):
-            prefix.append(i)
-            go(level + 1, remaining - i, prefix)
-            prefix.pop()
-
-    go(1, degree, [])
-    return [_strip(ix) for ix in out]
+    if not 1 <= j <= ctx.k:
+        raise ValueError(f"level out of range: j={j} for k={ctx.k}")
+    if not 0 <= i <= ctx.partial_sums[j - 1]:
+        raise ValueError(f"degree out of range: i={i} for N_j={ctx.partial_sums[j-1]}")
+    return _d_char_coeffs(ctx.composition[:j])[i]
 
 
 def _strip(index) -> tuple:
@@ -117,16 +74,137 @@ def _strip(index) -> tuple:
     return tuple(index)
 
 
-# -- triangular elimination over the e_I table --------------------------------
+# -- partition tuples and the g / G bases ---------------------------------------
 
 
-def _naive_lead_key(index, width: int) -> int:
-    # Plain leading monomial of e_I: each nonzero level r contributes ones at
-    # the window of the top i_r positions among 1..r.
+def _partitions_in_box(total: int, rows: int, cols: int):
+    """Partitions of `total` with at most `rows` parts, each at most `cols`."""
+    out = []
+
+    def go(remaining, limit, slots, prefix):
+        if remaining == 0:
+            out.append(tuple(prefix))
+            return
+        if slots == 0:
+            return
+        for part in range(min(limit, remaining), 0, -1):
+            prefix.append(part)
+            go(remaining - part, part, slots - 1, prefix)
+            prefix.pop()
+
+    go(total, cols, rows, [])
+    return out
+
+
+def partition_tuples(ctx: ParabolicContext, degree: int, levels: int):
+    """All tuples (lam^(1), ..., lam^(levels)) with total size `degree` where
+    lam^(j) fits in the n_{j+1} x N_j box; trailing empty partitions trimmed.
+
+    `ctx` must already be extended to cover `levels` + 1 blocks.
+    """
+    if levels + 1 > ctx.k:
+        raise ValueError(f"need {levels + 1} blocks, context has {ctx.k}")
+    out = []
+
+    def go(j, remaining, prefix):
+        if remaining == 0:
+            out.append(tuple(prefix))
+            return
+        if j > levels:
+            return
+        rows = ctx.composition[j]
+        cols = ctx.partial_sums[j - 1]
+        for size in range(0, remaining + 1):
+            for lam in _partitions_in_box(size, rows, cols) if size else [()]:
+                prefix.append(lam)
+                go(j + 1, remaining - size, prefix)
+                prefix.pop()
+
+    go(1, degree, [])
+    return [_strip(t) for t in out]
+
+
+def _validated_tuple(ctx: ParabolicContext, tup) -> tuple:
+    tup = _strip(tuple(tuple(lam) for lam in tup))
+    if len(tup) + 1 > ctx.k:
+        raise ValueError(f"tuple has {len(tup)} levels, context only {ctx.k - 1}")
+    for j, lam in enumerate(tup, start=1):
+        if any(lam[t] < lam[t + 1] for t in range(len(lam) - 1)) or (
+            lam and lam[-1] < 1
+        ):
+            raise ValueError(f"level {j} entry is not a partition: {lam}")
+        if len(lam) > ctx.composition[j] or (lam and lam[0] > ctx.partial_sums[j - 1]):
+            raise ValueError(f"level {j} partition {lam} exceeds its box")
+    return tup
+
+
+def _validated_index(index) -> tuple:
+    """The partition tuple of a standard index under (1, ..., 1)."""
+    trimmed = _strip(index)
+    if not all(0 <= i <= r for r, i in enumerate(trimmed, start=1)):
+        raise ValueError(f"not a standard index: {tuple(index)}")
+    return tuple((i,) if i else () for i in trimmed)
+
+
+def _g_factor(part: int, blocks: tuple) -> Polynomial:
+    return e_level(part, sum(blocks))
+
+
+def _G_factor(part: int, blocks: tuple) -> Polynomial:
+    return _d_char_coeffs(blocks)[part]
+
+
+def _product(composition: tuple, tup, factor) -> Polynomial:
+    """prod_j prod_i factor(lam^(j)_i, first j blocks) over a partition tuple
+    that fits `composition` extended by singleton blocks."""
+    blocks = composition + (1,) * len(tup)
+    total = Polynomial.const(1)
+    for j, lam in enumerate(tup, start=1):
+        for part in lam:
+            total = total * factor(part, blocks[:j])
+    return total
+
+
+def g_tuple(ctx: ParabolicContext, tup) -> Polynomial:
+    """g_lam = prod_j prod_i e_{lam^(j)_i}(x_1, ..., x_{N_j})."""
+    return _product(ctx.composition, _validated_tuple(ctx, tup), _g_factor)
+
+
+def G_tuple(ctx: ParabolicContext, tup) -> Polynomial:
+    """G_lam, the same product with each factor quantized to G_{part}^j."""
+    return _product(ctx.composition, _validated_tuple(ctx, tup), _G_factor)
+
+
+def e_monomial(index) -> Polynomial:
+    """e_I = prod_r e_{i_r}(x_1..x_r), the g_lam of (1, ..., 1).
+
+    >>> print(e_monomial((0, 2)))
+    x1*x2
+    """
+    return _product((), _validated_index(index), _g_factor)
+
+
+def E_monomial(index) -> Polynomial:
+    """E_I = prod_r E_{i_r}^r, the G_lam of (1, ..., 1).
+
+    >>> print(E_monomial((0, 2)))
+    x1*x2 + q1
+    """
+    return _product((), _validated_index(index), _G_factor)
+
+
+# -- triangular elimination over the g_lam table --------------------------------
+
+
+def _tuple_lead_key(ctx: ParabolicContext, tup, width: int) -> int:
+    # Plain leading monomial of g_lam: each part p at level j contributes ones
+    # at the window of the top p positions among 1..N_j.
     vec = [0] * width
-    for r, i in enumerate(index, start=1):
-        for t in range(r - i, r):
-            vec[t] += 1
+    for j, lam in enumerate(tup, start=1):
+        nj = ctx.partial_sums[j - 1]
+        for part in lam:
+            for t in range(nj - part, nj):
+                vec[t] += 1
     return x_order_key(vec)
 
 
@@ -201,30 +279,59 @@ class EchelonSlice:
         return coords
 
 
-def _check_slice_width(width: int):
-    """Reject a slice that needs x variables beyond the packed layout.
-
-    Every slice of positive degree has a row whose lead uses x_width, so this
-    fails at once instead of after enumerating the rows.
-    """
+# The one slice cache, unbounded but held on purpose: a slice keeps the rows
+# it has built for the next decomposition of its (composition, degree).  A
+# slice of degree d over N_k = n variables uses levels up to k + d, hence
+# x1..x_{n+d}, and is refused past the packed layout, so n + d <= 16.  The
+# full flag, shared by `theta` and `theta_P` on (1, ..., 1), then has at most
+# 120 slices (widths n >= 1, degrees d >= 1); the others are bounded by the
+# compositions theta_P is asked about.
+@cache
+def _g_slice(composition: tuple, degree: int) -> EchelonSlice:
+    base = ParabolicContext(composition)
+    ctx = base.extend(degree + 1)
+    levels = base.k + degree
+    width = ctx.partial_sums[levels - 1]
+    # Fail before enumerating: every slice has a row whose lead uses x_width.
     if width > SLOTS:
         raise ValueError(
             f"this decomposition needs x1..x{width}, beyond the packed layout "
             f"(x{SLOTS})"
         )
-
-
-# Unbounded, but held on purpose: a slice keeps the rows it has built for the
-# next decomposition of its degree.  _check_slice_width caps max_level, hence
-# the degree, at 16, so there are at most 136 slices.
-@cache
-def _slice(degree: int, max_level: int) -> EchelonSlice:
-    _check_slice_width(max_level)
     pending = sorted(
-        (_naive_lead_key(index, max_level), index)
-        for index in standard_indices(degree, max_level)
+        (_tuple_lead_key(ctx, tup, width), tup)
+        for tup in partition_tuples(ctx, degree, levels)
     )
-    return EchelonSlice(pending, e_monomial)
+    return EchelonSlice(pending, lambda tup: _product(composition, tup, _g_factor))
+
+
+def _invariant_decompose(composition: tuple, f: Polynomial) -> dict:
+    """{partition tuple: coefficient} of f, in x alone, over the g_lam."""
+    out: dict = {}
+    for d, part in f.homogeneous_parts().items():
+        if d == 0:
+            out[()] = part.constant_value()
+        else:
+            out.update(_g_slice(composition, d).decompose(part))
+    return out
+
+
+def _quantize(f: Polynomial, composition_of) -> Polynomial:
+    """g_lam -> G_lam, Z[a, q]-linearly: split off each a/q monomial,
+    decompose its x part over the g_lam of `composition_of(x part)`, and
+    multiply back by G_lam."""
+    total = Polynomial.zero()
+    for aq_mono, x_part in f.split("aq").items():
+        carrier = Polynomial({aq_mono: 1})
+        composition = composition_of(x_part)
+        for tup, c in _invariant_decompose(composition, x_part).items():
+            total = total + carrier * (_product(composition, tup, _G_factor) * c)
+    return total
+
+
+def _full_flag(f: Polynomial) -> tuple:
+    """The composition (1, ..., 1) of f's x width."""
+    return (1,) * f.max_index("x")
 
 
 def standard_decompose(f: Polynomial) -> dict:
@@ -240,32 +347,23 @@ def standard_decompose(f: Polynomial) -> dict:
     """
     if f.max_index("a") or f.max_index("q"):
         raise ValueError("standard_decompose expects a polynomial in x alone")
-    out: dict = {}
-    width = f.max_index("x")
-    for d, part in f.homogeneous_parts().items():
-        if d == 0:
-            out[()] = out.get((), 0) + part.constant_value()
-            continue
-        coords = _slice(d, width + d).decompose(part)
-        for ix, c in coords.items():
-            out[ix] = out.get(ix, 0) + c
-    return {ix: c for ix, c in out.items() if c}
+    coords = _invariant_decompose(_full_flag(f), f)
+    return {tuple(lam[0] if lam else 0 for lam in tup): c for tup, c in coords.items()}
 
 
 def theta(f: Polynomial) -> Polynomial:
     """The quantization map: e_I -> E_I on the x part, Z[a, q]-linearly.
+
+    Each x part is quantized on the (1, ..., 1) composition of its own width;
+    a wider one gives the same answer, since the decomposition is unique, but
+    builds far more rows.
 
     >>> from .poly import variable
     >>> x1 = variable("x", 1)
     >>> print(theta(x1 * x1))
     x1^2 - q1
     """
-    total = Polynomial.zero()
-    for aq_mono, x_part in f.split("aq").items():
-        carrier = Polynomial({aq_mono: 1})
-        for ix, c in standard_decompose(x_part).items():
-            total = total + carrier * (E_monomial(ix) * c)
-    return total
+    return _quantize(f, _full_flag)
 
 
 def decompose_in_E(f: Polynomial) -> dict:
@@ -319,18 +417,15 @@ def e_relation_residual(i: int, j: int, p: int) -> Polynomial:
 def E_relation_residual(i: int, j: int, p: int) -> Polynomial:
     """LHS - RHS of the quantum straightening relation: the classical shape
     plus the correction q_p * (E_{j-1}^{p-1} E_{i-1}^p - E_{i-2}^{p-1} E_j^p)."""
-    from .poly import variable
-
-    lhs = E_level(i, p) * E_level(j, p)
+    E = quantum_elementary
+    lhs = E(i, p) * E(j, p)
     rhs = (
-        E_level(i - 1, p) * E_level(j + 1, p)
-        + E_level(j, p) * E_level(i, p + 1)
-        - E_level(i - 1, p) * E_level(j + 1, p + 1)
+        E(i - 1, p) * E(j + 1, p)
+        + E(j, p) * E(i, p + 1)
+        - E(i - 1, p) * E(j + 1, p + 1)
     )
     if p >= 1:
-        rhs = rhs + variable("q", p) * (
-            E_level(j - 1, p - 1) * E_level(i - 1, p)
-            - E_level(i - 2, p - 1) * E_level(j, p)
+        rhs = rhs + q(p) * (
+            E(j - 1, p - 1) * E(i - 1, p) - E(i - 2, p - 1) * E(j, p)
         )
     return lhs - rhs
-

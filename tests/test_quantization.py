@@ -6,22 +6,50 @@ import pytest
 
 from qschub import quantization
 from qschub.poly import Polynomial, variable
+from qschub.parabolic import theta_P
 from qschub.quantization import (
     E_monomial,
     E_relation_residual,
     decompose_in_E,
     e_monomial,
     e_relation_residual,
-    is_standard,
+    partition_tuples,
     standard_decompose,
-    standard_indices,
     theta,
 )
 from qschub.schubert import schubert_polynomial
-from qschub.weyl import all_perms
+from qschub.weyl import ParabolicContext, all_perms
 
 x1 = variable("x", 1)
 x2 = variable("x", 2)
+
+
+def is_standard(index) -> bool:
+    index = tuple(index)
+    if index and index[-1] == 0:
+        return False
+    return all(0 <= entry <= r for r, entry in enumerate(index, start=1))
+
+
+def standard_indices(degree: int, max_level: int):
+    """All standard indices of weight `degree` supported on levels <= max_level,
+    by direct recursion over the levels."""
+    out = []
+
+    def go(level, remaining, prefix):
+        if remaining == 0:
+            out.append(tuple(prefix))
+            return
+        if level > max_level:
+            return
+        cap = min(level, remaining)
+        for i in range(cap + 1):
+            prefix.append(i)
+            go(level + 1, remaining - i, prefix)
+            prefix.pop()
+
+    go(1, degree, [])
+    return out
 
 
 def rebuild(decomposition, monomial_fn):
@@ -66,6 +94,17 @@ class TestStandardMonomials:
             for index in standard_indices(d, d + 2):
                 assert is_standard(index)
                 assert sum(index) == d
+
+    def test_full_flag_partition_tuples_are_standard_indices(self):
+        # Under (1,...,1) level r holds (i_r), or () when i_r = 0.
+        for levels in range(1, 7):
+            ctx = ParabolicContext((1,) * (levels + 1))
+            for d in range(6):
+                relabelled = [
+                    tuple(lam[0] if lam else 0 for lam in tup)
+                    for tup in partition_tuples(ctx, d, levels)
+                ]
+                assert relabelled == standard_indices(d, levels), (d, levels)
 
 
 class TestStandardDecompose:
@@ -194,6 +233,16 @@ class TestEDecomposition:
         monkeypatch.setattr(quantization, "E_monomial", lambda ix: 2 * e_monomial(ix))
         with pytest.raises(RuntimeError, match="no progress"):
             decompose_in_E(x1 * x2)
+
+
+def test_theta_P_on_the_full_flag_reuses_the_standard_slice():
+    quantization._g_slice.cache_clear()
+    f = x1 * x1 * variable("x", 3) + x1 * x2 * variable("x", 3) * 2 - x2**3
+    standard_decompose(f)
+    misses = quantization._g_slice.cache_info().misses
+    assert misses == 1
+    theta_P(ParabolicContext((1, 1, 1)), f)
+    assert quantization._g_slice.cache_info().misses == misses
 
 
 def test_slice_beyond_the_layout_fails_at_once():
