@@ -7,17 +7,27 @@ det(D_j - a_i Id) over the staircase of index windows, and the member attached
 to w is the signed divided-difference chain for w (w_0^P)^{-1} applied to it.
 The full flag is the composition (1, ..., 1): D is the tridiagonal C_n, the
 top product is prod_{i=1}^{n-1} det(C_i - a_{n-i} Id), and the chain gives the
-quantum double member (with q -> 0, the double one).  The classical and
-quantum kinds are the a -> 0 specializations.  The classical family is
-computed by the equivalent x-side chain up from the staircase monomial, whose
-intermediates stay small.  All members are stable under adding fixed points,
-so each permutation is computed inside the smallest symmetric group that
-contains it.
+quantum double member (with q -> 0, the double one).
+
+The top product is never multiplied out.  Each a_i occurs in exactly one of
+its factors, and d_i commutes with multiplication by anything free of a_i and
+a_{i+1}.  So the chain keeps a partial result and the set of factors not yet
+used: before d_i it multiplies factors i and i+1 into the partial result, if
+they are still unused, and the factors left over, free of a_i and a_{i+1},
+pass through d_i untouched.  A member is its partial result times the
+factors left over.
+
+The classical and quantum kinds are the a -> 0 specializations.  The
+classical family is computed by the equivalent x-side chain up from the
+staircase monomial, whose intermediates stay small.  All members are stable
+under adding fixed points, so each permutation is computed inside the
+smallest symmetric group that contains it.
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache
+from types import MappingProxyType
 
 from .poly import (
     Polynomial,
@@ -121,42 +131,64 @@ def quantum_elementary(j: int, n: int) -> Polynomial:
     return _d_char_coeffs((1,) * n)[j]
 
 
-def _top_product(composition: tuple, quantum: bool) -> Polynomial:
-    """prod_j prod_i det(D_j - a_i*Id) over the inner levels j and the
-    staircase window n - N_{j+1} < i <= n - N_j.  With the q's zeroed out each
-    factor is prod_{t <= N_j} (x_t - a_i), the double top product."""
+# Bounded like the chain: one entry per (composition, quantum) asked for,
+# each holding one factor per a-variable.
+@lru_cache(maxsize=2048)
+def _top_factors(composition: tuple, quantum: bool) -> MappingProxyType:
+    """{i: det(D_j - a_i*Id)} over the inner levels j and the staircase window
+    n - N_{j+1} < i <= n - N_j, read-only since the cache shares it; the top
+    product is the product of the values.  With the q's zeroed out each
+    factor is prod_{t <= N_j} (x_t - a_i), a factor of the double top product."""
     ctx = ParabolicContext(composition)
     n = ctx.n
-    total = Polynomial.const(1)
+    factors = {}
     for j in range(1, ctx.k):
         coeffs = _d_char_coeffs(composition[:j])
         if not quantum:
             coeffs = [c.zero_out("q") for c in coeffs]
         for i in range(n - ctx.partial_sums[j] + 1, n - ctx.partial_sums[j - 1] + 1):
-            total = total * char_poly_at(coeffs, a(i))
-    return total
+            factors[i] = char_poly_at(coeffs, a(i))
+    return MappingProxyType(factors)
 
 
-# Bounded: chain intermediates near the top of S_7+ run to millions of terms,
-# and an unbounded cache pins every one of them for the life of the process.
-# 2048 entries still holds two full families of S_6 chains with room to spare.
-# The identity entry holds the top product, and the full flag is the
-# composition (1, ..., 1), so its members share entries with the parabolic ones.
+# Bounded: a long-running process must not pin every chain it ever ran.
+# 2048 entries still hold two full families of S_6 chains with room to spare.
+# Measured state sizes: the largest `partial` over all 720 S_6 quantum double
+# chains has 46,026 terms (the S_6 top product has 113,416), and the longest
+# S_7 chain, v = w0, peaks at 279,654.  The full flag is the composition
+# (1, ..., 1), so its members share entries with the parabolic ones.
 @lru_cache(maxsize=2048)
-def _dd_from_top(composition: tuple, quantum: bool, v: Permutation) -> Polynomial:
+def _dd_from_top(composition: tuple, quantum: bool, v: Permutation) -> tuple:
+    """The chain for v as a state (partial, pending): the divided differences
+    applied to the top product equal partial times the product of the
+    `_top_factors` indexed by the frozenset `pending`, and `partial` has no
+    a_t for t in `pending`."""
     if v == identity:
-        return _top_product(composition, quantum)
+        return Polynomial.const(1), frozenset(_top_factors(composition, quantum))
     i = reduced_word(v)[0]
-    above = _dd_from_top(composition, quantum, compose(simple(i), v))
-    return divided_difference(i, above)
+    partial, pending = _dd_from_top(composition, quantum, compose(simple(i), v))
+    factors = _top_factors(composition, quantum)
+    for t in (i, i + 1):
+        if t in pending:
+            partial = partial * factors[t]
+    return divided_difference(i, partial), pending - {i, i + 1}
+
+
+# Bounded like the chain.  Without it every parabolic member multiplies its
+# pending factors again; the entries share their polynomials with `_member`.
+@lru_cache(maxsize=2048)
+def _signed_chain(composition: tuple, quantum: bool, v: Permutation) -> Polynomial:
+    """The chain for v applied to the top product, times (-1)^l(v)."""
+    partial, pending = _dd_from_top(composition, quantum, v)
+    factors = _top_factors(composition, quantum)
+    for t in sorted(pending):
+        partial = partial * factors[t]
+    return partial if length(v) % 2 == 0 else -partial
 
 
 def _chain_member(ctx: ParabolicContext, quantum: bool, w: Permutation) -> Polynomial:
-    """The chain for v = w (w_0^P)^{-1} applied to the top product, times
-    (-1)^l(v)."""
-    v = compose(w, inverse(ctx.w0_p()))
-    base = _dd_from_top(ctx.composition, quantum, v)
-    return base if length(v) % 2 == 0 else -base
+    """The signed chain for v = w (w_0^P)^{-1}."""
+    return _signed_chain(ctx.composition, quantum, compose(w, inverse(ctx.w0_p())))
 
 
 # The member caches are bounded like the chain, so a long-running process

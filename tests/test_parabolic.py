@@ -344,6 +344,8 @@ class TestChainCache:
         for chain in (
             parabolic._p_dd,
             schubert._dd_from_top,
+            schubert._top_factors,
+            schubert._signed_chain,
             schubert._member,
             schubert._x_chain_member,
             schubert._cauchy_left,

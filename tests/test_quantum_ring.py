@@ -219,9 +219,10 @@ def stable_expand_and_truncate(n, u, v):
 class TestStableOracle:
     """The (1, ..., 1) table route against the stable expand-and-truncate one."""
 
-    @pytest.mark.parametrize("n, max_len", [(3, 6), (4, 3)])
+    @pytest.mark.parametrize("n, max_len", [(3, 6), (4, 3), (4, 5)])
     def test_full_flag_pairs(self, n, max_len):
-        # length sum <= 3 keeps every S_4 expansion inside S_5
+        # length sum <= 3 keeps every S_4 expansion inside S_5; <= 5 reaches
+        # S_6, e.g. [1,4,2,3] * [1,4,2,3]
         pairs = [
             (u, v)
             for u in all_perms(n)

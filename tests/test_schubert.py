@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from qschub import schubert
 from qschub.poly import Polynomial, a, elementary_symmetric, graded_degree, q, x
 from qschub.schubert import (
     FAMILY_KINDS,
@@ -15,7 +16,9 @@ from qschub.schubert import (
     x_lead_vector,
     x_to_minus_a,
 )
+from qschub.selftest import check_reflection_formulas, compositions
 from qschub.weyl import (
+    ParabolicContext,
     all_perms,
     bruhat_leq,
     code,
@@ -156,6 +159,50 @@ def test_reflection_formulas():
         assert schubert_polynomial(w, "quantum_double") == omega(i) - omega(i, "a")
         assert schubert_polynomial(w, "quantum") == schubert_polynomial(w, "classical")
         assert schubert_polynomial(w, "classical") == omega(i)
+
+
+def test_reflection_formula_of_s6():
+    # The quantum double member of s_6 lives in S_7.
+    assert check_reflection_formulas(6) == (True, "i <= 6")
+
+
+def _plain_chain(composition, quantum, v):
+    """The signed chain for v on the multiplied-out top product."""
+    top = Polynomial.const(1)
+    for factor in schubert._top_factors(composition, quantum).values():
+        top = top * factor
+    chain = _apply_word(reduced_word(v), top)
+    return chain if length(v) % 2 == 0 else -chain
+
+
+def _chain_cases():
+    """v = w (w_0^P)^{-1} for every minimal representative w of every
+    composition of n <= 4; (1, 1, 1, 1) gives every v in S_4."""
+    cases = []
+    for n in range(1, 5):
+        for comp in compositions(n):
+            ctx = ParabolicContext(comp)
+            w0_inverse = inverse(ctx.w0_p())
+            cases += [(comp, compose(w, w0_inverse)) for w in ctx.minimal_reps()]
+    return cases
+
+
+@pytest.mark.parametrize("quantum", [True, False])
+def test_factored_chain_matches_plain_chain(quantum):
+    for comp, v in _chain_cases():
+        assert schubert._signed_chain(comp, quantum, v) == _plain_chain(
+            comp, quantum, v
+        ), (comp, v)
+        # Every state the chain for v caches keeps its pending factors'
+        # variables out of the partial result.
+        u = v
+        while True:
+            partial, pending = schubert._dd_from_top(comp, quantum, u)
+            for t in pending:
+                assert partial.specialize({("a", t): 0}) == partial, (comp, u, t)
+            if u == identity:
+                break
+            u = compose(simple(reduced_word(u)[0]), u)
 
 
 def test_worked_examples():
