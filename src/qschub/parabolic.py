@@ -77,7 +77,7 @@ def theta_P(ctx: ParabolicContext, f: Polynomial) -> Polynomial:
     for i in ctx.wp_generators():
         if f.swap_indices("x", i, i + 1) != f:
             raise ValueError(f"input is not invariant under the x swap at {i}")
-    return _quantize(f, lambda _: ctx.composition)
+    return _quantize(f, ctx.composition)
 
 
 # -- Cauchy formula --------------------------------------------------------------

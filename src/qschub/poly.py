@@ -333,6 +333,28 @@ class Polynomial:
         block = reduce(or_, self.terms, 0) & _block_mask(family)
         return (block.bit_length() - _FIRST[family] * _W + _W - 1) // _W if block else 0
 
+    def staircase(self) -> int:
+        """The least n >= 1 such that every x-monomial x^b of f lies under the
+        staircase b_i <= n - i: the largest i + b_i over exponents b_i > 0, or
+        1 when no x appears.  The a and q variables are ignored.
+
+        >>> (x(1) ** 3 * x(2) ** 2 * x(3) + a(5)).staircase(), x(3).staircase()
+        (4, 4)
+        >>> Polynomial.const(7).staircase()
+        1
+        """
+        top, base, mask = 1, _FIRST["x"] * _W, _block_mask("x")
+        for m in self.terms:
+            m = (m & mask) >> base
+            i = 1
+            while m:
+                e = m & _EXP
+                if e and i + e > top:
+                    top = i + e
+                m >>= _W
+                i += 1
+        return top
+
     def coefficient(self, mono: Monomial) -> int:
         return self.terms.get(_pack(mono), 0)
 

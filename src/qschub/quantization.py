@@ -11,13 +11,34 @@ and the parabolic case (`parabolic.theta_P`).
 On the composition (1, ..., 1) every box is 1 x r, so level r holds (i_r),
 or () when i_r = 0.  The standard index I = (i_1, i_2, ...), 0 <= i_r <= r,
 then labels e_I = prod_r e_{i_r}(x_1..x_r) and E_I = prod_r E_{i_r}^r, the
-quantum elementary monomials of Fomin-Gelfand-Postnikov; `theta` quantizes
-each x part on the (1, ..., 1) composition of its own width.
+quantum elementary monomials of Fomin-Gelfand-Postnikov.
 
-Decomposition over {g_lam} runs by triangular elimination: candidate tuples
-are processed from the largest plain leading monomial downward, each new row
-is reduced against the rows already placed, and the surviving lead becomes
-its pivot.  Rows are built lazily and cached per (composition, degree) slice.
+The level bound is the staircase.  For f in x alone let n(f) be the largest
+i + b_i over the monomials x^b of f and their exponents b_i > 0, or 1 when
+no x appears (`Polynomial.staircase`); f lies in H_n = span{x^b : b_i <=
+n - i} for n = n(f).  On a composition of n, a factor e_p(x_1..x_{N_j}) of
+g_lam can hold x_i only if N_j >= i, and with levels j <= k - 1 at most
+n - i factors do, so these g_lam lie in H_n too.  H_n maps isomorphically
+onto the coinvariant ring Z[x_1..x_n]/(e_1, ..., e_n) (Artin's basis), and
+the e_I with r <= n - 1 map onto a Z-basis of it (Lascoux-Schutzenberger;
+Fomin-Gelfand-Postnikov, JAMS 1997, section 3), so they are a Z-basis of
+H_n.  Hence `theta` decomposes each x part on the composition (1, ..., 1)
+of length n(f), with levels up to k - 1 and no further block.  `theta_P`
+pads its composition with singleton blocks up to max(n, n(f)) and uses
+levels up to k - 1 as well: there the g_lam are W_P-invariant, lie in H_n
+and map onto a basis of the W_P-invariant coinvariants over Q, so they span
+the W_P-invariants of H_n over Q.  That they span them over Z is checked,
+not proven: theta_P returns every parabolic member from its q = 0 part for
+every minimal representative of every composition of n <= 6 (n <= 5 in the
+tests).  A bound that is too small can only raise "level bound
+too small", never return a wrong answer: a decomposition that completes is
+exact.
+
+Decomposition over {g_lam} runs by integer triangular elimination (see
+`EchelonSlice`): candidate tuples are processed from the largest plain
+leading monomial downward, each new row is reduced against the rows already
+placed, and the surviving lead becomes its pivot.  Rows are built lazily and
+cached per (composition, degree) slice.
 """
 
 from __future__ import annotations
@@ -196,10 +217,10 @@ def E_monomial(index) -> Polynomial:
 # -- triangular elimination over the g_lam table --------------------------------
 
 
-def _tuple_lead_key(ctx: ParabolicContext, tup, width: int) -> int:
+def _tuple_lead_key(ctx: ParabolicContext, tup) -> int:
     # Plain leading monomial of g_lam: each part p at level j contributes ones
     # at the window of the top p positions among 1..N_j.
-    vec = [0] * width
+    vec = [0] * ctx.n
     for j, lam in enumerate(tup, start=1):
         nj = ctx.partial_sums[j - 1]
         for part in lam:
@@ -208,13 +229,48 @@ def _tuple_lead_key(ctx: ParabolicContext, tup, width: int) -> int:
     return x_order_key(vec)
 
 
+def _xgcd(a: int, b: int) -> tuple:
+    """(g, u, v) with g = gcd(a, b) = u*a + v*b and g > 0; a, b not both 0."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while b:
+        t, r = divmod(a, b)
+        a, b = b, r
+        u0, u1 = u1, u0 - t * u1
+        v0, v1 = v1, v0 - t * v1
+    return (a, u0, v0) if a > 0 else (-a, -u0, -v0)
+
+
+def _add_multiple(target: dict, t: int, source: dict):
+    """target += t*source for sparse {key: int} dicts, zeros dropped."""
+    for k, c in source.items():
+        v = target.get(k, 0) + t * c
+        if v:
+            target[k] = v
+        elif k in target:
+            del target[k]
+
+
+def _combine(s: int, left: dict, t: int, right: dict) -> dict:
+    """s*left + t*right for sparse {key: int} dicts."""
+    out: dict = {}
+    _add_multiple(out, s, left)
+    _add_multiple(out, t, right)
+    return out
+
+
 class EchelonSlice:
-    """Echelon rows for one homogeneous slice of a triangular basis table.
+    """Integer echelon rows for one homogeneous slice of a triangular basis
+    table.
 
     `pending` holds (plain-lead key, label) pairs sorted ascending, the keys
     from `x_order_key`; rows are built on demand from the back (largest lead
-    first), each reduced against the rows already placed, so pivots and
-    decompositions stay exact.  Monomials are compared as the keys of
+    first), each reduced against the rows already placed, and the surviving
+    lead becomes its pivot.  When a row's lead coefficient is not a multiple
+    of the pivot already there, a Hermite step (Cohen, A Course in
+    Computational Algebraic Number Theory, 2.4) replaces the pivot row by the
+    extended-gcd combination of the two rows and reduces the leftover on, so
+    the placed rows always span the same lattice as the rows built and
+    decompositions stay exact over Z.  Monomials are compared as the keys of
     `Polynomial.terms`, whose integer order is the x-leading order.
     """
 
@@ -233,35 +289,38 @@ class EchelonSlice:
             if placed is None:
                 self.rows[mono] = (work[mono], work, coords)
                 return
-            self._eliminate(work, coords, mono, placed)
+            pivot_c, row, row_coords = placed
+            c = work[mono]
+            if c % pivot_c == 0:
+                self._eliminate(work, coords, mono, placed)
+                continue
+            # (row, work) -> (u*row + v*work, s*row + t*work) is unimodular;
+            # the first has lead gcd(pivot_c, c), the second none at mono.
+            g, u, v = _xgcd(pivot_c, c)
+            s, t = -c // g, pivot_c // g
+            self.rows[mono] = (
+                g, _combine(u, row, v, work), _combine(u, row_coords, v, coords)
+            )
+            work, coords = _combine(s, row, t, work), _combine(s, row_coords, t, coords)
         raise RuntimeError(f"basis row {label} reduced to zero; table is dependent")
 
     @staticmethod
     def _eliminate(work, coords, mono, placed):
+        # Subtract the multiple of the placed row that clears work at mono;
+        # the caller has checked that its coefficient divides.
         pivot_c, row, row_coords = placed
-        c = work[mono]
-        if c % pivot_c:
-            raise RuntimeError("non-unit pivot in standard-monomial elimination")
-        t = c // pivot_c
-        for m2, c2 in row.items():
-            s = work.get(m2, 0) - t * c2
-            if s:
-                work[m2] = s
-            elif m2 in work:
-                del work[m2]
-        for ix, ci in row_coords.items():
-            s = coords.get(ix, 0) - t * ci
-            if s:
-                coords[ix] = s
-            elif ix in coords:
-                del coords[ix]
+        t = work[mono] // pivot_c
+        _add_multiple(work, -t, row)
+        _add_multiple(coords, -t, row_coords)
 
     def _pivot_for(self, mono):
-        while mono not in self.rows:
-            if not self.pending or self.pending[-1][0] < mono:
-                return None
+        # A row reduces to a lead at or below its plain lead, so every pending
+        # row whose plain lead is >= mono may still refine the pivot at mono;
+        # once they are placed that pivot is final, and None means no row of
+        # the slice leads at mono.
+        while self.pending and self.pending[-1][0] >= mono:
             self._place_next_row()
-        return self.rows[mono]
+        return self.rows.get(mono)
 
     def decompose(self, f: Polynomial) -> dict:
         # Eliminating rows from -f drives the work dict to zero while the
@@ -271,9 +330,10 @@ class EchelonSlice:
         while work:
             mono = max(work)
             placed = self._pivot_for(mono)
-            if placed is None:
+            if placed is None or work[mono] % placed[0]:
                 raise RuntimeError(
-                    "no standard monomial covers the leading term; level bound too small"
+                    "the slice's rows do not cover the leading term over Z; "
+                    "level bound too small"
                 )
             self._eliminate(work, coords, mono, placed)
         return coords
@@ -281,26 +341,21 @@ class EchelonSlice:
 
 # The one slice cache, unbounded but held on purpose: a slice keeps the rows
 # it has built for the next decomposition of its (composition, degree).  A
-# slice of degree d over N_k = n variables uses levels up to k + d, hence
-# x1..x_{n+d}, and is refused past the packed layout, so n + d <= 16.  The
-# full flag, shared by `theta` and `theta_P` on (1, ..., 1), then has at most
-# 120 slices (widths n >= 1, degrees d >= 1); the others are bounded by the
-# compositions theta_P is asked about.
+# composition past the packed layout is refused, so it sums to n <= 16, and a
+# full-flag slice, shared by `theta` and `theta_P` on (1, ..., 1), has degree
+# d <= n(n - 1)/2, the top degree of H_n: at most C(17, 3) = 680 of them.
+# The others are bounded by the compositions theta_P is asked about.
 @cache
 def _g_slice(composition: tuple, degree: int) -> EchelonSlice:
-    base = ParabolicContext(composition)
-    ctx = base.extend(degree + 1)
-    levels = base.k + degree
-    width = ctx.partial_sums[levels - 1]
-    # Fail before enumerating: every slice has a row whose lead uses x_width.
-    if width > SLOTS:
+    ctx = ParabolicContext(composition)
+    if ctx.n > SLOTS:
         raise ValueError(
-            f"this decomposition needs x1..x{width}, beyond the packed layout "
-            f"(x{SLOTS})"
+            f"this decomposition needs the staircase of x1..x{ctx.n}, beyond the "
+            f"packed layout (x{SLOTS})"
         )
     pending = sorted(
-        (_tuple_lead_key(ctx, tup, width), tup)
-        for tup in partition_tuples(ctx, degree, levels)
+        (_tuple_lead_key(ctx, tup), tup)
+        for tup in partition_tuples(ctx, degree, ctx.k - 1)
     )
     return EchelonSlice(pending, lambda tup: _product(composition, tup, _g_factor))
 
@@ -316,29 +371,29 @@ def _invariant_decompose(composition: tuple, f: Polynomial) -> dict:
     return out
 
 
-def _quantize(f: Polynomial, composition_of) -> Polynomial:
+def _padded(composition: tuple, f: Polynomial) -> tuple:
+    """`composition` with singleton blocks appended up to f's staircase."""
+    return composition + (1,) * max(0, f.staircase() - sum(composition))
+
+
+def _quantize(f: Polynomial, composition: tuple) -> Polynomial:
     """g_lam -> G_lam, Z[a, q]-linearly: split off each a/q monomial,
-    decompose its x part over the g_lam of `composition_of(x part)`, and
-    multiply back by G_lam."""
+    decompose its x part over the g_lam of `composition` padded to the x
+    part's staircase, and multiply back by G_lam."""
     total = Polynomial.zero()
     for aq_mono, x_part in f.split("aq").items():
         carrier = Polynomial({aq_mono: 1})
-        composition = composition_of(x_part)
-        for tup, c in _invariant_decompose(composition, x_part).items():
-            total = total + carrier * (_product(composition, tup, _G_factor) * c)
+        padded = _padded(composition, x_part)
+        for tup, c in _invariant_decompose(padded, x_part).items():
+            total = total + carrier * (_product(padded, tup, _G_factor) * c)
     return total
-
-
-def _full_flag(f: Polynomial) -> tuple:
-    """The composition (1, ..., 1) of f's x width."""
-    return (1,) * f.max_index("x")
 
 
 def standard_decompose(f: Polynomial) -> dict:
     """Write a polynomial in x alone as an integer combination of the e_I.
 
-    Returns {standard index: coefficient}.  A polynomial of degree d in
-    x_1..x_m only needs levels up to m + d.
+    Returns {standard index: coefficient}.  Only levels below the staircase
+    of f (`Polynomial.staircase`) are needed.
 
     >>> from .poly import variable
     >>> x1 = variable("x", 1)
@@ -347,23 +402,23 @@ def standard_decompose(f: Polynomial) -> dict:
     """
     if f.max_index("a") or f.max_index("q"):
         raise ValueError("standard_decompose expects a polynomial in x alone")
-    coords = _invariant_decompose(_full_flag(f), f)
+    coords = _invariant_decompose(_padded((), f), f)
     return {tuple(lam[0] if lam else 0 for lam in tup): c for tup, c in coords.items()}
 
 
 def theta(f: Polynomial) -> Polynomial:
     """The quantization map: e_I -> E_I on the x part, Z[a, q]-linearly.
 
-    Each x part is quantized on the (1, ..., 1) composition of its own width;
-    a wider one gives the same answer, since the decomposition is unique, but
-    builds far more rows.
+    Each x part is quantized on the (1, ..., 1) composition of its own
+    staircase; a longer one gives the same answer, since the decomposition
+    is unique, but builds far more rows.
 
     >>> from .poly import variable
     >>> x1 = variable("x", 1)
     >>> print(theta(x1 * x1))
     x1^2 - q1
     """
-    return _quantize(f, _full_flag)
+    return _quantize(f, ())
 
 
 def decompose_in_E(f: Polynomial) -> dict:

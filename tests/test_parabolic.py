@@ -203,6 +203,24 @@ class TestThetaP:
                 rhs = parabolic_q_double_schubert(ctx, w)
                 assert lhs == rhs, (comp, w)
 
+    def test_every_member_up_to_n5(self):
+        # The q = 0 member is the double Schubert polynomial, W_P-invariant;
+        # theta_P sends it back to the member.
+        pairs = 0
+        for n in range(2, 6):
+            for comp in compositions(n)[1:]:  # all but (n,)
+                ctx = ParabolicContext(comp)
+                for w in ctx.minimal_reps():
+                    member = parabolic_q_double_schubert(ctx, w)
+                    assert theta_P(ctx, member.zero_out("q")) == member, (comp, w)
+                    pairs += 1
+        assert pairs == 628
+
+    def test_monomial_that_needs_a_hermite_step(self):
+        # The classical member of [4,5,1,2,3] on (2,2,1).
+        got = theta_P(ParabolicContext((2, 2, 1)), x(1) ** 3 * x(2) ** 3)
+        assert got == x(1) ** 3 * x(2) ** 3 - q(1) * (x(1) ** 2 + x(1) * x(2) + x(2) ** 2)
+
     def test_rejects_non_invariant(self):
         with pytest.raises(ValueError):
             theta_P(ParabolicContext((2, 1)), x(1))

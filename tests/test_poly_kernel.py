@@ -274,6 +274,28 @@ def test_x_lead_is_the_largest_x_part(f):
     assert to_ref(p.x_coefficient(trimmed)) == expected
 
 
+# x monomials over every slot, with x-degree at most 3 * 40 <= MAX_EXPONENT.
+wide_x_monomials = st.dictionaries(
+    st.tuples(st.just("x"), st.integers(1, SLOTS)), st.integers(1, 40), max_size=3
+).map(lambda d: tuple(sorted(d.items())))
+wide_x_refs = st.dictionaries(wide_x_monomials, st.integers(-9, 9).filter(bool), max_size=4)
+
+
+@SETTINGS
+@given(st.one_of(refs, wide_x_refs))
+def test_staircase_matches_exponent_vectors(f):
+    expected = 1
+    for m in f:
+        vec = [0] * SLOTS
+        for (fam, idx), e in m:
+            if fam == "x":
+                vec[idx - 1] = e
+        for i, e in enumerate(vec, start=1):
+            if e:
+                expected = max(expected, i + e)
+    assert Polynomial(f).staircase() == expected
+
+
 # -- the layout's limits -----------------------------------------------------------
 
 

@@ -1,15 +1,19 @@
 """Standard monomial bases and the quantization map."""
 
+import itertools
+import math
 import random
 
 import pytest
 
 from qschub import quantization
-from qschub.poly import Polynomial, variable
+from qschub.poly import Polynomial, variable, x_order_key
 from qschub.parabolic import theta_P
 from qschub.quantization import (
     E_monomial,
     E_relation_residual,
+    EchelonSlice,
+    _xgcd,
     decompose_in_E,
     e_monomial,
     e_relation_residual,
@@ -22,6 +26,7 @@ from qschub.weyl import ParabolicContext, all_perms
 
 x1 = variable("x", 1)
 x2 = variable("x", 2)
+x3 = variable("x", 3)
 
 
 def is_standard(index) -> bool:
@@ -246,6 +251,60 @@ def test_theta_P_on_the_full_flag_reuses_the_standard_slice():
 
 
 def test_slice_beyond_the_layout_fails_at_once():
-    # Degree 12 in x1..x5 needs e_I rows up to level 17, past x16.
+    # The staircase of x5^12 is 5 + 12 = 17, past x16.
     with pytest.raises(ValueError, match="packed layout"):
         theta(variable("x", 5) ** 12)
+
+
+def test_slice_is_sized_by_the_staircase():
+    # x1^3*x2^2*x3 has staircase 4, so its one slice is ((1, 1, 1, 1), 6),
+    # levels 1..3, and the only standard index of weight 6 there is (1, 2, 3).
+    quantization._g_slice.cache_clear()
+    assert standard_decompose(x1**3 * x2**2 * x3) == {(1, 2, 3): 1}
+    assert quantization._g_slice.cache_info().currsize == 1
+    built = quantization._g_slice((1, 1, 1, 1), 6)
+    assert quantization._g_slice.cache_info().misses == 1
+    assert len(built.rows) == 1 and not built.pending
+
+
+class TestIntegerEchelon:
+    def test_hermite_step_on_coinciding_leads(self):
+        # Both rows lead at x2^2, with coefficients 2 and 3; neither divides
+        # the other, so placing the second row takes a Hermite step, and the
+        # pivot at x2^2 becomes their gcd.
+        rows = {"A": 2 * x2 * x2 + x1 * x2, "B": 3 * x2 * x2 + x1 * x1}
+        lead = x_order_key((0, 2))
+        table = EchelonSlice([(lead, "A"), (lead, "B")], rows.__getitem__)
+        assert table.decompose(rows["B"] - rows["A"]) == {"A": -1, "B": 1}
+        assert table.rows[lead][0] == 1
+        assert len(table.rows) == 2 and not table.pending
+        assert table.decompose(rows["A"] * 5 + rows["B"] * -7) == {"A": 5, "B": -7}
+
+    def test_outside_the_integer_span_raises(self):
+        table = EchelonSlice([(x_order_key((1,)), "A")], lambda _: 2 * x1)
+        with pytest.raises(RuntimeError, match="level bound too small"):
+            table.decompose(x1)
+
+    @pytest.mark.parametrize("a, b", [(3, 2), (2, 3), (-4, 6), (6, -4), (5, 0), (-7, -21)])
+    def test_xgcd(self, a, b):
+        g, u, v = _xgcd(a, b)
+        assert g == math.gcd(a, b) and u * a + v * b == g
+
+
+class TestWideCorrectness:
+    def test_monomial_round_trip(self):
+        # Every monomial in x1..x3 up to degree 6, and x1^2*x2^5, the first
+        # whose slice needs a Hermite step.
+        monomials = [
+            x1**e1 * x2**e2 * x3**e3
+            for e1, e2, e3 in itertools.product(range(7), repeat=3)
+            if e1 + e2 + e3 <= 6
+        ]
+        for mono in monomials + [x1**2 * x2**5]:
+            assert rebuild(standard_decompose(mono), e_monomial) == mono, mono
+
+    def test_theta_matches_quantum_members_on_s5_and_beyond(self):
+        for w in [*all_perms(5), (3, 6, 2, 1, 4, 5)]:
+            for family, quantum in (("classical", "quantum"), ("double", "quantum_double")):
+                image = theta(schubert_polynomial(w, family))
+                assert image == schubert_polynomial(w, quantum), (w, family)
