@@ -20,6 +20,8 @@ as the composition (1, ..., 1); this module re-exports the basis.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .poly import Polynomial
 from .quantization import (
     G_polynomial,
@@ -65,7 +67,7 @@ def parabolic_q_double_schubert(ctx: ParabolicContext, w) -> Polynomial:
     w = trim(w)
     if not ctx.is_min_rep(w):
         raise ValueError(f"{list(extend(w, ctx.n))} is not minimal in its coset")
-    return _chain_member(ctx, True, w)
+    return _chain_member(ctx.composition, True, w)
 
 
 def theta_P(ctx: ParabolicContext, f: Polynomial) -> Polynomial:
@@ -89,14 +91,27 @@ def parabolic_cauchy_rhs(ctx: ParabolicContext, w) -> Polynomial:
     w = trim(w)
     if not ctx.is_min_rep(w):
         raise ValueError(f"{list(extend(w, ctx.n))} is not minimal in its coset")
-    return _cauchy_sum(w, lambda v: parabolic_q_double_schubert(ctx, v).zero_out("a"))
+    return _cauchy_sum(w, lambda v: _a_free_member(ctx, v))
+
+
+# Bounded like the member caches: one a-free member per (ctx, v) that the
+# parabolic Cauchy sums multiply; at most 541 for the compositions of 5.
+@lru_cache(maxsize=2048)
+def _a_free_member(ctx: ParabolicContext, v: Permutation) -> Polynomial:
+    return parabolic_q_double_schubert(ctx, v).zero_out("a")
 
 
 # -- basis expansion over the extended contexts ----------------------------------
 
 
+# Bounded like the member caches: one context per (ctx, extra) asked for.
+@lru_cache(maxsize=2048)
+def _extended(ctx: ParabolicContext, extra: int) -> ParabolicContext:
+    return ctx.extend(extra)
+
+
 def _context_for(ctx: ParabolicContext, w: Permutation) -> ParabolicContext:
-    return ctx if len(w) <= ctx.n else ctx.extend(len(w) - ctx.n)
+    return ctx if len(w) <= ctx.n else _extended(ctx, len(w) - ctx.n)
 
 
 def expand_in_parabolic_basis(f: Polynomial, ctx: ParabolicContext) -> dict:

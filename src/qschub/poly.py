@@ -62,6 +62,7 @@ __all__ = [
     "polynomial_to_json",
     "polynomial_from_json",
     "x_order_key",
+    "sum_of_products",
     "MAX_EXPONENT",
     "SLOTS",
 ]
@@ -286,19 +287,7 @@ class Polynomial:
             return _poly({m: c * other for m, c in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if len(self.terms) < len(other.terms):
-            fa, fb = self.terms, other.terms
-        else:
-            fa, fb = other.terms, self.terms
-        acc: dict = {}
-        get = acc.get
-        items = fb.items()
-        for m1, c1 in fa.items():
-            for m2, c2 in items:
-                key = m1 + m2
-                acc[key] = get(key, 0) + c1 * c2
-        _check_guard(reduce(or_, acc, 0), "product")
-        return _poly({m: c for m, c in acc.items() if c})
+        return sum_of_products(((self, other),))
 
     __rmul__ = __mul__
 
@@ -493,6 +482,32 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"<Polynomial {format_polynomial(self)}>"
+
+
+def sum_of_products(pairs) -> Polynomial:
+    """The sum of f*g over the (f, g) pairs, every product added into one
+    dict; the zero polynomial for no pairs.
+
+    A monomial product is the sum of two keys.  An exponent that overflows
+    sets a guard bit, and its key stays in the dict even if its coefficient
+    cancels, so one check of all keys at the end catches every overflow.
+
+    >>> print(sum_of_products([(x(1), x(2)), (x(1) + 1, -x(2))]))
+    -x2
+    """
+    acc: dict = {}
+    get = acc.get
+    for f, g in pairs:
+        fa, fb = f.terms, g.terms
+        if len(fa) >= len(fb):  # the shorter operand on the outside
+            fa, fb = fb, fa
+        items = fb.items()
+        for m1, c1 in fa.items():
+            for m2, c2 in items:
+                key = m1 + m2
+                acc[key] = get(key, 0) + c1 * c2
+    _check_guard(reduce(or_, acc, 0), "product")
+    return _poly({m: c for m, c in acc.items() if c})
 
 
 def variable(family: str, index: int) -> Polynomial:

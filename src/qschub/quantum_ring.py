@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .poly import Polynomial, a, format_polynomial, parse_polynomial
+from .poly import Polynomial, a, format_polynomial, parse_polynomial, sum_of_products
 from .parabolic import (
     _context_for,
     expand_in_parabolic_basis,
@@ -127,13 +127,20 @@ def chevalley_root_sets(
     return ChevalleyRootSets(i, A, B)
 
 
-# Bounded like the member caches: one small frozenset per (w, ctx, window),
-# and the bijection checks of S_5 ask for 660 of them.
-@lru_cache(maxsize=2048)
 def b_root_set(w, ctx: ParabolicContext | None = None, window: int = 0) -> frozenset:
     """All length-drop roots of w (no node filter); drives the bijection checks.
-    w is a tuple, since it is a cache key."""
-    w = trim(w)
+    w may be any one-line sequence.
+
+    >>> sorted(b_root_set([2, 1]))
+    [(1, 2)]
+    """
+    return _b_root_set(trim(w), ctx, window)
+
+
+# Bounded like the member caches: one small frozenset per (trimmed w, ctx,
+# window), and the bijection checks of S_5 ask for 660 of them.
+@lru_cache(maxsize=2048)
+def _b_root_set(w: Permutation, ctx: ParabolicContext | None, window: int) -> frozenset:
     bound = len(w) + window
     return frozenset(
         (r, s)
@@ -202,10 +209,8 @@ def chevalley_rhs(
             raise ValueError("parabolic flavor needs a composition context")
         if not ctx.is_min_rep(w):
             raise ValueError(f"{list(w)} is not minimal in its coset")
-    total = Polynomial.zero()
-    for z, coeff in _chevalley_terms(i, trim(w), flavor, ctx).items():
-        total = total + coeff * _member(flavor, z, ctx)
-    return total
+    terms = _chevalley_terms(i, trim(w), flavor, ctx)
+    return sum_of_products((coeff, _member(flavor, z, ctx)) for z, coeff in terms.items())
 
 
 def verify_chevalley(i: int, w, flavor: str, ctx: ParabolicContext | None = None):
@@ -246,13 +251,15 @@ def bijection_check(w, ctx: ParabolicContext | None = None) -> bool:
         for u in weak_order_ideal(move(w, alpha)):
             second.add((u, alpha))
 
+    w_inverse = inverse(w)
+    moved_inverse = {}  # alpha -> inverse(move(w, alpha))
     image = set()
     for v, alpha in first:
         u = move(v, alpha)
         if ctx is not None:
-            lhs = compose(v, inverse(w))
-            rhs = compose(u, inverse(move(w, alpha)))
-            if lhs != rhs:
+            if alpha not in moved_inverse:
+                moved_inverse[alpha] = inverse(move(w, alpha))
+            if compose(v, w_inverse) != compose(u, moved_inverse[alpha]):
                 return False
         else:
             if move(u, alpha) != v:
@@ -332,11 +339,11 @@ class StructureTable:
 
     def _expand_product(self, expansion: dict, row) -> dict:
         """sum_w c_w * row(w) for a row lookup w -> {z: coefficient}."""
-        out: dict = {}
+        pairs: dict = {}
         for w, cw in expansion.items():
             for z, cz in row(w).items():
-                out[z] = out.get(z, Polynomial.zero()) + cw * cz
-        return {z: c for z, c in out.items() if c}
+                pairs.setdefault(z, []).append((cw, cz))
+        return {z: c for z, zs in pairs.items() if (c := sum_of_products(zs))}
 
     def check_commutative(self) -> bool:
         return all(

@@ -36,6 +36,7 @@ from .poly import (
     char_poly_at,
     char_poly_coeffs,
     q,
+    sum_of_products,
     x,
     x_order_key,
 )
@@ -186,16 +187,24 @@ def _signed_chain(composition: tuple, quantum: bool, v: Permutation) -> Polynomi
     return partial if length(v) % 2 == 0 else -partial
 
 
-def _chain_member(ctx: ParabolicContext, quantum: bool, w: Permutation) -> Polynomial:
+# Bounded like the chain: one short permutation per composition asked for.
+@lru_cache(maxsize=2048)
+def _w0_p_inverse(composition: tuple) -> Permutation:
+    return inverse(ParabolicContext(composition).w0_p())
+
+
+def _chain_member(composition: tuple, quantum: bool, w: Permutation) -> Polynomial:
     """The signed chain for v = w (w_0^P)^{-1}."""
-    return _signed_chain(ctx.composition, quantum, compose(w, inverse(ctx.w0_p())))
+    return _signed_chain(composition, quantum, compose(w, _w0_p_inverse(composition)))
 
 
 # The member caches are bounded like the chain, so a long-running process
-# does not pin every member it was ever asked for.
+# does not pin every member it was ever asked for.  The double and quantum
+# double members are the chain's own entries; this one keeps the a -> 0 form
+# of the quantum double member, which every quantum Cauchy sum multiplies.
 @lru_cache(maxsize=2048)
-def _member(w: Permutation, family: str, n: int) -> Polynomial:
-    return _chain_member(ParabolicContext((1,) * n), family == "quantum_double", w)
+def _member(w: Permutation, n: int) -> Polynomial:
+    return _chain_member((1,) * n, True, w).zero_out("a")
 
 
 @lru_cache(maxsize=2048)
@@ -239,8 +248,8 @@ def schubert_polynomial(w, family: str, n: int | None = None) -> Polynomial:
     if family == "classical":
         return _x_chain_member(w, n)
     if family == "quantum":
-        return _member(w, "quantum_double", n).zero_out("a")
-    return _member(w, family, n)
+        return _member(w, n)
+    return _chain_member((1,) * n, family == "quantum_double", w)
 
 
 def x_to_minus_a(f: Polynomial) -> Polynomial:
@@ -262,11 +271,10 @@ def _cauchy_left(u: Permutation) -> Polynomial:
 def _cauchy_sum(w: Permutation, right) -> Polynomial:
     """Sum of Schub_{v w^{-1}}(-a) times right(v) over the left weak order
     ideal of w."""
-    total = Polynomial.zero()
     w_inverse = inverse(w)
-    for v in weak_order_ideal(w):
-        total = total + _cauchy_left(compose(v, w_inverse)) * right(v)
-    return total
+    return sum_of_products(
+        (_cauchy_left(compose(v, w_inverse)), right(v)) for v in weak_order_ideal(w)
+    )
 
 
 def cauchy_rhs(w, quantum: bool) -> Polynomial:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .poly import Polynomial, q
 
@@ -59,10 +60,11 @@ identity: Permutation = ()
 
 def trim(seq) -> Permutation:
     """Drop trailing fixed points to reach the canonical form."""
-    w = list(seq)
-    while w and w[-1] == len(w):
-        w.pop()
-    return tuple(w)
+    w = tuple(seq)
+    n = len(w)
+    while n and w[n - 1] == n:
+        n -= 1
+    return w[:n]
 
 
 def perm(seq) -> Permutation:
@@ -90,9 +92,11 @@ def extend(w: Permutation, n: int) -> tuple:
 
 
 def compose(u: Permutation, v: Permutation) -> Permutation:
-    """(u comp v)(i) = u(v(i))."""
-    n = max(len(u), len(v))
-    return trim(tuple(apply_to(u, apply_to(v, i)) for i in range(1, n + 1)))
+    """(u comp v)(i) = u(v(i)).
+
+    Past the end of v, v(i) = i and the values are u's own."""
+    m = len(u)
+    return trim([u[j - 1] if j <= m else j for j in v] + list(u[len(v) :]))
 
 
 def inverse(w: Permutation) -> Permutation:
@@ -212,20 +216,30 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     return True
 
 
-def weak_order_ideal(w: Permutation) -> list:
+def weak_order_ideal(w) -> list:
     """All v with v left-weak-below w (l(w v^-1) + l(v) = l(w)), sorted by
-    (length, one-line form).
+    (length, one-line form).  w may be any one-line sequence; the list
+    returned is the caller's own.
+
+    >>> weak_order_ideal((3, 1, 2))
+    [(), (2, 1), (3, 1, 2)]
+    """
+    return list(_weak_order_ideal(trim(w)))
+
+
+# Bounded like the member caches: one tuple per trimmed w asked for, and the
+# Cauchy sums and bijection checks of S_5 ask for 120.
+@lru_cache(maxsize=2048)
+def _weak_order_ideal(w: Permutation) -> tuple:
+    """The ideal of a trimmed w, as a tuple since the cache shares it.
 
     The walk is complete: v <=_L w means w = u v with lengths adding, and
     peeling a reduced word of u off the left of w one letter at a time
     removes one left descent per step, so every v is reached.  A left
     descent of u is an i with i+1 to the left of i, and s_i u swaps those
     two values; each step drops the length by one, so no length is computed.
-
-    >>> weak_order_ideal((3, 1, 2))
-    [(), (2, 1), (3, 1, 2)]
     """
-    level = {trim(w)}
+    level = {w}
     levels = []
     while level:
         levels.append(sorted(level))
@@ -239,7 +253,7 @@ def weak_order_ideal(w: Permutation) -> list:
                     line[left - 1], line[right - 1] = i, i + 1
                     below.add(trim(line))
         level = below
-    return [v for same_length in reversed(levels) for v in same_length]
+    return tuple(v for same_length in reversed(levels) for v in same_length)
 
 
 def all_perms(n: int) -> list:
@@ -290,6 +304,9 @@ class ParabolicContext:
 
     composition: tuple
     partial_sums: tuple = field(init=False, repr=False)
+    # The blocks as 0-based slices of a one-line form; derived from the
+    # composition, so left out of repr, equality and hashing.
+    _slices: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         comp = tuple(int(b) for b in self.composition)
@@ -297,6 +314,9 @@ class ParabolicContext:
             raise ValueError(f"composition must be nonempty positive: {comp}")
         object.__setattr__(self, "composition", comp)
         object.__setattr__(self, "partial_sums", tuple(itertools.accumulate(comp)))
+        starts = (0,) + self.partial_sums[:-1]
+        slices = tuple(slice(lo, hi) for lo, hi in zip(starts, self.partial_sums))
+        object.__setattr__(self, "_slices", slices)
 
     @property
     def n(self) -> int:
@@ -329,12 +349,7 @@ class ParabolicContext:
 
     def blocks(self) -> list:
         """Position ranges [(lo, hi), ...] of the blocks, inclusive."""
-        out = []
-        lo = 1
-        for hi in self.partial_sums:
-            out.append((lo, hi))
-            lo = hi + 1
-        return out
+        return [(block.start + 1, block.stop) for block in self._slices]
 
     def wp_generators(self) -> list:
         """Simple reflection indices generating W_P."""
@@ -346,13 +361,14 @@ class ParabolicContext:
 
     def min_rep(self, w: Permutation) -> Permutation:
         """pi_P(w) = w^P: sort w's values ascending within each position block."""
-        if len(w) > self.n:
-            raise ValueError(f"permutation {list(w)} has support beyond n={self.n}")
-        line = list(extend(w, self.n))
-        out = []
-        for lo, hi in self.blocks():
-            out.extend(sorted(line[lo - 1 : hi]))
-        return trim(out)
+        n = self.n
+        if len(w) > n:
+            raise ValueError(f"permutation {list(w)} has support beyond n={n}")
+        line = list(w)
+        line.extend(range(len(line) + 1, n + 1))
+        for block in self._slices:
+            line[block] = sorted(line[block])
+        return trim(line)
 
     def is_min_rep(self, w: Permutation) -> bool:
         return self.min_rep(w) == trim(w)

@@ -49,6 +49,16 @@ GOLDEN = [
         "826becfacf2f5042a0ac5d721eac76d57074e7bcefc85036f570f9c172e4de86",
     ),
     (
+        ["verify", "bijection", "--max-n", "4"],
+        0,
+        "c2e6151d768b8ea5a3cd89db06eeff5ecc234b1e2ea2074dcb7ac7de2f50174e",
+    ),
+    (
+        ["verify", "cauchy", "--max-n", "4"],
+        0,
+        "5a64ea641da745148b13b24a3907404be9184cbb8eaacbe68220f2c85ec4c790",
+    ),
+    (
         ["table", "--n", "3"],
         0,
         "fa11e2224536f682978cb4338c4674bce8c5676f198a212ae2af4c36784faa8c",

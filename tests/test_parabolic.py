@@ -350,7 +350,7 @@ class TestExpansion:
 
 class TestChainCache:
     def test_chain_caches_share_one_bounded_policy(self):
-        from qschub import parabolic, quantum_ring, schubert, selftest
+        from qschub import parabolic, quantum_ring, schubert, selftest, weyl
 
         for comp in compositions(4):
             ctx = ParabolicContext(comp)
@@ -359,6 +359,7 @@ class TestChainCache:
         schubert_polynomial((2, 4, 1, 3), "quantum_double")
         schubert_polynomial((2, 4, 1, 3), "classical")
         assert selftest.check_bijections(4)[0] and selftest.check_cauchy(4)[0]
+        assert selftest.check_chevalley(3, "parabolic")[0]
         for chain in (
             parabolic._p_dd,
             schubert._dd_from_top,
@@ -367,7 +368,11 @@ class TestChainCache:
             schubert._member,
             schubert._x_chain_member,
             schubert._cauchy_left,
-            quantum_ring.b_root_set,
+            schubert._w0_p_inverse,
+            parabolic._a_free_member,
+            parabolic._extended,
+            quantum_ring._b_root_set,
+            weyl._weak_order_ideal,
         ):
             info = chain.cache_info()
             assert info.maxsize == 2048

@@ -23,6 +23,7 @@ from qschub.poly import (
     polynomial_from_json,
     polynomial_to_json,
     q,
+    sum_of_products,
     x,
 )
 
@@ -294,6 +295,47 @@ def test_staircase_matches_exponent_vectors(f):
             if e:
                 expected = max(expected, i + e)
     assert Polynomial(f).staircase() == expected
+
+
+# -- the fused sum of products -----------------------------------------------------
+
+
+@SETTINGS
+@given(st.lists(st.tuples(refs, refs), max_size=3))
+def test_sum_of_products_matches_reference(pairs):
+    expected: dict = {}
+    for f, g in pairs:
+        expected = ref_add(expected, ref_mul(f, g))
+    polys = [(Polynomial(f), Polynomial(g)) for f, g in pairs]
+    got = sum_of_products(polys)
+    assert to_ref(got) == expected
+    assert got == sum((f * g for f, g in polys), Polynomial.zero())
+    assert all(got.terms.values())
+
+
+def test_sum_of_products_of_nothing_is_zero():
+    assert sum_of_products([]) == Polynomial.zero()
+    assert not sum_of_products(iter(())).terms
+
+
+def test_sum_of_products_drops_cancelled_terms():
+    got = sum_of_products([(x(1) + a(1), q(1)), (-x(1), q(1)), (x(2), a(2))])
+    assert got == a(1) * q(1) + x(2) * a(2)
+    assert all(got.terms.values())
+    gone = sum_of_products([(x(1), a(1)), (a(1), -x(1))])
+    assert gone == Polynomial.zero() and not gone.terms
+
+
+def test_sum_of_products_rejects_a_carry_like_the_product():
+    top = a(1) ** MAX_EXPONENT
+    with pytest.raises(ValueError, match="packed layout"):
+        top * a(1)
+    with pytest.raises(ValueError, match="packed layout"):
+        sum_of_products([(x(2), x(3)), (top, a(1))])
+    # The overflowing key is caught even when its coefficient cancels.
+    with pytest.raises(ValueError, match="packed layout"):
+        sum_of_products([(top, a(1)), (-top, a(1))])
+    assert sum_of_products([(top, a(2))]) == top * a(2)
 
 
 # -- the layout's limits -----------------------------------------------------------

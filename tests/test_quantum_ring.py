@@ -2,6 +2,7 @@
 
 import pytest
 
+from qschub import quantum_ring
 from qschub.poly import Polynomial, format_polynomial, parse_polynomial
 from qschub.quantum_ring import (
     StructureTable,
@@ -62,6 +63,16 @@ class TestRootSets:
             for i in range(1, 5):
                 sets = chevalley_root_sets(w, i)
                 assert sets.B == {(r, s) for r, s in drops if r <= i < s}
+
+    def test_root_set_takes_lists_and_shares_trimmed_entries(self):
+        quantum_ring._b_root_set.cache_clear()
+        drops = b_root_set((2, 1))
+        assert b_root_set([2, 1]) == drops == frozenset({(1, 2)})
+        assert b_root_set((2, 1, 3)) == drops
+        assert b_root_set([2, 1, 3, 4]) == drops
+        assert quantum_ring._b_root_set.cache_info().currsize == 1
+        ctx = ParabolicContext((1, 2))
+        assert b_root_set([2, 3, 1], ctx) == b_root_set((2, 3, 1), ctx)
 
     def test_enumeration_bounds_are_complete(self):
         for w in all_perms(4):
@@ -162,9 +173,9 @@ class TestBijection:
             for ctx in (ParabolicContext((2, 1, 1)), ParabolicContext((1, 2, 1)))
             for w in ctx.minimal_reps()
         ]
-        b_root_set.cache_clear()
+        quantum_ring._b_root_set.cache_clear()
         cold = [bijection_check(w, ctx) for w, ctx in cases]
-        assert b_root_set.cache_info().currsize > 0
+        assert quantum_ring._b_root_set.cache_info().currsize > 0
         warm = [bijection_check(w, ctx) for w, ctx in cases]
         assert cold == warm == [True] * len(cases)
         for w, ctx in cases:

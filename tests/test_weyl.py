@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qschub.poly import q
 from qschub.weyl import (
@@ -31,8 +33,11 @@ from qschub.weyl import (
     reduced_word,
     reflect,
     simple,
+    trim,
     weak_order_ideal,
 )
+
+SETTINGS = settings(max_examples=200, derandomize=True, database=None, deadline=None)
 
 
 def left_weak_leq(v, w):
@@ -315,3 +320,88 @@ def test_text_forms():
         parse_permutation("3,1,2")
     with pytest.raises(ValueError):
         parse_permutation("[3,1]")
+
+
+# -- the tuple-native permutation layer against the plain forms it replaced ------
+
+
+def plain_trim(seq):
+    w = list(seq)
+    while w and w[-1] == len(w):
+        w.pop()
+    return tuple(w)
+
+
+def plain_apply(w, i):
+    return w[i - 1] if i <= len(w) else i
+
+
+def plain_compose(u, v):
+    n = max(len(u), len(v))
+    return plain_trim(tuple(plain_apply(u, plain_apply(v, i)) for i in range(1, n + 1)))
+
+
+def plain_min_rep(composition, w):
+    n = sum(composition)
+    line = list(tuple(w) + tuple(range(len(w) + 1, n + 1)))
+    out = []
+    lo = 1
+    for size in composition:
+        out.extend(sorted(line[lo - 1 : lo - 1 + size]))
+        lo += size
+    return plain_trim(out)
+
+
+# Untrimmed one-line lists of every length up to 7; trailing fixed points
+# are common at these sizes.
+perm_lists = st.integers(0, 7).flatmap(lambda n: st.permutations(list(range(1, n + 1))))
+composition_cases = (
+    st.lists(st.integers(1, 3), min_size=1, max_size=4)
+    .map(tuple)
+    .flatmap(
+        lambda comp: st.tuples(
+            st.just(comp),
+            st.integers(0, sum(comp)).flatmap(
+                lambda m: st.permutations(list(range(1, m + 1)))
+            ),
+        )
+    )
+)
+
+
+@SETTINGS
+@given(perm_lists, perm_lists)
+def test_trim_and_compose_match_the_plain_forms(u, v):
+    assert trim(u) == trim(tuple(u)) == plain_trim(u)
+    assert type(trim(u)) is tuple
+    for left, right in ((u, v), (tuple(u), tuple(v)), (trim(u), trim(v)), (u, trim(v))):
+        got = compose(left, right)
+        assert type(got) is tuple
+        assert got == plain_compose(left, right)
+
+
+@SETTINGS
+@given(composition_cases)
+def test_min_rep_matches_the_plain_form(case):
+    comp, w = case
+    ctx = ParabolicContext(comp)
+    expected = plain_min_rep(comp, w)
+    assert ctx.min_rep(w) == ctx.min_rep(tuple(w)) == ctx.min_rep(trim(w)) == expected
+    assert ctx.is_min_rep(w) == ctx.is_min_rep(tuple(w)) == (expected == plain_trim(w))
+
+
+def test_block_slices_stay_out_of_repr_equality_and_hash():
+    ctx = ParabolicContext((2, 1, 3))
+    assert repr(ctx) == "ParabolicContext(composition=(2, 1, 3))"
+    twin = ParabolicContext([2, 1, 3])
+    assert twin == ctx and hash(twin) == hash(ctx)
+    assert ctx != ParabolicContext((2, 1, 2))
+
+
+def test_weak_order_ideal_hands_out_fresh_lists():
+    first = weak_order_ideal((3, 1, 2))
+    first.append((9,))
+    first.pop(0)
+    assert weak_order_ideal((3, 1, 2)) == [identity, (2, 1), (3, 1, 2)]
+    assert weak_order_ideal([3, 1, 2, 4]) == [identity, (2, 1), (3, 1, 2)]
+    assert weak_order_ideal((3, 1, 2)) is not weak_order_ideal((3, 1, 2))
