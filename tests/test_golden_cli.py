@@ -88,6 +88,21 @@ GOLDEN = [
         0,
         "33d1aca083107690852f175885d5f4d717b1dd27df6157faccf12ca2e1f5f0e0",
     ),
+    (
+        ["table", "--n", "4"],
+        0,
+        "70431f0cc3589dd4722f9b5f7489b357352e77433d592f01d4b6ac3fc1c7f727",
+    ),
+    (
+        ["table", "--parabolic", "1,2,1"],
+        0,
+        "08d96da5da6872708a3f458510c0462cbe732e27305a6f4151e6f7e897134ea5",
+    ),
+    (
+        ["table", "--parabolic", "2,1,1"],
+        0,
+        "077d1a6a4ed89ed4732ad8d3f4f65d300750629119c20974aa68431f42851f5a",
+    ),
 ]
 
 
