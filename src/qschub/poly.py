@@ -91,9 +91,20 @@ def _shift(family: str, index: int) -> int:
     return (_FIRST[family] + index - 1) * _W
 
 
+# Built once: _BLOCK_MASKS[family][lo - 1] holds the exponent bits of the
+# family's variables with index >= lo, for lo = 1 .. SLOTS + 1 (the last is 0).
+_BLOCK_MASKS = {
+    fam: tuple(
+        sum(_EXP << _shift(fam, t) for t in range(lo, SLOTS + 1))
+        for lo in range(1, SLOTS + 2)
+    )
+    for fam in FAMILIES
+}
+
+
 def _block_mask(family: str, lo: int = 1) -> int:
-    """Exponent bits of the family's variables with index >= lo."""
-    return sum(_EXP << _shift(family, t) for t in range(lo, SLOTS + 1))
+    """Exponent bits of the family's variables with index >= lo >= 1."""
+    return _BLOCK_MASKS[family][min(lo, SLOTS + 1) - 1]
 
 
 # The key added per unit exponent of each variable; an x unit also bumps the
@@ -104,6 +115,7 @@ _UNITS = {
     for t in range(1, SLOTS + 1)
 }
 _VARIABLE_AT = {_shift(fam, t) // _W: (fam, t) for fam, t in _UNITS}
+_UNIT_SHIFT = {unit: _shift(*v) for v, unit in _UNITS.items()}
 # Whole-family masks for split(); the x mask includes the x-degree field.
 _FAMILY_MASK = {
     "a": _block_mask("a"),
@@ -474,6 +486,47 @@ class Polynomial:
                 key += step
                 acc[key] = get(key, 0) + c
         return _poly({m: c for m, c in acc.items() if c})
+
+    def divide_linear(self, divisor: "Polynomial") -> "Polynomial":
+        """The exact quotient f / divisor for a linear form divisor (no
+        constant term) in which some variable has coefficient 1 or -1.
+
+        Synthetic division on that variable v: with divisor = e*v + r and
+        e = +-1, the terms of f are taken from the highest power of v down,
+        each giving the quotient term e*t/v and leaving -(e*t/v)*r one power
+        of v lower.  Whatever is left free of v must cancel; otherwise the
+        division is inexact and ArithmeticError is raised.
+
+        >>> print((a(1) ** 2 - a(2) ** 2).divide_linear(a(1) - a(2)))
+        a1 + a2
+        """
+        terms = divisor.terms
+        if not terms or any(m not in _UNIT_SHIFT for m in terms):
+            raise ValueError(f"{format_polynomial(divisor)} is not a linear form")
+        pivot = next((m for m, c in terms.items() if c in (1, -1)), None)
+        if pivot is None:
+            raise ValueError(f"{format_polynomial(divisor)} has no coefficient +-1")
+        sign, shift = terms[pivot], _UNIT_SHIFT[pivot]
+        rest = [(m, c) for m, c in terms.items() if m != pivot]
+        levels: dict = {}  # power of the pivot -> the terms of f left at it
+        for m, c in self.terms.items():
+            levels.setdefault((m >> shift) & _EXP, {})[m] = c
+        quotient: dict = {}
+        for power in range(max(levels, default=0), 0, -1):
+            lower = levels.setdefault(power - 1, {})
+            get = lower.get
+            for m, c in levels.pop(power, {}).items():
+                if c:
+                    key, c = m - pivot, c * sign
+                    quotient[key] = c
+                    for r, rc in rest:
+                        lower[key + r] = get(key + r, 0) - c * rc
+        if any(levels.get(0, {}).values()):
+            raise ArithmeticError(
+                f"{format_polynomial(divisor)} does not divide the polynomial"
+            )
+        _check_guard(reduce(or_, quotient, 0), "quotient")
+        return _poly(quotient)
 
     # -- presentation --------------------------------------------------------
 

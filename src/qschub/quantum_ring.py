@@ -3,31 +3,43 @@
 For a node i only the roots alpha_{rs} with r <= i < s can contribute, so the
 stored root sets are finite: covers live below s = max(n, i) + 1 and length
 drops below s = n, bounds that the tests re-derive against wider windows.
-Structure constants come from multiplying two basis members, expanding the
-product over the stable basis, and then truncating to the finite ring: q_i and
-a_i beyond their ranges are set to zero and basis terms outside the minimal
-coset representatives are dropped.  The full-flag ring of S_n is the ring of
-the composition (1, ..., 1), so an integer domain n means that composition
-and every table is built by the one parabolic route.
+Structure constants come from the Chevalley rule alone, by the recursion of
+Mihalcea (Equivariant quantum Schubert calculus, Adv. Math. 203 (2006); for
+G/P, Duke Math. J. 140 (2007)): associativity of sigma_{s_i} sigma_u sigma_v
+fixes every coefficient once the q-free diagonal is known, and that is a
+q-free member of the ring at a fixed point (see `_Solver`).  No member is
+multiplied and nothing is expanded.  The Chevalley row of w in the finite
+ring is the rule's terms on the minimal coset representatives; no row
+carries q_k, q_{k+1}, ... or a_{n+1}, ..., which the tests check.  The
+full-flag ring of S_n is the ring of the composition (1, ..., 1), so an
+integer domain n means that composition and every table is built by the one
+parabolic route.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul, sub
 
-from .poly import Polynomial, a, format_polynomial, parse_polynomial, sum_of_products
-from .parabolic import (
-    _context_for,
-    expand_in_parabolic_basis,
-    parabolic_q_double_schubert,
+from .poly import (
+    Polynomial,
+    a,
+    format_polynomial,
+    parse_polynomial,
+    sum_of_products,
+    x_order_key,
 )
-from .schubert import schubert_polynomial
+from .parabolic import _context_for, parabolic_q_double_schubert
+from .schubert import _chain_member, schubert_polynomial
 from .weyl import (
     ParabolicContext,
     Permutation,
     apply_to,
+    bruhat_leq,
+    code,
     compose,
     eta_p,
     extend,
@@ -83,14 +95,16 @@ def _in_a_set(w, alpha, ctx) -> bool:
     return _context_for(ctx, moved).is_min_rep(moved)
 
 
-def _in_b_set(w, alpha, ctx) -> bool:
+def _in_b_set(w, alpha, ctx, length_w: int) -> bool:
+    """Whether alpha is a length drop of w; `length_w` is l(w), computed once
+    per scan of the roots."""
     if ctx is None:
         drop = pair_two_rho(alpha)
-        return length(reflect(w, alpha)) == length(w) + 1 - drop
+        return length(reflect(w, alpha)) == length_w + 1 - drop
     if ctx.is_p_root(alpha):
         return False
     drop = pair_two_rho(alpha) - ctx.pair_two_rho_p(alpha)
-    return length(_pi_p(ctx, reflect(w, alpha))) == length(w) + 1 - drop
+    return length(_pi_p(ctx, reflect(w, alpha))) == length_w + 1 - drop
 
 
 def chevalley_root_sets(
@@ -112,6 +126,7 @@ def chevalley_root_sets(
         raise ValueError(f"{i} is not a node of the composition {ctx.composition}")
     a_max = max(len(w), i) + 1 + window
     b_max = len(w) + window
+    length_w = length(w)
     A = frozenset(
         (r, s)
         for r in range(1, i + 1)
@@ -122,7 +137,7 @@ def chevalley_root_sets(
         (r, s)
         for r in range(1, i + 1)
         for s in range(i + 1, b_max + 1)
-        if _in_b_set(w, (r, s), ctx)
+        if _in_b_set(w, (r, s), ctx, length_w)
     )
     return ChevalleyRootSets(i, A, B)
 
@@ -141,12 +156,12 @@ def b_root_set(w, ctx: ParabolicContext | None = None, window: int = 0) -> froze
 # window), and the bijection checks of S_5 ask for 660 of them.
 @lru_cache(maxsize=2048)
 def _b_root_set(w: Permutation, ctx: ParabolicContext | None, window: int) -> frozenset:
-    bound = len(w) + window
+    bound, length_w = len(w) + window, length(w)
     return frozenset(
         (r, s)
         for r in range(1, bound)
         for s in range(r + 1, bound + 1)
-        if _in_b_set(w, (r, s), ctx)
+        if _in_b_set(w, (r, s), ctx, length_w)
     )
 
 
@@ -271,12 +286,10 @@ def bijection_check(w, ctx: ParabolicContext | None = None) -> bool:
 # -- structure constants ---------------------------------------------------------
 
 
-def _truncate(expansion: dict, ctx: ParabolicContext, reps) -> dict:
-    """The terms on `reps`, with q_k, q_{k+1}, ... and a_{n+1}, ... set to 0."""
+def _basis_row(i: int, w, ring: ParabolicContext, reps) -> dict:
+    """The node-i Chevalley row of w in the finite ring: its terms on `reps`."""
     return {
-        w: c2
-        for w, c in expansion.items()
-        if w in reps and (c2 := c.zero_out("q", ctx.k).zero_out("a", ctx.n + 1))
+        z: c for z, c in _chevalley_terms(i, w, "parabolic", ring).items() if z in reps
     }
 
 
@@ -291,11 +304,258 @@ def _ring(domain) -> ParabolicContext:
     return ParabolicContext((1,) * int(domain))
 
 
+_ZERO = Polynomial.zero()
+_ONE = Polynomial.const(1)
+_MINUS_ONE = Polynomial.const(-1)
+
+
+def _q_parts(c: Polynomial, k: int) -> list:
+    """[(e, m)] with c = sum m * q^e, for c an integer polynomial in
+    q_1, ..., q_{k-1}; e is an exponent vector of length k - 1."""
+    parts = []
+    for mono, rest in c.split("q").items():
+        e = [0] * (k - 1)
+        for (_, j), power in mono:
+            e[j - 1] = power
+        parts.append((tuple(e), rest.constant_value()))
+    return parts
+
+
+class _Solver:
+    """Structure constants of one ring from its Chevalley rule alone.
+
+    F(u, v, w, d) is the coefficient of q^d in c_{u,v}^w, a polynomial in
+    the a variables of degree l(u) + l(v) - l(w) - deg q^d.  Writing
+    C^i_{z,z'} for the coefficient of sigma_z' in sigma_{s_i} sigma_z,
+    associativity sigma_{s_i} (sigma_u sigma_v) = (sigma_{s_i} sigma_u)
+    sigma_v read at sigma_w and q^d is
+
+        D * F(u,v,w,d) = sum_{u' != u} C^i_{u,u'} F(u',v,w,.)
+                         - sum_{w' != w} F(u,v,w',.) C^i_{w',w},
+
+    each q-monomial of a C taken off d, with D = C^i_{w,w} - C^i_{u,u} =
+    sum_{j <= i} (a_{w(j)} - a_{u(j)}).  For u != w in W^P some node i
+    makes D nonzero, and D is a linear form with coefficients +-1, so F is
+    its exact quotient.  Every term on the right lowers deg q^d, or keeps
+    it and lowers l(w) - l(u) - l(v), so the recursion ends in the base
+    cases of `_settled`: F = 0 below degree 0; F(id, v, w, d) = 1 for
+    v = w and d = 0, else 0; at d = 0, F = 0 unless u <= w and v <= w, and
+    F(u, v, u, 0) is the q-free member of v at x_j -> a_{u(j)}.
+
+    F is symmetric in u and v, so a key is (u, v, w, d) with the longer of
+    u and v first, unless that one is w; d is an index into `self.degrees`.
+    The diagonal F(u, v, u, d) for v != u is then F(v, u, u, d).
+
+    F(u, u, u, d) for d != 0 appears in none of these equations with a
+    nonzero D, and it need not vanish (it is 1 at u = [2,4,5,1,3] of the
+    composition (3, 2), d = q_1).  It is fixed by F(id, u, u, d) = 0.  With
+    xi = F(u, u, u, 0) and xi(x) = F(x, u, u, 0), the probe
+    H(x) = xi * F(x, u, u, d) - xi(x) * F(u, u, u, d) satisfies the
+    equations of the keys (x, u, u, d), since both parts do (the d = 0
+    ones are classical and vanish off x <= u), and H(u) = 0.  So H follows
+    from values already known: H(x') for the covers x' <= u of x, and xi
+    times F for every other term.  Then F(u, u, u, d) = -H(id).  A probe
+    key is (x, u, d), three entries against the four of an F key.
+    """
+
+    def __init__(self, ring: ParabolicContext):
+        self.ring = ring
+        self.basis = ring.minimal_reps()
+        reps = set(self.basis)
+        self.length = {w: length(w) for w in self.basis}
+        self.by_code = sorted(self.basis, key=lambda w: x_order_key(code(w)), reverse=True)
+        q_degrees = [ring.q_degree(j) for j in range(1, ring.k)]
+        # Every exponent vector d of degree up to the top 2 l(w_0^P), by
+        # degree; the zero vector comes first.
+        top = 2 * max(self.length.values())
+        vectors = itertools.product(*(range(top // deg + 1) for deg in q_degrees))
+        self.degrees = sorted(
+            (deg, d) for d in vectors if (deg := sum(map(mul, d, q_degrees))) <= top
+        )
+        self.degree = [deg for deg, _ in self.degrees]
+        index = {d: t for t, (_, d) in enumerate(self.degrees)}
+        # Per node i and basis element w: the diagonal C^i_{w,w}, and the
+        # off-diagonal C^i_{w,z} ("up") and -C^i_{z,w} ("down") as (z, e, m)
+        # for each term m q^e, e an index into `self.degrees`.
+        self.weight, self.up, self.down = {}, {}, {}
+        for i in ring.nodes:
+            for w in self.basis:
+                self.down[i, w] = []
+            for w in self.basis:
+                row = _basis_row(i, w, ring, reps)
+                self.weight[i, w] = row.pop(w, _ZERO)
+                self.up[i, w] = [
+                    (z, index[e], Polynomial.const(m))
+                    for z, c in row.items()
+                    for e, m in _q_parts(c, ring.k)
+                ]
+                for z, e, m in self.up[i, w]:
+                    self.down[i, z].append((w, e, -m))
+        # minus[d][e] is the index of d - e, or None when it is negative.
+        used = {e for terms in self.up.values() for _, e, _ in terms}
+        self.minus = [
+            {e: index.get(tuple(map(sub, d, self.degrees[e][1]))) for e in used}
+            for _, d in self.degrees
+        ]
+        self.values = {}  # the nonzero F and H found by the recursion
+        self.zeros = set()  # the keys where it found 0
+        self._divisors = {}  # (u, w) -> (node, D)
+        self._below = {}  # (u, w) -> u <= w in Bruhat order
+        self._localized = {}  # (u, v) -> F(u, v, u, 0)
+
+    def product(self, u: Permutation, v: Permutation) -> dict:
+        """{w: c_{u,v}^w} over the basis, zero coefficients left out, in the
+        x-leading order of the codes of w, highest first (the order in which
+        a leading-term expansion meets them)."""
+        out = {}
+        for w in self.by_code:
+            budget = self.length[u] + self.length[v] - self.length[w]
+            pairs = [
+                (_q_monomial(d), value)
+                for t, (deg, d) in enumerate(self.degrees)
+                if deg <= budget and (value := self.coefficient(u, v, w, t))
+            ]
+            if pairs:
+                out[w] = sum_of_products(pairs)
+        return out
+
+    def coefficient(self, u, v, w, d) -> Polynomial:
+        """F(u, v, w, d), solving every unknown it needs on one explicit
+        stack, so the depth of the recursion costs no Python frames."""
+        found = self._settled(u, v, w, d)
+        if not isinstance(found, tuple):
+            return found
+        stack, equations = [found], {}
+        values, zeros = self.values, self.zeros
+        while stack:
+            key = stack[-1]
+            if key in values or key in zeros:
+                stack.pop()
+                continue
+            divisor, terms = equations.get(key) or self._equation(key)
+            known, missing = [], []
+            for m, dep in terms:
+                found = self._settled(*dep) if len(dep) == 4 else self._solved(dep)
+                if isinstance(found, tuple):
+                    missing.append(found)
+                elif found:
+                    known.append((m, found))
+            if missing:
+                equations[key] = divisor, terms
+                stack.extend(missing)
+                continue
+            stack.pop()
+            equations.pop(key, None)
+            found = known and sum_of_products(known)
+            if found and divisor is not None:
+                found = found.divide_linear(divisor)
+            if found:
+                values[key] = found
+            else:
+                zeros.add(key)
+        return self._settled(u, v, w, d)
+
+    def _settled(self, u, v, w, d):
+        """F(u, v, w, d) when a base case or an earlier solution gives it;
+        else the key whose equation gives it.  d is an index, None when the
+        exponent vector is negative somewhere."""
+        length = self.length
+        if d is None or length[u] + length[v] - length[w] < self.degree[d]:
+            return _ZERO
+        if not u or not v:
+            return _ONE if d == 0 and (u or v) == w else _ZERO
+        if d == 0:
+            if not (self._leq(u, w) and self._leq(v, w)):
+                return _ZERO
+            if w == u or w == v:
+                return self._localize(w, v if w == u else u)
+        if u == w or (v != w and (length[u], u) < (length[v], v)):
+            u, v = v, u
+        return self._solved((u, v, w, d))
+
+    def _solved(self, key: tuple):
+        """The value found for key, or key itself while unsolved."""
+        found = self.values.get(key)
+        if found is not None:
+            return found
+        return _ZERO if key in self.zeros else key
+
+    def _equation(self, key: tuple) -> tuple:
+        """(D, [(m, key')]) with D * value(key) = sum m * value(key'); D is
+        None for no division."""
+        if len(key) == 3:
+            return self._probe_equation(*key)
+        u, v, w, d = key
+        if u == v == w:
+            return self._self_equation(u, d)
+        i, divisor = self._divisor(u, w)
+        minus = self.minus[d]
+        terms = [(m, (z, v, w, minus[e])) for z, e, m in self.up[i, u]]
+        terms += [(m, (u, v, z, minus[e])) for z, e, m in self.down[i, w]]
+        return divisor, terms
+
+    def _self_equation(self, u: Permutation, d: int) -> tuple:
+        """F(u, u, u, d) = -H(id) for d != 0."""
+        return None, [(_MINUS_ONE, ((), u, d))]
+
+    def _probe_equation(self, x: Permutation, u: Permutation, d: int) -> tuple:
+        """The equation of H(x) for the probe of F(u, u, u, d), x != u."""
+        i, divisor = self._divisor(x, u)
+        xi, minus = self._localize(u, u), self.minus[d]
+        terms = []
+        for z, e, m in self.up[i, x]:
+            if e == 0 and self._leq(z, u):
+                if z != u:  # H(u) = 0
+                    terms.append((m, (z, u, d)))
+            else:
+                terms.append((m * xi, (z, u, u, minus[e])))
+        terms += [(m * xi, (x, u, z, minus[e])) for z, e, m in self.down[i, u]]
+        return divisor, terms
+
+    def _divisor(self, u: Permutation, w: Permutation) -> tuple:
+        found = self._divisors.get((u, w))
+        if found is None:
+            found = next(
+                (i, diff)
+                for i in self.ring.nodes
+                if (diff := self.weight[i, w] - self.weight[i, u])
+            )
+            self._divisors[u, w] = found
+        return found
+
+    def _leq(self, u: Permutation, w: Permutation) -> bool:
+        found = self._below.get((u, w))
+        if found is None:
+            found = self._below[u, w] = bruhat_leq(u, w)
+        return found
+
+    def _localize(self, u: Permutation, v: Permutation) -> Polynomial:
+        """F(u, v, u, 0): the q-free member of v at x_j -> a_{u(j)}."""
+        found = self._localized.get((u, v))
+        if found is None:
+            member = _chain_member(self.ring.composition, False, v)
+            point = {("x", j): a(apply_to(u, j)) for j in range(1, self.ring.n + 1)}
+            found = self._localized[u, v] = member.specialize(point)
+        return found
+
+
+def _q_monomial(d: tuple) -> Polynomial:
+    return Polynomial.from_terms([(tuple((("q", j), e) for j, e in enumerate(d, 1)), 1)])
+
+
+# Bounded: one solver per composition asked for, each holding every
+# coefficient it has solved (about 7 MB for the whole S_4 table).
+@lru_cache(maxsize=8)
+def _solver(composition: tuple) -> _Solver:
+    return _Solver(ParabolicContext(composition))
+
+
 def structure_constants(domain, u, v) -> dict:
-    """Coefficients of the basis expansion of sigma_u . sigma_v after passing
-    to the finite ring; keys are basis permutations, values polynomials in
-    the surviving q and a variables.  `domain` is a composition context or
-    an integer n, the full flag of S_n.
+    """Coefficients of the basis expansion of sigma_u . sigma_v in the
+    finite ring; keys are basis permutations, values polynomials in the
+    q and a variables of the ring.  `domain` is a composition context or an
+    integer n, the full flag of S_n.  They come from the Chevalley rule by
+    the recursion of `_Solver`.
 
     >>> res = structure_constants(2, (2, 1), (2, 1))
     >>> sorted((w, str(c)) for w, c in res.items())
@@ -305,9 +565,7 @@ def structure_constants(domain, u, v) -> dict:
     for z in (u, v):
         if not ctx.is_min_rep(z):
             raise ValueError(f"{list(z)} is not minimal in its coset")
-    product = parabolic_q_double_schubert(ctx, u) * parabolic_q_double_schubert(ctx, v)
-    expansion = expand_in_parabolic_basis(product, ctx)
-    return _truncate(expansion, ctx, set(ctx.minimal_reps()))
+    return _solver(ctx.composition).product(trim(u), trim(v))
 
 
 class StructureTable:
@@ -365,8 +623,7 @@ class StructureTable:
         return True
 
     def _divisor_expected(self, i: int, w) -> dict:
-        terms = _chevalley_terms(i, w, "parabolic", self.ring)
-        return _truncate(terms, self.ring, set(self.basis))
+        return _basis_row(i, w, self.ring, set(self.basis))
 
     def divisor_nodes(self) -> list:
         return list(self.ring.nodes)

@@ -203,8 +203,9 @@ def is_cover(w: Permutation, alpha: Root) -> bool:
     return not any(wr < apply_to(w, t) < ws for t in range(r + 1, s))
 
 
-# No caller in the package: Bruhat order is the paper's order on Schubert
-# classes, and the tests check covers and product supports against it.
+# Bruhat order is the paper's order on Schubert classes: the table builder
+# uses it for the support of q-free products, and the tests check covers and
+# product supports against it.
 def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     """Bruhat order by the rank-matrix (sorted prefix) criterion."""
     n = max(len(u), len(w))

@@ -270,6 +270,31 @@ class TestExitCodes:
         err = self.assert_usage_error(capsys, *argv, "--parabolic", "9,8")
         assert "sums to 17" in err and "<= 16" in err
 
+    @pytest.mark.parametrize(
+        "argv, size",
+        [(["--parabolic", "8,8"], 12870), (["--n", "8"], 40320)],
+        ids=["parabolic-8,8", "n-8"],
+    )
+    def test_table_beyond_the_work_bound(self, capsys, monkeypatch, argv, size):
+        # Inside the layout, but too large to build: rejected before any work.
+        def build(*args, **kwargs):
+            raise AssertionError("built a table past the work bound")
+
+        monkeypatch.setattr(cli.StructureTable, "build", build)
+        monkeypatch.setattr(cli.ParabolicContext, "minimal_reps", build)
+        err = self.assert_usage_error(capsys, "table", *argv)
+        assert f"{size} basis elements" in err and str(cli.MAX_TABLE_BASIS) in err
+
+    def test_table_at_the_work_bound_is_accepted(self, capsys, monkeypatch):
+        # (3,2,1) has 6!/(3!2!1!) = 60 elements, the bound itself.
+        asked, small = [], StructureTable.build(2)
+        monkeypatch.setattr(cli, "MAX_TABLE_BASIS", 60)
+        monkeypatch.setattr(
+            cli.StructureTable, "build", lambda domain: asked.append(domain) or small
+        )
+        exit_code, _, _ = run(capsys, "table", "--parabolic", "3,2,1")
+        assert exit_code == 0 and asked[0].composition == (3, 2, 1)
+
     @pytest.mark.parametrize("suite", sorted(VERIFY_SUITES))
     def test_verify_max_n_beyond_the_layout(self, capsys, suite):
         err = self.assert_usage_error(capsys, "verify", suite, "--max-n", "17")

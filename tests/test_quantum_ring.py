@@ -3,7 +3,8 @@
 import pytest
 
 from qschub import quantum_ring
-from qschub.poly import Polynomial, format_polynomial, parse_polynomial
+from qschub.parabolic import expand_in_parabolic_basis, parabolic_q_double_schubert
+from qschub.poly import Polynomial, a, format_polynomial, parse_polynomial, q
 from qschub.quantum_ring import (
     StructureTable,
     b_root_set,
@@ -212,6 +213,120 @@ class TestStructureConstants:
         for coeff in res.values():
             assert coeff.max_index("x") == 0
             assert coeff.max_index("a") <= 3 and coeff.max_index("q") <= 2
+
+
+def product_expand_truncate(domain, u, v):
+    """The former table route, kept here as an independent oracle: the
+    product of two members of the ring, expanded over the stable parabolic
+    basis, then cut to the finite ring (q_k, q_{k+1}, ... and a_{n+1}, ...
+    set to 0, terms off the minimal representatives dropped)."""
+    ctx = quantum_ring._ring(domain)
+    product = parabolic_q_double_schubert(ctx, u) * parabolic_q_double_schubert(ctx, v)
+    reps = set(ctx.minimal_reps())
+    return {
+        w: c2
+        for w, c in expand_in_parabolic_basis(product, ctx).items()
+        if w in reps and (c2 := c.zero_out("q", ctx.k).zero_out("a", ctx.n + 1))
+    }
+
+
+ORACLE_DOMAINS = [2, 3] + [
+    ParabolicContext(c) for c in [(2, 1), (1, 2), (2, 2), (1, 3), (3, 1), (2, 1, 1), (1, 2, 1)]
+]
+
+
+class TestProductOracle:
+    """The Chevalley recursion against the product-and-expand route."""
+
+    @pytest.mark.parametrize("domain", ORACLE_DOMAINS, ids=str)
+    def test_whole_table(self, domain):
+        table = StructureTable.build(domain)
+        for u in table.basis:
+            for v in table.basis:
+                expected = product_expand_truncate(domain, u, v)
+                assert table.entries[(u, v)] == expected, (u, v)
+                # the same order too: callers may read the first term
+                assert list(table.entries[(u, v)]) == list(expected), (u, v)
+
+    def test_self_diagonal_carries_q(self):
+        # F(u, u, u, q1) = 1 here, so the q-part of c_{u,u}^u does not vanish
+        # in general; the recursion gets it from F(id, u, u, q1) = 0.
+        ctx, u = ParabolicContext((3, 2)), (2, 4, 5, 1, 3)
+        got = structure_constants(ctx, u, u)
+        assert got == product_expand_truncate(ctx, u, u)
+        assert got[u].split("q")[((("q", 1), 1),)] == Polynomial.const(1)
+
+
+@pytest.fixture
+def fresh_solvers():
+    quantum_ring._solver.cache_clear()
+    yield
+    quantum_ring._solver.cache_clear()
+
+
+class TestSelfDiagonal:
+    """A wrong q-part of c_{u,u}^u does not pass unnoticed."""
+
+    def plant(self, monkeypatch, value):
+        # F(u, u, u, d) := value * F(id, u, u, 0) = value, for every d != 0
+        monkeypatch.setattr(
+            quantum_ring._Solver,
+            "_self_equation",
+            lambda self, u, d: (None, [(Polynomial.const(value), ((), u, u, 0))]),
+        )
+
+    def test_planted_nonzero_entry_breaks_s3(self, monkeypatch, fresh_solvers):
+        self.plant(monkeypatch, 1)
+        with pytest.raises(ArithmeticError):
+            StructureTable.build(3)
+
+    def test_zero_rule_breaks_grassmannian(self, monkeypatch, fresh_solvers):
+        # Taking every such entry to be 0 matches S_2..S_4 and every
+        # composition of 3 and 4, but not (3, 2).
+        self.plant(monkeypatch, 0)
+        table = StructureTable.build(ParabolicContext((3, 2)))
+        assert not table.check_associative()
+
+
+class TestExactDivision:
+    def test_exact_quotient(self):
+        cofactor = a(1) ** 2 * a(3) - 5 * a(2) + q(1)
+        f = (a(1) + a(2) - a(3)) * cofactor
+        assert f.divide_linear(a(1) + a(2) - a(3)) == cofactor
+        assert f.divide_linear(a(3) - a(1) - a(2)) == -cofactor
+        assert Polynomial.zero().divide_linear(a(1)) == Polynomial.zero()
+
+    def test_inexact_division_raises(self):
+        with pytest.raises(ArithmeticError):
+            (a(1) * a(2) + 1).divide_linear(a(1) - a(2))
+        with pytest.raises(ArithmeticError):
+            (a(1) ** 2 + a(2) ** 2).divide_linear(a(1) - a(2))
+
+    @pytest.mark.parametrize("divisor", ["2*a1", "a1*a2", "a1 + 1", "0"])
+    def test_divisor_must_be_a_unit_linear_form(self, divisor):
+        with pytest.raises(ValueError):
+            a(1).divide_linear(parse_polynomial(divisor))
+
+
+@pytest.mark.parametrize(
+    "domain", [2, 3, 4] + [c for n in (2, 3, 4) for c in proper_contexts(n)], ids=str
+)
+def test_chevalley_rows_stay_in_the_finite_ring(domain):
+    # No row carries q_k, q_{k+1}, ... or a_{n+1}, ..., so the finite ring
+    # needs only the terms off the minimal representatives dropped.
+    ring = quantum_ring._ring(domain)
+    for i in ring.nodes:
+        for w in ring.minimal_reps():
+            for coeff in quantum_ring._chevalley_terms(i, w, "parabolic", ring).values():
+                assert coeff.max_index("q") < ring.k, (i, w)
+                assert coeff.max_index("a") <= ring.n, (i, w)
+
+
+def test_solver_cache_is_bounded(fresh_solvers):
+    for domain in (2, 3, ParabolicContext((2, 1))):
+        structure_constants(domain, (), ())
+    info = quantum_ring._solver.cache_info()
+    assert info.maxsize is not None and info.currsize == 3
 
 
 def stable_expand_and_truncate(n, u, v):
