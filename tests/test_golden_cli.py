@@ -49,9 +49,39 @@ GOLDEN = [
         "826becfacf2f5042a0ac5d721eac76d57074e7bcefc85036f570f9c172e4de86",
     ),
     (
+        ["verify", "chevalley", "--max-n", "3", "--flavor", "classical"],
+        0,
+        "56718999241e56263b77af3c9070466d244dcda2a3cde63d79119d3968e08dbf",
+    ),
+    (
+        ["verify", "chevalley", "--max-n", "3", "--flavor", "quantum"],
+        0,
+        "56718999241e56263b77af3c9070466d244dcda2a3cde63d79119d3968e08dbf",
+    ),
+    (
+        ["verify", "chevalley", "--max-n", "3", "--flavor", "double"],
+        0,
+        "56718999241e56263b77af3c9070466d244dcda2a3cde63d79119d3968e08dbf",
+    ),
+    (
+        ["verify", "chevalley", "--max-n", "3", "--flavor", "quantum-double"],
+        0,
+        "56718999241e56263b77af3c9070466d244dcda2a3cde63d79119d3968e08dbf",
+    ),
+    (
+        ["verify", "chevalley", "--max-n", "3", "--flavor", "parabolic"],
+        0,
+        "79f79c1dd41b136d1467074c95f299f8e848acc24cbb450432527a12353cbd5f",
+    ),
+    (
         ["verify", "bijection", "--max-n", "4"],
         0,
         "c2e6151d768b8ea5a3cd89db06eeff5ecc234b1e2ea2074dcb7ac7de2f50174e",
+    ),
+    (
+        ["verify", "bijection", "--max-n", "5"],
+        0,
+        "50932f9f85a267399c4cfd1b3a80b2a178bd712d4d36abd466a5ac9c6ae73086",
     ),
     (
         ["verify", "cauchy", "--max-n", "4"],
