@@ -77,24 +77,28 @@ def _emit(args, payload_text: str):
         print(payload_text)
 
 
-def _cmd_poly(args) -> int:
-    w = _parse_perm(args.w)
+def _basis_flags(args) -> tuple:
+    """(composition context, None) for --parabolic, else (None, family)."""
     if args.parabolic:
         if args.family is not None:
             raise UsageError("--family does not combine with --parabolic")
-        ctx = _parse_composition(args.parabolic)
-        try:
+        return _parse_composition(args.parabolic), None
+    flag = args.family or "quantum-double"
+    if flag not in FAMILY_FLAGS:
+        raise UsageError(f"--family must be one of {', '.join(FAMILY_FLAGS)}")
+    return None, flag.replace("-", "_")
+
+
+def _cmd_poly(args) -> int:
+    w = _parse_perm(args.w)
+    ctx, family = _basis_flags(args)
+    try:
+        if ctx is not None:
             f = parabolic_q_double_schubert(ctx, w)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    else:
-        flag = args.family or "quantum-double"
-        if flag not in FAMILY_FLAGS:
-            raise UsageError(f"--family must be one of {', '.join(FAMILY_FLAGS)}")
-        try:
-            f = schubert_polynomial(w, flag.replace("-", "_"))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        else:
+            f = schubert_polynomial(w, family)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if args.format == "json":
         _emit(args, json.dumps(polynomial_to_json(f)))
     else:
@@ -107,19 +111,12 @@ def _cmd_expand(args) -> int:
         f = parse_polynomial(args.poly)
     except PolynomialParseError as exc:
         raise UsageError(str(exc)) from None
+    ctx, family = _basis_flags(args)
     try:
-        if args.parabolic:
-            if args.family is not None:
-                raise UsageError("--family does not combine with --parabolic")
-            ctx = _parse_composition(args.parabolic)
+        if ctx is not None:
             expansion = expand_in_parabolic_basis(f, ctx)
         else:
-            flag = args.family or "quantum-double"
-            if flag not in FAMILY_FLAGS:
-                raise UsageError(f"--family must be one of {', '.join(FAMILY_FLAGS)}")
-            expansion = expand_in_schubert_basis(f, flag.replace("-", "_"))
-    except UsageError:
-        raise
+            expansion = expand_in_schubert_basis(f, family)
     except (ValueError, RuntimeError) as exc:
         raise UsageError(str(exc)) from None
     items = sorted(expansion.items(), key=lambda kv: (length(kv[0]), kv[0]))

@@ -31,6 +31,7 @@ from .quantization import (
     partition_tuples,
 )
 from .schubert import (
+    _a_free_member,
     _cauchy_sum,
     _chain_member,
     _dd_from_top,
@@ -91,14 +92,7 @@ def parabolic_cauchy_rhs(ctx: ParabolicContext, w) -> Polynomial:
     w = trim(w)
     if not ctx.is_min_rep(w):
         raise ValueError(f"{list(extend(w, ctx.n))} is not minimal in its coset")
-    return _cauchy_sum(w, lambda v: _a_free_member(ctx, v))
-
-
-# Bounded like the member caches: one a-free member per (ctx, v) that the
-# parabolic Cauchy sums multiply; at most 541 for the compositions of 5.
-@lru_cache(maxsize=2048)
-def _a_free_member(ctx: ParabolicContext, v: Permutation) -> Polynomial:
-    return parabolic_q_double_schubert(ctx, v).zero_out("a")
+    return _cauchy_sum(w, lambda v: _a_free_member(ctx.composition, v))
 
 
 # -- basis expansion over the extended contexts ----------------------------------

@@ -13,7 +13,10 @@ ring is the rule's terms on the minimal coset representatives; no row
 carries q_k, q_{k+1}, ... or a_{n+1}, ..., which the tests check.  The
 full-flag ring of S_n is the ring of the composition (1, ..., 1), so an
 integer domain n means that composition and every table is built by the one
-parabolic route.
+parabolic route.  The rule itself treats the full flag the same way: root
+sets, rule rows and the bijection check take it as (1, ...) extended by
+singleton blocks as far as each permutation needs, and the classical,
+quantum and double flavors are the one row with a, q or both set to 0.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from .weyl import (
     length,
     pair_two_rho,
     parse_permutation,
-    q_coroot,
     reflect,
     simple,
     trim,
@@ -70,6 +72,21 @@ __all__ = [
 
 CHEVALLEY_FLAVORS = ("classical", "quantum", "double", "quantum_double", "parabolic")
 
+# The full flag is the composition (1, ..., 1); `_context_for` extends this
+# one-block start by singleton blocks as far as each permutation needs.
+_FULL_FLAG = ParabolicContext((1,))
+_ZERO = Polynomial.zero()
+_ONE = Polynomial.const(1)
+_MINUS_ONE = Polynomial.const(-1)
+# The families each flavor sets to 0 in the one rule row of `_chevalley_terms`.
+_ZEROED = {
+    "classical": "aq",
+    "quantum": "a",
+    "double": "q",
+    "quantum_double": "",
+    "parabolic": "",
+}
+
 
 @dataclass(frozen=True)
 class ChevalleyRootSets:
@@ -85,11 +102,7 @@ def _pi_p(ctx: ParabolicContext, w: Permutation) -> Permutation:
 
 
 def _in_a_set(w, alpha, ctx) -> bool:
-    if not is_cover(w, alpha):
-        return False
-    if ctx is None:
-        return True
-    if ctx.is_p_root(alpha):
+    if not is_cover(w, alpha) or ctx.is_p_root(alpha):
         return False
     moved = reflect(w, alpha)
     return _context_for(ctx, moved).is_min_rep(moved)
@@ -98,9 +111,6 @@ def _in_a_set(w, alpha, ctx) -> bool:
 def _in_b_set(w, alpha, ctx, length_w: int) -> bool:
     """Whether alpha is a length drop of w; `length_w` is l(w), computed once
     per scan of the roots."""
-    if ctx is None:
-        drop = pair_two_rho(alpha)
-        return length(reflect(w, alpha)) == length_w + 1 - drop
     if ctx.is_p_root(alpha):
         return False
     drop = pair_two_rho(alpha) - ctx.pair_two_rho_p(alpha)
@@ -110,7 +120,8 @@ def _in_b_set(w, alpha, ctx, length_w: int) -> bool:
 def chevalley_root_sets(
     w, i: int, ctx: ParabolicContext | None = None, window: int = 0
 ) -> ChevalleyRootSets:
-    """The A (cover) and B (length drop) roots at node i, exactly enumerated.
+    """The A (cover) and B (length drop) roots at node i, exactly enumerated;
+    no ctx means the full flag.
 
     `window` widens the search bound; the defaults are provably complete and
     the tests confirm this by comparing against widened windows.
@@ -119,43 +130,44 @@ def chevalley_root_sets(
     >>> sorted(sets.A), sorted(sets.B)
     ([(1, 3)], [(1, 2)])
     """
-    w = trim(w)
+    _check_node(i, ctx)
+    return _root_sets(trim(w), i, ctx or _FULL_FLAG, window)
+
+
+def _check_node(i: int, ctx: ParabolicContext | None):
     if i < 1:
         raise ValueError("node must be >= 1")
     if ctx is not None and i not in ctx.nodes:
         raise ValueError(f"{i} is not a node of the composition {ctx.composition}")
+
+
+def _root_sets(w: Permutation, i: int, ctx: ParabolicContext, window: int):
     a_max = max(len(w), i) + 1 + window
-    b_max = len(w) + window
-    length_w = length(w)
     A = frozenset(
         (r, s)
         for r in range(1, i + 1)
         for s in range(i + 1, a_max + 1)
         if _in_a_set(w, (r, s), ctx)
     )
-    B = frozenset(
-        (r, s)
-        for r in range(1, i + 1)
-        for s in range(i + 1, b_max + 1)
-        if _in_b_set(w, (r, s), ctx, length_w)
-    )
+    B = frozenset((r, s) for r, s in _b_root_set(w, ctx, window) if r <= i < s)
     return ChevalleyRootSets(i, A, B)
 
 
 def b_root_set(w, ctx: ParabolicContext | None = None, window: int = 0) -> frozenset:
     """All length-drop roots of w (no node filter); drives the bijection checks.
-    w may be any one-line sequence.
+    w may be any one-line sequence; no ctx means the full flag.
 
     >>> sorted(b_root_set([2, 1]))
     [(1, 2)]
     """
-    return _b_root_set(trim(w), ctx, window)
+    return _b_root_set(trim(w), ctx or _FULL_FLAG, window)
 
 
 # Bounded like the member caches: one small frozenset per (trimmed w, ctx,
-# window), and the bijection checks of S_5 ask for 660 of them.
+# window), and the bijection checks of S_5 ask for 660 of them.  Length drops
+# lie below s = len(w) + window.
 @lru_cache(maxsize=2048)
-def _b_root_set(w: Permutation, ctx: ParabolicContext | None, window: int) -> frozenset:
+def _b_root_set(w: Permutation, ctx: ParabolicContext, window: int) -> frozenset:
     bound, length_w = len(w) + window, length(w)
     return frozenset(
         (r, s)
@@ -167,10 +179,12 @@ def _b_root_set(w: Permutation, ctx: ParabolicContext | None, window: int) -> fr
 
 def weight_term(w, i: int) -> Polynomial:
     """-omega_i(a) + w.omega_i(a) = sum_{j<=i} (a_{w(j)} - a_j)."""
-    total = Polynomial.zero()
-    for j in range(1, i + 1):
-        total = total + a(apply_to(trim(w), j)) - a(j)
-    return total
+    w = trim(w)
+    return Polynomial.from_terms(
+        (((("a", t), 1),), sign)
+        for j in range(1, i + 1)
+        for t, sign in ((apply_to(w, j), 1), (j, -1))
+    )
 
 
 def _member(flavor: str, w, ctx) -> Polynomial:
@@ -179,29 +193,29 @@ def _member(flavor: str, w, ctx) -> Polynomial:
     return schubert_polynomial(w, flavor)
 
 
-def _chevalley_terms(i: int, w, flavor: str, ctx) -> dict:
+def _chevalley_terms(i: int, w, flavor: str, ctx: ParabolicContext) -> dict:
     """The node-i Chevalley-Monk rule as {basis element: coefficient}.
 
-    The weight term sits on w itself (double, quantum_double, parabolic),
-    each cover contributes 1, and each length drop contributes its q-monomial
-    (q_coroot for the full flag, eta_P on pi_P(w s_alpha) for parabolic).
+    One row serves every flavor: the weight term sits on w itself, each
+    cover contributes 1, and each length drop alpha contributes eta_P of
+    its coroot on pi_P(w s_alpha).  The full flag is the composition
+    (1, ..., 1), as for the tables, where pi_P is the identity and eta_P
+    the q-monomial of the coroot.  The classical, quantum and double
+    flavors are that row with {a, q}, {a} and {q} set to 0.
     """
-    sets = chevalley_root_sets(w, i, ctx if flavor == "parabolic" else None)
-    terms: dict = {}
+    sets = _root_sets(w, i, ctx, 0)
+    terms = {w: weight_term(w, i)}
 
     def add(z, coeff):
-        terms[z] = terms.get(z, Polynomial.zero()) + coeff
+        terms[z] = terms.get(z, _ZERO) + coeff
 
-    if flavor in ("double", "quantum_double", "parabolic"):
-        add(w, weight_term(w, i))
     for alpha in sorted(sets.A):
-        add(reflect(w, alpha), Polynomial.const(1))
-    if flavor in ("quantum", "quantum_double"):
-        for alpha in sorted(sets.B):
-            add(reflect(w, alpha), q_coroot(alpha))
-    elif flavor == "parabolic":
-        for alpha in sorted(sets.B):
-            add(_pi_p(ctx, reflect(w, alpha)), eta_p(alpha, ctx))
+        add(reflect(w, alpha), _ONE)
+    q_ctx = _context_for(ctx, w)
+    for alpha in sorted(sets.B):
+        add(_pi_p(ctx, reflect(w, alpha)), eta_p(alpha, q_ctx))
+    for family in _ZEROED[flavor]:
+        terms = {z: c.zero_out(family) for z, c in terms.items()}
     return {z: c for z, c in terms.items() if c}
 
 
@@ -219,12 +233,14 @@ def chevalley_rhs(
     """
     if flavor not in CHEVALLEY_FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
-    if flavor == "parabolic":
-        if ctx is None:
-            raise ValueError("parabolic flavor needs a composition context")
-        if not ctx.is_min_rep(w):
-            raise ValueError(f"{list(w)} is not minimal in its coset")
-    terms = _chevalley_terms(i, trim(w), flavor, ctx)
+    if flavor != "parabolic":
+        ctx = None
+    elif ctx is None:
+        raise ValueError("parabolic flavor needs a composition context")
+    elif not ctx.is_min_rep(w):
+        raise ValueError(f"{list(w)} is not minimal in its coset")
+    _check_node(i, ctx)
+    terms = _chevalley_terms(i, trim(w), flavor, ctx or _FULL_FLAG)
     return sum_of_products((coeff, _member(flavor, z, ctx)) for z, coeff in terms.items())
 
 
@@ -240,47 +256,39 @@ def bijection_check(w, ctx: ParabolicContext | None = None) -> bool:
     """Confirm the pair bijection behind the quantum Chevalley correction sums.
 
     The first set collects (v, alpha) with v weak-below w and alpha a length
-    drop of v; the map sends it to (v s_alpha, alpha) (minimal representative
-    taken, parabolic case), which must land bijectively in the set of
-    (u, alpha) with alpha a length drop of w and u weak-below the image of
-    w s_alpha.  In the full flag case the same map carries the second set
-    back, composing to the identity both ways; the parabolic projection
-    forgets the Levi part, so there the inverse is not re-reflection and the
-    check is bijectivity plus the index identity the Cauchy coefficients rely
-    on: v w^{-1} = pi_P(v s_alpha) pi_P(w s_alpha)^{-1}.
+    drop of v; the map sends it to (pi_P(v s_alpha), alpha), which must land
+    bijectively in the set of (u, alpha) with alpha a length drop of w and u
+    weak-below pi_P(w s_alpha).  The projection forgets the Levi part, so the
+    inverse is not re-reflection; the check is bijectivity plus the index
+    identity the Cauchy coefficients rely on:
+    v w^{-1} = pi_P(v s_alpha) pi_P(w s_alpha)^{-1}.  No ctx means the full
+    flag, the composition (1, ..., 1): there pi_P is the identity, so the map
+    is its own inverse and the index identity holds for every pair.
     """
-    w = trim(w)
+    w, ctx = trim(w), ctx or _FULL_FLAG
 
     def move(v, alpha):
-        moved = reflect(v, alpha)
-        return _pi_p(ctx, moved) if ctx is not None else moved
+        return _pi_p(ctx, reflect(v, alpha))
 
-    first = set()
-    for v in weak_order_ideal(w):
-        if ctx is not None and not _context_for(ctx, v).is_min_rep(v):
-            return False
-        for alpha in b_root_set(v, ctx):
-            first.add((v, alpha))
-    second = set()
-    for alpha in b_root_set(w, ctx):
-        for u in weak_order_ideal(move(w, alpha)):
-            second.add((u, alpha))
-
+    moved = {alpha: move(w, alpha) for alpha in b_root_set(w, ctx)}
+    second = {(u, alpha) for alpha, z in moved.items() for u in weak_order_ideal(z)}
+    moved_inverse = {alpha: inverse(z) for alpha, z in moved.items()}
     w_inverse = inverse(w)
-    moved_inverse = {}  # alpha -> inverse(move(w, alpha))
-    image = set()
-    for v, alpha in first:
-        u = move(v, alpha)
-        if ctx is not None:
-            if alpha not in moved_inverse:
-                moved_inverse[alpha] = inverse(move(w, alpha))
-            if compose(v, w_inverse) != compose(u, moved_inverse[alpha]):
+    image, pairs = set(), 0
+    for v in weak_order_ideal(w):
+        if not _context_for(ctx, v).is_min_rep(v):
+            return False
+        index = compose(v, w_inverse)
+        for alpha in b_root_set(v, ctx):
+            # a drop of v that is none of w has no pair in the second set
+            if alpha not in moved:
                 return False
-        else:
-            if move(u, alpha) != v:
+            u = move(v, alpha)
+            if compose(u, moved_inverse[alpha]) != index:
                 return False
-        image.add((u, alpha))
-    return image == second and len(image) == len(first)
+            image.add((u, alpha))
+            pairs += 1
+    return image == second and len(image) == pairs
 
 
 # -- structure constants ---------------------------------------------------------
@@ -302,11 +310,6 @@ def _ring(domain) -> ParabolicContext:
     if isinstance(domain, ParabolicContext):
         return domain
     return ParabolicContext((1,) * int(domain))
-
-
-_ZERO = Polynomial.zero()
-_ONE = Polynomial.const(1)
-_MINUS_ONE = Polynomial.const(-1)
 
 
 def _q_parts(c: Polynomial, k: int) -> list:
@@ -622,28 +625,22 @@ class StructureTable:
                         return False
         return True
 
-    def _divisor_expected(self, i: int, w) -> dict:
-        return _basis_row(i, w, self.ring, set(self.basis))
-
-    def divisor_nodes(self) -> list:
-        return list(self.ring.nodes)
+    def _divisor_rows(self):
+        """(w, table row, rule row) at every node i and basis element w."""
+        reps = set(self.basis)
+        for i in self.ring.nodes:
+            si = simple(i)
+            for w in self.basis:
+                yield w, self.entries[(si, w)], _basis_row(i, w, self.ring, reps)
 
     def check_divisor_rows(self) -> bool:
         """Rows at a simple reflection match the Chevalley-Monk rule exactly."""
-        for i in self.divisor_nodes():
-            si = simple(i)
-            for w in self.basis:
-                if self.entries[(si, w)] != self._divisor_expected(i, w):
-                    return False
-        return True
+        return all(got == expected for _, got, expected in self._divisor_rows())
 
     def _specialized_rows(self, family: str):
         """(w, table row, rule row) at every divisor row, `family` set to 0."""
-        for i in self.divisor_nodes():
-            si = simple(i)
-            for w in self.basis:
-                got = _zero_out(self.entries[(si, w)], family)
-                yield w, got, _zero_out(self._divisor_expected(i, w), family)
+        for w, got, expected in self._divisor_rows():
+            yield w, _zero_out(got, family), _zero_out(expected, family)
 
     def check_quantum_specialization(self) -> bool:
         """a -> 0 on divisor rows: covers plus q-corrections, no weight term."""

@@ -19,6 +19,7 @@ from .quantization import (
     theta,
 )
 from .quantum_ring import (
+    CHEVALLEY_FLAVORS,
     StructureTable,
     bijection_check,
     verify_chevalley,
@@ -142,39 +143,33 @@ def check_stability(max_n: int) -> tuple:
 
 def check_chevalley(max_n: int = 4, flavor: str | None = None) -> tuple:
     """Divisor multiplication rule, all flavors, including every composition."""
-    stable = [flavor] if flavor in FAMILY_KINDS else list(FAMILY_KINDS)
-    if flavor in FAMILY_KINDS:
-        parabolic = False
-    elif flavor == "parabolic":
-        stable, parabolic = [], True
-    elif flavor is None:
-        parabolic = True
-    else:
+    if flavor is not None and flavor not in CHEVALLEY_FLAVORS:
         return False, f"unknown flavor {flavor!r}"
     checks = 0
-    for kind in stable:
-        for w in all_perms(max_n):
-            for i in range(1, max_n + 1):
-                ok, diff = verify_chevalley(i, w, kind)
-                if not ok:
-                    return False, (
-                        f"{kind} rule fails at {list(w)}, i={i}; "
-                        f"difference {format_polynomial(diff)}"
-                    )
-                checks += 1
-    if parabolic:
-        for n in range(2, max_n + 1):
-            for ctx in proper_contexts(n):
-                for w in ctx.minimal_reps():
-                    for i in ctx.nodes:
-                        ok, diff = verify_chevalley(i, w, "parabolic", ctx)
-                        if not ok:
-                            return False, (
-                                f"parabolic rule fails at {ctx.composition}, "
-                                f"{list(w)}, i={i}; "
-                                f"difference {format_polynomial(diff)}"
-                            )
-                        checks += 1
+    for kind in CHEVALLEY_FLAVORS:
+        if flavor not in (None, kind):
+            continue
+        if kind == "parabolic":
+            cases = [
+                (ctx, w, i)
+                for n in range(2, max_n + 1)
+                for ctx in proper_contexts(n)
+                for w in ctx.minimal_reps()
+                for i in ctx.nodes
+            ]
+        else:
+            cases = [
+                (None, w, i) for w in all_perms(max_n) for i in range(1, max_n + 1)
+            ]
+        for ctx, w, i in cases:
+            ok, diff = verify_chevalley(i, w, kind, ctx)
+            if not ok:
+                where = "" if ctx is None else f"{ctx.composition}, "
+                return False, (
+                    f"{kind} rule fails at {where}{list(w)}, i={i}; "
+                    f"difference {format_polynomial(diff)}"
+                )
+            checks += 1
     return True, f"{checks} identities"
 
 

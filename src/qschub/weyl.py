@@ -305,8 +305,9 @@ class ParabolicContext:
 
     composition: tuple
     partial_sums: tuple = field(init=False, repr=False)
-    # The blocks as 0-based slices of a one-line form; derived from the
-    # composition, so left out of repr, equality and hashing.
+    # The blocks of size > 1 as 0-based slices of a one-line form, the only
+    # ones `min_rep` sorts; derived from the composition, so left out of
+    # repr, equality and hashing.
     _slices: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -315,8 +316,7 @@ class ParabolicContext:
             raise ValueError(f"composition must be nonempty positive: {comp}")
         object.__setattr__(self, "composition", comp)
         object.__setattr__(self, "partial_sums", tuple(itertools.accumulate(comp)))
-        starts = (0,) + self.partial_sums[:-1]
-        slices = tuple(slice(lo, hi) for lo, hi in zip(starts, self.partial_sums))
+        slices = tuple(slice(lo - 1, hi) for lo, hi in self.blocks() if hi > lo)
         object.__setattr__(self, "_slices", slices)
 
     @property
@@ -350,7 +350,8 @@ class ParabolicContext:
 
     def blocks(self) -> list:
         """Position ranges [(lo, hi), ...] of the blocks, inclusive."""
-        return [(block.start + 1, block.stop) for block in self._slices]
+        starts = (0,) + self.partial_sums[:-1]
+        return [(lo + 1, hi) for lo, hi in zip(starts, self.partial_sums)]
 
     def wp_generators(self) -> list:
         """Simple reflection indices generating W_P."""
@@ -432,8 +433,9 @@ def _block_splits(values, sizes):
 def eta_p(alpha: Root, ctx: ParabolicContext) -> Polynomial:
     """q_{eta_P(alpha^vee)} = prod of q_i over the nodes N_i in [r, s)."""
     r, s = alpha
-    factors = (q(i) for i, node in enumerate(ctx.nodes, start=1) if r <= node < s)
-    return math.prod(factors, start=Polynomial.const(1))
+    nodes = enumerate(ctx.nodes, start=1)
+    mono = tuple((("q", i), 1) for i, node in nodes if r <= node < s)
+    return Polynomial.from_terms([(mono, 1)])
 
 
 # -- text forms ---------------------------------------------------------------

@@ -365,11 +365,10 @@ class TestChainCache:
             schubert._dd_from_top,
             schubert._top_factors,
             schubert._signed_chain,
-            schubert._member,
+            schubert._a_free_member,
             schubert._x_chain_member,
             schubert._cauchy_left,
             schubert._w0_p_inverse,
-            parabolic._a_free_member,
             parabolic._extended,
             quantum_ring._b_root_set,
             weyl._weak_order_ideal,
@@ -381,7 +380,7 @@ class TestChainCache:
     def test_full_flag_members_reuse_the_parabolic_chain(self):
         from qschub import schubert
 
-        schubert._member.cache_clear()
+        schubert._a_free_member.cache_clear()
         schubert._dd_from_top.cache_clear()
         ones = ParabolicContext((1, 1, 1, 1))
         for w in ones.minimal_reps():

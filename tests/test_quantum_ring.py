@@ -3,7 +3,11 @@
 import pytest
 
 from qschub import quantum_ring
-from qschub.parabolic import expand_in_parabolic_basis, parabolic_q_double_schubert
+from qschub.parabolic import (
+    _context_for,
+    expand_in_parabolic_basis,
+    parabolic_q_double_schubert,
+)
 from qschub.poly import Polynomial, a, format_polynomial, parse_polynomial, q
 from qschub.quantum_ring import (
     StructureTable,
@@ -23,8 +27,11 @@ from qschub.schubert import (
 from qschub.weyl import (
     ParabolicContext,
     all_perms,
+    apply_to,
+    is_cover,
     length,
     pair_two_rho,
+    q_coroot,
     reflect,
     simple,
 )
@@ -157,6 +164,12 @@ class TestChevalleyRule:
         with pytest.raises(ValueError):
             chevalley_rhs(1, (2, 1), "equivariant")
 
+    def test_rejects_bad_nodes(self):
+        with pytest.raises(ValueError, match="node must be >= 1"):
+            chevalley_rhs(0, (2, 1), "classical")
+        with pytest.raises(ValueError, match="not a node"):
+            chevalley_rhs(1, (1, 3, 2), "parabolic", ParabolicContext((2, 2)))
+
 
 class TestBijection:
     def test_full_flag_s4(self):
@@ -181,6 +194,96 @@ class TestBijection:
         assert cold == warm == [True] * len(cases)
         for w, ctx in cases:
             assert b_root_set(w, ctx) == b_root_set(w, ctx, window=2), (w, ctx)
+
+
+# The former two-armed Chevalley rule, kept here as an independent oracle:
+# the full flag (ctx None) has its own arm in each membership test, B is
+# enumerated per node rather than filtered from the unfiltered drops, and
+# each stable flavor builds its own row.
+
+
+def former_in_a_set(w, alpha, ctx):
+    if not is_cover(w, alpha):
+        return False
+    if ctx is None:
+        return True
+    if ctx.is_p_root(alpha):
+        return False
+    moved = reflect(w, alpha)
+    return _context_for(ctx, moved).is_min_rep(moved)
+
+
+def former_in_b_set(w, alpha, ctx):
+    if ctx is None:
+        return length(reflect(w, alpha)) == length(w) + 1 - pair_two_rho(alpha)
+    if ctx.is_p_root(alpha):
+        return False
+    moved = reflect(w, alpha)
+    drop = pair_two_rho(alpha) - ctx.pair_two_rho_p(alpha)
+    return length(_context_for(ctx, moved).min_rep(moved)) == length(w) + 1 - drop
+
+
+def former_root_sets(w, i, ctx=None):
+    def roots(s_max):
+        return [(r, s) for r in range(1, i + 1) for s in range(i + 1, s_max + 1)]
+
+    covers = roots(max(len(w), i) + 1)
+    A = {alpha for alpha in covers if former_in_a_set(w, alpha, ctx)}
+    B = {alpha for alpha in roots(len(w)) if former_in_b_set(w, alpha, ctx)}
+    return A, B
+
+
+def former_b_root_set(w, ctx=None):
+    n = len(w)
+    roots = [(r, s) for r in range(1, n) for s in range(r + 1, n + 1)]
+    return {alpha for alpha in roots if former_in_b_set(w, alpha, ctx)}
+
+
+def flavor_ladder_terms(i, w, flavor):
+    """The full-flag row by the former flavor ladder: a weight term for the
+    double flavors, covers always, q_coroot drops for the quantum ones."""
+    A, B = former_root_sets(w, i)
+    terms = {}
+
+    def add(z, coeff):
+        terms[z] = terms.get(z, Polynomial.zero()) + coeff
+
+    if flavor in ("double", "quantum_double"):
+        for j in range(1, i + 1):
+            add(w, a(apply_to(w, j)) - a(j))
+    for alpha in A:
+        add(reflect(w, alpha), Polynomial.const(1))
+    if flavor in ("quantum", "quantum_double"):
+        for alpha in B:
+            add(reflect(w, alpha), q_coroot(alpha))
+    return {z: c for z, c in terms.items() if c}
+
+
+class TestOneRuleAgainstTheFlavorLadder:
+    """The one (1, ..., 1) rule row, zeroed per flavor, against the former
+    full-flag arms."""
+
+    def test_rows_and_root_sets_on_s4(self):
+        full_flag = ParabolicContext((1,))
+        for w in all_perms(4):
+            for i in range(1, 6):
+                sets = chevalley_root_sets(w, i)
+                assert (sets.A, sets.B) == former_root_sets(w, i), (w, i)
+                for flavor in FAMILY_KINDS:
+                    got = quantum_ring._chevalley_terms(i, w, flavor, full_flag)
+                    assert got == flavor_ladder_terms(i, w, flavor), (flavor, w, i)
+
+    def test_b_root_set_on_s5(self):
+        for w in all_perms(5):
+            assert b_root_set(w) == former_b_root_set(w), w
+
+    def test_parabolic_root_sets_on_compositions_of_four(self):
+        for ctx in proper_contexts(4):
+            for w in ctx.minimal_reps():
+                assert b_root_set(w, ctx) == former_b_root_set(w, ctx), w
+                for i in ctx.nodes:
+                    sets = chevalley_root_sets(w, i, ctx)
+                    assert (sets.A, sets.B) == former_root_sets(w, i, ctx), (w, i)
 
 
 class TestStructureConstants:
