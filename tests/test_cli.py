@@ -81,6 +81,18 @@ class TestPoly:
         assert exit_code == 2
         assert "minimal" in err
 
+    @pytest.mark.parametrize(
+        "w, message",
+        [
+            ("[1,2,4,3]", "permutation [1, 2, 4, 3] has support beyond n=3"),
+            ("[2,1,3]", "[2, 1, 3] is not minimal in its coset"),
+        ],
+    )
+    def test_parabolic_input_outside_the_coset_basis(self, capsys, w, message):
+        exit_code, out, err = run(capsys, "poly", "--w", w, "--parabolic", "2,1")
+        assert (exit_code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "member.txt"
         exit_code, out, _ = run(

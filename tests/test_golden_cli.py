@@ -133,6 +133,31 @@ GOLDEN = [
         0,
         "077d1a6a4ed89ed4732ad8d3f4f65d300750629119c20974aa68431f42851f5a",
     ),
+    (
+        ["expand", "--poly", "x1^3", "--parabolic", "1,1"],
+        0,
+        "ea019653b677bda53ef870329a6c871d3336c2c494da1fee5396aadad1e23595",
+    ),
+    (
+        ["verify", "stability", "--max-n", "5"],
+        0,
+        "e39d26e1b342d1ca6bca2b2300253f6e736596e7c05afb95da96c8f092ff2ddd",
+    ),
+    (
+        ["verify", "chevalley", "--max-n", "4", "--flavor", "parabolic"],
+        0,
+        "e6e560a48431c43c1ab0804ae590f0bec27d7f328605232d4b577a4a63efca33",
+    ),
+    (
+        ["poly", "--w", "[1,2,4,3]", "--parabolic", "2,1"],
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    (
+        ["poly", "--w", "[2,1,3]", "--parabolic", "2,1"],
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
 ]
 
 
