@@ -20,8 +20,6 @@ as the composition (1, ..., 1); this module re-exports the basis.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .poly import Polynomial
 from .quantization import (
     G_polynomial,
@@ -39,7 +37,7 @@ from .schubert import (
     d_matrix,
     divided_difference,  # noqa: F401  (perfbench's tracer test reads it here)
 )
-from .weyl import ParabolicContext, Permutation, extend, perm_from_code, trim
+from .weyl import ParabolicContext, perm_from_code
 
 __all__ = [
     "d_matrix",
@@ -65,10 +63,7 @@ def parabolic_q_double_schubert(ctx: ParabolicContext, w) -> Polynomial:
     >>> print(parabolic_q_double_schubert(ctx, ()))
     1
     """
-    w = trim(w)
-    if not ctx.is_min_rep(w):
-        raise ValueError(f"{list(extend(w, ctx.n))} is not minimal in its coset")
-    return _chain_member(ctx.composition, True, w)
+    return _chain_member(ctx.composition, True, ctx.check_rep(w))
 
 
 def theta_P(ctx: ParabolicContext, f: Polynomial) -> Polynomial:
@@ -89,27 +84,14 @@ def theta_P(ctx: ParabolicContext, f: Polynomial) -> Polynomial:
 def parabolic_cauchy_rhs(ctx: ParabolicContext, w) -> Polynomial:
     """Sum of Schub_{v w^{-1}}(-a) times the a -> 0 member of v, over the left
     weak order ideal of w; equals the member attached to w."""
-    w = trim(w)
-    if not ctx.is_min_rep(w):
-        raise ValueError(f"{list(extend(w, ctx.n))} is not minimal in its coset")
-    return _cauchy_sum(w, lambda v: _a_free_member(ctx.composition, v))
+    return _cauchy_sum(ctx.check_rep(w), lambda v: _a_free_member(ctx.composition, v))
 
 
-# -- basis expansion over the extended contexts ----------------------------------
-
-
-# Bounded like the member caches: one context per (ctx, extra) asked for.
-@lru_cache(maxsize=2048)
-def _extended(ctx: ParabolicContext, extra: int) -> ParabolicContext:
-    return ctx.extend(extra)
-
-
-def _context_for(ctx: ParabolicContext, w: Permutation) -> ParabolicContext:
-    return ctx if len(w) <= ctx.n else _extended(ctx, len(w) - ctx.n)
+# -- basis expansion --------------------------------------------------------------
 
 
 def expand_in_parabolic_basis(f: Polynomial, ctx: ParabolicContext) -> dict:
-    """Expand f over the members of ctx and its singleton-block extensions.
+    """Expand f over the members of ctx, read with singleton blocks past n.
 
     Returns {w: coefficient Polynomial in a, q}.  Every extracted leading
     code must belong to a minimal coset representative; anything else means
@@ -118,13 +100,12 @@ def expand_in_parabolic_basis(f: Polynomial, ctx: ParabolicContext) -> dict:
 
     def member(vec, coeff):
         w = perm_from_code(vec)
-        sub = _context_for(ctx, w)
-        if not sub.is_min_rep(w):
+        if not ctx.is_min_rep(w):
             raise ValueError(
                 f"leading code {list(vec)} is not the code of a minimal "
                 f"representative; input outside the parabolic span"
             )
-        return w, parabolic_q_double_schubert(sub, w)
+        return w, _chain_member(ctx.composition, True, w)
 
     return _expand_by_leads(f, member)
 

@@ -91,20 +91,10 @@ def _shift(family: str, index: int) -> int:
     return (_FIRST[family] + index - 1) * _W
 
 
-# Built once: _BLOCK_MASKS[family][lo - 1] holds the exponent bits of the
-# family's variables with index >= lo, for lo = 1 .. SLOTS + 1 (the last is 0).
-_BLOCK_MASKS = {
-    fam: tuple(
-        sum(_EXP << _shift(fam, t) for t in range(lo, SLOTS + 1))
-        for lo in range(1, SLOTS + 2)
-    )
-    for fam in FAMILIES
+# The exponent bits of each family's variables.
+_BLOCK_MASK = {
+    fam: sum(_EXP << _shift(fam, t) for t in range(1, SLOTS + 1)) for fam in FAMILIES
 }
-
-
-def _block_mask(family: str, lo: int = 1) -> int:
-    """Exponent bits of the family's variables with index >= lo >= 1."""
-    return _BLOCK_MASKS[family][min(lo, SLOTS + 1) - 1]
 
 
 # The key added per unit exponent of each variable; an x unit also bumps the
@@ -118,12 +108,12 @@ _VARIABLE_AT = {_shift(fam, t) // _W: (fam, t) for fam, t in _UNITS}
 _UNIT_SHIFT = {unit: _shift(*v) for v, unit in _UNITS.items()}
 # Whole-family masks for split(); the x mask includes the x-degree field.
 _FAMILY_MASK = {
-    "a": _block_mask("a"),
-    "q": _block_mask("q"),
-    "x": _block_mask("x") | (_EXP << _DEG_SHIFT),
+    "a": _BLOCK_MASK["a"],
+    "q": _BLOCK_MASK["q"],
+    "x": _BLOCK_MASK["x"] | (_EXP << _DEG_SHIFT),
 }
 _AQ_MASK = _FAMILY_MASK["a"] | _FAMILY_MASK["q"]
-_VARS_MASK = _AQ_MASK | _block_mask("x")
+_VARS_MASK = _AQ_MASK | _BLOCK_MASK["x"]
 # Every other exponent field of the a and q blocks: with 16 bits between
 # them, such a value is congruent to its field sum modulo 2^16 - 1, and that
 # sum (at most 16 * 127) is below the modulus.
@@ -331,7 +321,7 @@ class Polynomial:
 
     def max_index(self, family: str) -> int:
         """Largest index of the given family appearing, or 0."""
-        block = reduce(or_, self.terms, 0) & _block_mask(family)
+        block = reduce(or_, self.terms, 0) & _BLOCK_MASK[family]
         return (block.bit_length() - _FIRST[family] * _W + _W - 1) // _W if block else 0
 
     def staircase(self) -> int:
@@ -344,7 +334,7 @@ class Polynomial:
         >>> Polynomial.const(7).staircase()
         1
         """
-        top, base, mask = 1, _FIRST["x"] * _W, _block_mask("x")
+        top, base, mask = 1, _FIRST["x"] * _W, _BLOCK_MASK["x"]
         for m in self.terms:
             m = (m & mask) >> base
             i = 1
@@ -436,9 +426,9 @@ class Polynomial:
                 acc[k] = acc.get(k, 0) + v
         return _poly({m: c for m, c in acc.items() if c})
 
-    def zero_out(self, family: str, min_index: int = 1) -> "Polynomial":
-        """Set every variable of `family` with index >= min_index to zero."""
-        mask = _block_mask(family, max(min_index, 1))
+    def zero_out(self, family: str) -> "Polynomial":
+        """Set every variable of `family` to zero."""
+        mask = _BLOCK_MASK[family]
         return _poly({m: c for m, c in self.terms.items() if not m & mask})
 
     def swap_indices(self, family: str, i: int, j: int) -> "Polynomial":
@@ -685,7 +675,7 @@ def char_poly_at(coeffs: list, value: Polynomial) -> Polynomial:
 
 def _sorted_terms(f: Polynomial) -> list:
     wa, wq = max(1, f.max_index("a")), max(1, f.max_index("q"))
-    x_fields = _block_mask("x")
+    x_fields = _BLOCK_MASK["x"]
 
     # Descending total degree; then the x parts in reverse-lex order where at
     # the largest differing index the larger exponent comes first; then the a

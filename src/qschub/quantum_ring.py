@@ -14,9 +14,10 @@ carries q_k, q_{k+1}, ... or a_{n+1}, ..., which the tests check.  The
 full-flag ring of S_n is the ring of the composition (1, ..., 1), so an
 integer domain n means that composition and every table is built by the one
 parabolic route.  The rule itself treats the full flag the same way: root
-sets, rule rows and the bijection check take it as (1, ...) extended by
-singleton blocks as far as each permutation needs, and the classical,
-quantum and double flavors are the one row with a, q or both set to 0.
+sets, rule rows and the bijection check take it as the composition (1,),
+whose context, like every context, reads each position past its n as a
+singleton block; the classical, quantum and double flavors are the one row
+with a, q or both set to 0.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .poly import (
     sum_of_products,
     x_order_key,
 )
-from .parabolic import _context_for, parabolic_q_double_schubert
 from .schubert import _chain_member, schubert_polynomial
 from .weyl import (
     ParabolicContext,
@@ -72,8 +72,8 @@ __all__ = [
 
 CHEVALLEY_FLAVORS = ("classical", "quantum", "double", "quantum_double", "parabolic")
 
-# The full flag is the composition (1, ..., 1); `_context_for` extends this
-# one-block start by singleton blocks as far as each permutation needs.
+# The full flag is the composition (1, ..., 1): this one-block start, read
+# with a singleton block at every later position.
 _FULL_FLAG = ParabolicContext((1,))
 _ZERO = Polynomial.zero()
 _ONE = Polynomial.const(1)
@@ -97,15 +97,10 @@ class ChevalleyRootSets:
     B: frozenset
 
 
-def _pi_p(ctx: ParabolicContext, w: Permutation) -> Permutation:
-    return _context_for(ctx, w).min_rep(w)
-
-
 def _in_a_set(w, alpha, ctx) -> bool:
     if not is_cover(w, alpha) or ctx.is_p_root(alpha):
         return False
-    moved = reflect(w, alpha)
-    return _context_for(ctx, moved).is_min_rep(moved)
+    return ctx.is_min_rep(reflect(w, alpha))
 
 
 def _in_b_set(w, alpha, ctx, length_w: int) -> bool:
@@ -114,24 +109,21 @@ def _in_b_set(w, alpha, ctx, length_w: int) -> bool:
     if ctx.is_p_root(alpha):
         return False
     drop = pair_two_rho(alpha) - ctx.pair_two_rho_p(alpha)
-    return length(_pi_p(ctx, reflect(w, alpha))) == length_w + 1 - drop
+    return length(ctx.min_rep(reflect(w, alpha))) == length_w + 1 - drop
 
 
 def chevalley_root_sets(
-    w, i: int, ctx: ParabolicContext | None = None, window: int = 0
+    w, i: int, ctx: ParabolicContext | None = None
 ) -> ChevalleyRootSets:
     """The A (cover) and B (length drop) roots at node i, exactly enumerated;
     no ctx means the full flag.
-
-    `window` widens the search bound; the defaults are provably complete and
-    the tests confirm this by comparing against widened windows.
 
     >>> sets = chevalley_root_sets((2, 1), 1)
     >>> sorted(sets.A), sorted(sets.B)
     ([(1, 3)], [(1, 2)])
     """
     _check_node(i, ctx)
-    return _root_sets(trim(w), i, ctx or _FULL_FLAG, window)
+    return _root_sets(trim(w), i, ctx or _FULL_FLAG)
 
 
 def _check_node(i: int, ctx: ParabolicContext | None):
@@ -141,34 +133,34 @@ def _check_node(i: int, ctx: ParabolicContext | None):
         raise ValueError(f"{i} is not a node of the composition {ctx.composition}")
 
 
-def _root_sets(w: Permutation, i: int, ctx: ParabolicContext, window: int):
-    a_max = max(len(w), i) + 1 + window
+def _root_sets(w: Permutation, i: int, ctx: ParabolicContext):
+    a_max = max(len(w), i) + 1
     A = frozenset(
         (r, s)
         for r in range(1, i + 1)
         for s in range(i + 1, a_max + 1)
         if _in_a_set(w, (r, s), ctx)
     )
-    B = frozenset((r, s) for r, s in _b_root_set(w, ctx, window) if r <= i < s)
+    B = frozenset((r, s) for r, s in _b_root_set(w, ctx) if r <= i < s)
     return ChevalleyRootSets(i, A, B)
 
 
-def b_root_set(w, ctx: ParabolicContext | None = None, window: int = 0) -> frozenset:
+def b_root_set(w, ctx: ParabolicContext | None = None) -> frozenset:
     """All length-drop roots of w (no node filter); drives the bijection checks.
     w may be any one-line sequence; no ctx means the full flag.
 
     >>> sorted(b_root_set([2, 1]))
     [(1, 2)]
     """
-    return _b_root_set(trim(w), ctx or _FULL_FLAG, window)
+    return _b_root_set(trim(w), ctx or _FULL_FLAG)
 
 
-# Bounded like the member caches: one small frozenset per (trimmed w, ctx,
-# window), and the bijection checks of S_5 ask for 660 of them.  Length drops
-# lie below s = len(w) + window.
+# Bounded like the member caches: one small frozenset per (trimmed w, ctx),
+# and the bijection checks of S_5 ask for 660 of them.  Length drops lie
+# below s = len(w).
 @lru_cache(maxsize=2048)
-def _b_root_set(w: Permutation, ctx: ParabolicContext, window: int) -> frozenset:
-    bound, length_w = len(w) + window, length(w)
+def _b_root_set(w: Permutation, ctx: ParabolicContext) -> frozenset:
+    bound, length_w = len(w), length(w)
     return frozenset(
         (r, s)
         for r in range(1, bound)
@@ -189,7 +181,7 @@ def weight_term(w, i: int) -> Polynomial:
 
 def _member(flavor: str, w, ctx) -> Polynomial:
     if flavor == "parabolic":
-        return parabolic_q_double_schubert(_context_for(ctx, w), w)
+        return _chain_member(ctx.composition, True, w)
     return schubert_polynomial(w, flavor)
 
 
@@ -203,7 +195,7 @@ def _chevalley_terms(i: int, w, flavor: str, ctx: ParabolicContext) -> dict:
     the q-monomial of the coroot.  The classical, quantum and double
     flavors are that row with {a, q}, {a} and {q} set to 0.
     """
-    sets = _root_sets(w, i, ctx, 0)
+    sets = _root_sets(w, i, ctx)
     terms = {w: weight_term(w, i)}
 
     def add(z, coeff):
@@ -211,9 +203,8 @@ def _chevalley_terms(i: int, w, flavor: str, ctx: ParabolicContext) -> dict:
 
     for alpha in sorted(sets.A):
         add(reflect(w, alpha), _ONE)
-    q_ctx = _context_for(ctx, w)
     for alpha in sorted(sets.B):
-        add(_pi_p(ctx, reflect(w, alpha)), eta_p(alpha, q_ctx))
+        add(ctx.min_rep(reflect(w, alpha)), eta_p(alpha, ctx))
     for family in _ZEROED[flavor]:
         terms = {z: c.zero_out(family) for z, c in terms.items()}
     return {z: c for z, c in terms.items() if c}
@@ -233,14 +224,15 @@ def chevalley_rhs(
     """
     if flavor not in CHEVALLEY_FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
+    w = trim(w)
     if flavor != "parabolic":
         ctx = None
     elif ctx is None:
         raise ValueError("parabolic flavor needs a composition context")
-    elif not ctx.is_min_rep(w):
-        raise ValueError(f"{list(w)} is not minimal in its coset")
+    else:
+        w = ctx.check_rep(w)
     _check_node(i, ctx)
-    terms = _chevalley_terms(i, trim(w), flavor, ctx or _FULL_FLAG)
+    terms = _chevalley_terms(i, w, flavor, ctx or _FULL_FLAG)
     return sum_of_products((coeff, _member(flavor, z, ctx)) for z, coeff in terms.items())
 
 
@@ -268,7 +260,7 @@ def bijection_check(w, ctx: ParabolicContext | None = None) -> bool:
     w, ctx = trim(w), ctx or _FULL_FLAG
 
     def move(v, alpha):
-        return _pi_p(ctx, reflect(v, alpha))
+        return ctx.min_rep(reflect(v, alpha))
 
     moved = {alpha: move(w, alpha) for alpha in b_root_set(w, ctx)}
     second = {(u, alpha) for alpha, z in moved.items() for u in weak_order_ideal(z)}
@@ -276,7 +268,7 @@ def bijection_check(w, ctx: ParabolicContext | None = None) -> bool:
     w_inverse = inverse(w)
     image, pairs = set(), 0
     for v in weak_order_ideal(w):
-        if not _context_for(ctx, v).is_min_rep(v):
+        if not ctx.is_min_rep(v):
             return False
         index = compose(v, w_inverse)
         for alpha in b_root_set(v, ctx):
@@ -565,10 +557,7 @@ def structure_constants(domain, u, v) -> dict:
     [((), 'q1'), ((2, 1), '-a1 + a2')]
     """
     ctx = _ring(domain)
-    for z in (u, v):
-        if not ctx.is_min_rep(z):
-            raise ValueError(f"{list(z)} is not minimal in its coset")
-    return _solver(ctx.composition).product(trim(u), trim(v))
+    return _solver(ctx.composition).product(ctx.check_rep(u), ctx.check_rep(v))
 
 
 class StructureTable:

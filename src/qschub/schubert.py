@@ -194,7 +194,9 @@ def _w0_p_inverse(composition: tuple) -> Permutation:
 
 
 def _chain_member(composition: tuple, quantum: bool, w: Permutation) -> Polynomial:
-    """The signed chain for v = w (w_0^P)^{-1}."""
+    """The signed chain for v = w (w_0^P)^{-1}, the composition followed by
+    as many singleton blocks as w needs past its n."""
+    composition += (1,) * (len(w) - sum(composition))
     return _signed_chain(composition, quantum, compose(w, _w0_p_inverse(composition)))
 
 

@@ -290,11 +290,17 @@ def q_coroot(alpha: Root) -> Polynomial:
 
 @dataclass(frozen=True)
 class ParabolicContext:
-    """Block data for a composition (n_1, ..., n_k) of n.
+    """Block data for a composition (n_1, ..., n_k) of n, followed by
+    singleton blocks forever.
 
     Positions 1..n are split into consecutive blocks of sizes n_j; W_P is
     generated by the simple reflections inside blocks, and the Dynkin nodes
     {N_1, ..., N_{k-1}} at the block boundaries index the q variables.
+    Every position past n is a block of its own, so a permutation of any
+    length has a coset: `min_rep`, `is_min_rep`, `two_rho_p`, `is_p_root`
+    and `eta_p` read it in S_oo, which is the reading under which members
+    are stable.  `nodes`, `blocks`, `minimal_reps` and the grading describe
+    the finite part in S_n, and `check_rep` admits only W^P inside S_n.
 
     >>> ctx = ParabolicContext((2, 1, 3))
     >>> ctx.n, ctx.partial_sums, sorted(ctx.nodes)
@@ -362,18 +368,28 @@ class ParabolicContext:
         return ParabolicContext(self.composition + (1,) * extra)
 
     def min_rep(self, w: Permutation) -> Permutation:
-        """pi_P(w) = w^P: sort w's values ascending within each position block."""
-        n = self.n
-        if len(w) > n:
-            raise ValueError(f"permutation {list(w)} has support beyond n={n}")
+        """pi_P(w) = w^P: sort w's values ascending within each position
+        block; the singleton blocks sort nothing."""
+        if not self._slices:
+            return trim(w)
         line = list(w)
-        line.extend(range(len(line) + 1, n + 1))
+        line.extend(range(len(line) + 1, self.n + 1))
         for block in self._slices:
             line[block] = sorted(line[block])
         return trim(line)
 
     def is_min_rep(self, w: Permutation) -> bool:
         return self.min_rep(w) == trim(w)
+
+    def check_rep(self, w) -> Permutation:
+        """trim(w) if it lies in W^P inside S_n; else ValueError.  The entry
+        check of the functions that take a basis element of the finite ring."""
+        w = trim(w)
+        if len(w) > self.n:
+            raise ValueError(f"permutation {list(w)} has support beyond n={self.n}")
+        if not self.is_min_rep(w):
+            raise ValueError(f"{list(extend(w, self.n))} is not minimal in its coset")
+        return w
 
     def decompose(self, w: Permutation):
         """w = w^P * w_P with w^P minimal in its coset and lengths adding up."""
@@ -431,9 +447,13 @@ def _block_splits(values, sizes):
 
 
 def eta_p(alpha: Root, ctx: ParabolicContext) -> Polynomial:
-    """q_{eta_P(alpha^vee)} = prod of q_i over the nodes N_i in [r, s)."""
+    """q_{eta_P(alpha^vee)} = prod of q_i over the nodes N_i in [r, s).
+
+    Past n the singleton blocks continue the nodes as n, n+1, ... with q
+    indices k, k+1, ....
+    """
     r, s = alpha
-    nodes = enumerate(ctx.nodes, start=1)
+    nodes = enumerate(ctx.nodes + tuple(range(ctx.n, s)), start=1)
     mono = tuple((("q", i), 1) for i, node in nodes if r <= node < s)
     return Polynomial.from_terms([(mono, 1)])
 

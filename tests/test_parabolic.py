@@ -369,7 +369,6 @@ class TestChainCache:
             schubert._x_chain_member,
             schubert._cauchy_left,
             schubert._w0_p_inverse,
-            parabolic._extended,
             quantum_ring._b_root_set,
             weyl._weak_order_ideal,
         ):

@@ -216,10 +216,10 @@ def test_divided_differences_match_reference(f, fam, i):
 
 
 @SETTINGS
-@given(refs, st.sampled_from("xaq"), st.integers(1, 6), st.integers(1, 5), st.integers(1, 5))
-def test_substitutions_match_reference(f, fam, min_index, i, j):
+@given(refs, st.sampled_from("xaq"), st.integers(1, 5), st.integers(1, 5))
+def test_substitutions_match_reference(f, fam, i, j):
     p = Polynomial(f)
-    assert to_ref(p.zero_out(fam, min_index)) == ref_zero_out(f, fam, min_index)
+    assert to_ref(p.zero_out(fam)) == ref_zero_out(f, fam, 1)
     assert to_ref(p.swap_indices(fam, i, j)) == ref_swap(f, fam, i, j)
 
 

@@ -205,7 +205,10 @@ def test_pairings():
         for s in range(r + 1, 8):
             crossed = [t for t in range(1, s) if pair_omega((r, s), t)]
             assert q_coroot((r, s)) == math.prod((q(t) for t in crossed), start=1)
-            at_nodes = [j for j, node in enumerate(ctx.nodes, 1) if node in crossed]
+            # s = 7 crosses position 6 = n, the node of the first singleton
+            # block past n
+            nodes = (ctx if s <= ctx.n else ctx.extend(1)).nodes
+            at_nodes = [j for j, node in enumerate(nodes, 1) if node in crossed]
             assert eta_p((r, s), ctx) == math.prod((q(j) for j in at_nodes), start=1)
 
 
@@ -247,8 +250,9 @@ def test_parabolic_decompose_trivial_cases():
     for w in ctx.minimal_reps():
         assert ctx.decompose(w) == (w, identity)
     assert ctx.decompose(simple(1)) == (identity, simple(1))
-    with pytest.raises(ValueError):
-        ctx.min_rep(perm_from_code((6,)))
+    # positions past n are singleton blocks, as in the extended context
+    past_n = perm_from_code((6,))
+    assert ctx.min_rep(past_n) == ctx.extend(1).min_rep(past_n)
 
 
 def test_parabolic_decompose_length_additive():
@@ -388,6 +392,57 @@ def test_min_rep_matches_the_plain_form(case):
     expected = plain_min_rep(comp, w)
     assert ctx.min_rep(w) == ctx.min_rep(tuple(w)) == ctx.min_rep(trim(w)) == expected
     assert ctx.is_min_rep(w) == ctx.is_min_rep(tuple(w)) == (expected == plain_trim(w))
+
+
+def composition_from_cuts(cuts):
+    """The composition of len(cuts) + 1 with a block boundary after each
+    True."""
+    comp, size = [], 1
+    for cut in cuts:
+        if cut:
+            comp.append(size)
+            size = 0
+        size += 1
+    return tuple(comp + [size])
+
+
+# Compositions of at most 6, with untrimmed one-line lists up to 3 past n.
+past_n_cases = (
+    st.lists(st.booleans(), max_size=5)
+    .map(composition_from_cuts)
+    .flatmap(
+        lambda comp: st.tuples(
+            st.just(comp),
+            st.integers(0, sum(comp) + 3).flatmap(
+                lambda m: st.permutations(list(range(1, m + 1)))
+            ),
+        )
+    )
+)
+
+
+@SETTINGS
+@given(past_n_cases)
+def test_positions_past_n_are_singleton_blocks(case):
+    comp, w = case
+    ctx = ParabolicContext(comp)
+    wide = ctx.extend(max(len(w) - ctx.n, 0))
+    assert ctx.min_rep(w) == wide.min_rep(w)
+    assert ctx.is_min_rep(w) == wide.is_min_rep(w)
+    top = max(len(w), ctx.n)
+    for r in range(1, top):
+        for s in range(r + 1, top + 1):
+            assert eta_p((r, s), ctx) == eta_p((r, s), wide), (r, s)
+
+
+def test_check_rep_admits_w_p_inside_s_n_only():
+    ctx = ParabolicContext((2, 1))
+    assert ctx.check_rep([1, 3, 2]) == (1, 3, 2)
+    assert ctx.check_rep([1, 2, 3, 4]) == identity
+    with pytest.raises(ValueError, match=r"^permutation \[1, 2, 4, 3\] has support beyond n=3$"):
+        ctx.check_rep((1, 2, 4, 3))
+    with pytest.raises(ValueError, match=r"^\[2, 1, 3\] is not minimal in its coset$"):
+        ctx.check_rep((2, 1))
 
 
 def test_block_slices_stay_out_of_repr_equality_and_hash():
