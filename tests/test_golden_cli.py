@@ -149,6 +149,16 @@ GOLDEN = [
         "e6e560a48431c43c1ab0804ae590f0bec27d7f328605232d4b577a4a63efca33",
     ),
     (
+        ["verify", "cauchy", "--max-n", "5"],
+        0,
+        "8985dfcbd41f1211509ecc5458a34734f8d0d5e40f9a7f5cdf3a86a0db15ab16",
+    ),
+    (
+        ["verify", "chevalley", "--max-n", "4"],
+        0,
+        "8413ba11a376c53c4fa62660751fc2b4c46a872c4ba52e3bebb97e2acb20e60d",
+    ),
+    (
         ["poly", "--w", "[1,2,4,3]", "--parabolic", "2,1"],
         2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
