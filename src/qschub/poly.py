@@ -534,6 +534,8 @@ def sum_of_products(pairs) -> Polynomial:
     A monomial product is the sum of two keys.  An exponent that overflows
     sets a guard bit, and its key stays in the dict even if its coefficient
     cancels, so one check of all keys at the end catches every overflow.
+    The cancelled keys are then deleted from the dict in place, which
+    becomes the result without a copy.
 
     >>> print(sum_of_products([(x(1), x(2)), (x(1) + 1, -x(2))]))
     -x2
@@ -550,7 +552,9 @@ def sum_of_products(pairs) -> Polynomial:
                 key = m1 + m2
                 acc[key] = get(key, 0) + c1 * c2
     _check_guard(reduce(or_, acc, 0), "product")
-    return _poly({m: c for m, c in acc.items() if c})
+    for m in [m for m, c in acc.items() if not c]:
+        del acc[m]
+    return _poly(acc)
 
 
 def variable(family: str, index: int) -> Polynomial:

@@ -27,6 +27,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul, sub
+from types import MappingProxyType
 
 from .poly import (
     Polynomial,
@@ -40,6 +41,7 @@ from .schubert import _chain_member, schubert_polynomial
 from .weyl import (
     ParabolicContext,
     Permutation,
+    _weak_order_ideal,
     apply_to,
     bruhat_leq,
     code,
@@ -55,7 +57,6 @@ from .weyl import (
     reflect,
     simple,
     trim,
-    weak_order_ideal,
 )
 
 __all__ = [
@@ -103,13 +104,20 @@ def _in_a_set(w, alpha, ctx) -> bool:
     return ctx.is_min_rep(reflect(w, alpha))
 
 
-def _in_b_set(w, alpha, ctx, length_w: int) -> bool:
-    """Whether alpha is a length drop of w; `length_w` is l(w), computed once
-    per scan of the roots."""
+def _drop_target(w, alpha, ctx, length_w: int):
+    """pi_P(w s_alpha) if alpha is a length drop of w, else None; `length_w`
+    is l(w), computed once per scan of the roots."""
     if ctx.is_p_root(alpha):
-        return False
+        return None
+    z = ctx.min_rep(reflect(w, alpha))
     drop = pair_two_rho(alpha) - ctx.pair_two_rho_p(alpha)
-    return length(ctx.min_rep(reflect(w, alpha))) == length_w + 1 - drop
+    return z if length(z) == length_w + 1 - drop else None
+
+
+def _in_b_set(w, alpha, ctx, length_w: int) -> bool:
+    """Whether alpha is a length drop of w, for scans that need no target
+    (the tests re-derive the stored bounds with it)."""
+    return _drop_target(w, alpha, ctx, length_w) is not None
 
 
 def chevalley_root_sets(
@@ -152,21 +160,24 @@ def b_root_set(w, ctx: ParabolicContext | None = None) -> frozenset:
     >>> sorted(b_root_set([2, 1]))
     [(1, 2)]
     """
-    return _b_root_set(trim(w), ctx or _FULL_FLAG)
+    return frozenset(_b_root_set(trim(w), ctx or _FULL_FLAG))
 
 
-# Bounded like the member caches: one small frozenset per (trimmed w, ctx),
+# Bounded like the member caches: one small mapping per (trimmed w, ctx),
 # and the bijection checks of S_5 ask for 660 of them.  Length drops lie
 # below s = len(w).
 @lru_cache(maxsize=2048)
-def _b_root_set(w: Permutation, ctx: ParabolicContext) -> frozenset:
+def _b_root_set(w: Permutation, ctx: ParabolicContext) -> MappingProxyType:
+    """{alpha: pi_P(w s_alpha)} over the length drops alpha of w, read-only
+    since the cache shares it."""
     bound, length_w = len(w), length(w)
-    return frozenset(
-        (r, s)
+    targets = {
+        (r, s): z
         for r in range(1, bound)
         for s in range(r + 1, bound + 1)
-        if _in_b_set(w, (r, s), ctx, length_w)
-    )
+        if (z := _drop_target(w, (r, s), ctx, length_w)) is not None
+    }
+    return MappingProxyType(targets)
 
 
 def weight_term(w, i: int) -> Polynomial:
@@ -195,7 +206,7 @@ def _chevalley_terms(i: int, w, flavor: str, ctx: ParabolicContext) -> dict:
     the q-monomial of the coroot.  The classical, quantum and double
     flavors are that row with {a, q}, {a} and {q} set to 0.
     """
-    sets = _root_sets(w, i, ctx)
+    sets, targets = _root_sets(w, i, ctx), _b_root_set(w, ctx)
     terms = {w: weight_term(w, i)}
 
     def add(z, coeff):
@@ -204,7 +215,7 @@ def _chevalley_terms(i: int, w, flavor: str, ctx: ParabolicContext) -> dict:
     for alpha in sorted(sets.A):
         add(reflect(w, alpha), _ONE)
     for alpha in sorted(sets.B):
-        add(ctx.min_rep(reflect(w, alpha)), eta_p(alpha, ctx))
+        add(targets[alpha], eta_p(alpha, ctx))
     for family in _ZEROED[flavor]:
         terms = {z: c.zero_out(family) for z, c in terms.items()}
     return {z: c for z, c in terms.items() if c}
@@ -253,34 +264,40 @@ def bijection_check(w, ctx: ParabolicContext | None = None) -> bool:
     weak-below pi_P(w s_alpha).  The projection forgets the Levi part, so the
     inverse is not re-reflection; the check is bijectivity plus the index
     identity the Cauchy coefficients rely on:
-    v w^{-1} = pi_P(v s_alpha) pi_P(w s_alpha)^{-1}.  No ctx means the full
-    flag, the composition (1, ..., 1): there pi_P is the identity, so the map
-    is its own inverse and the index identity holds for every pair.
+    v w^{-1} = pi_P(v s_alpha) pi_P(w s_alpha)^{-1}, checked in the
+    equivalent form u^{-1} v = z^{-1} w for u = pi_P(v s_alpha) and
+    z = pi_P(w s_alpha).  No ctx means the full flag, the composition
+    (1, ..., 1): there pi_P is the identity, so the map is its own inverse
+    and the index identity holds for every pair.
     """
     w, ctx = trim(w), ctx or _FULL_FLAG
-
-    def move(v, alpha):
-        return ctx.min_rep(reflect(v, alpha))
-
-    moved = {alpha: move(w, alpha) for alpha in b_root_set(w, ctx)}
-    second = {(u, alpha) for alpha, z in moved.items() for u in weak_order_ideal(z)}
-    moved_inverse = {alpha: inverse(z) for alpha, z in moved.items()}
-    w_inverse = inverse(w)
+    moved = _b_root_set(w, ctx)
+    second = {(u, alpha) for alpha, z in moved.items() for u in _weak_order_ideal(z)}
+    index = {alpha: compose(inverse(z), w) for alpha, z in moved.items()}
     image, pairs = set(), 0
-    for v in weak_order_ideal(w):
-        if not ctx.is_min_rep(v):
+    for v in _weak_order_ideal(w):
+        in_wp, row = _bijection_row(v, ctx)
+        if not in_wp:
             return False
-        index = compose(v, w_inverse)
-        for alpha in b_root_set(v, ctx):
+        for alpha, u, coset in row:
             # a drop of v that is none of w has no pair in the second set
-            if alpha not in moved:
-                return False
-            u = move(v, alpha)
-            if compose(u, moved_inverse[alpha]) != index:
+            if alpha not in index or coset != index[alpha]:
                 return False
             image.add((u, alpha))
             pairs += 1
     return image == second and len(image) == pairs
+
+
+# Bounded like the member caches: the bijection checks of S_5 and every
+# composition of 5 visit 7,998 (v, ctx) pairs, 660 of them distinct.
+@lru_cache(maxsize=2048)
+def _bijection_row(v: Permutation, ctx: ParabolicContext) -> tuple:
+    """(v in W^P, ((alpha, u, u^{-1} v), ...)) over the length drops alpha
+    of v, with u = pi_P(v s_alpha)."""
+    row = tuple(
+        (alpha, u, compose(inverse(u), v)) for alpha, u in _b_root_set(v, ctx).items()
+    )
+    return ctx.is_min_rep(v), row
 
 
 # -- structure constants ---------------------------------------------------------

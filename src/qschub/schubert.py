@@ -43,16 +43,16 @@ from .poly import (
 from .weyl import (
     ParabolicContext,
     Permutation,
+    _ideal_cosets,
     compose,
     extend,
+    first_left_descent,
     identity,
     inverse,
     length,
     perm_from_code,
-    reduced_word,
     simple,
     trim,
-    weak_order_ideal,
 )
 
 __all__ = [
@@ -166,7 +166,7 @@ def _dd_from_top(composition: tuple, quantum: bool, v: Permutation) -> tuple:
     a_t for t in `pending`."""
     if v == identity:
         return Polynomial.const(1), frozenset(_top_factors(composition, quantum))
-    i = reduced_word(v)[0]
+    i = first_left_descent(v)
     partial, pending = _dd_from_top(composition, quantum, compose(simple(i), v))
     factors = _top_factors(composition, quantum)
     for t in (i, i + 1):
@@ -276,10 +276,7 @@ def _cauchy_left(u: Permutation) -> Polynomial:
 def _cauchy_sum(w: Permutation, right) -> Polynomial:
     """Sum of Schub_{v w^{-1}}(-a) times right(v) over the left weak order
     ideal of w."""
-    w_inverse = inverse(w)
-    return sum_of_products(
-        (_cauchy_left(compose(v, w_inverse)), right(v)) for v in weak_order_ideal(w)
-    )
+    return sum_of_products((_cauchy_left(u), right(v)) for v, u in _ideal_cosets(w))
 
 
 def cauchy_rhs(w, quantum: bool) -> Polynomial:

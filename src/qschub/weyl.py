@@ -38,6 +38,7 @@ __all__ = [
     "simple",
     "longest_element",
     "reduced_word",
+    "first_left_descent",
     "perm_from_word",
     "reflect",
     "is_cover",
@@ -170,11 +171,22 @@ def reduced_word(w: Permutation) -> tuple:
     word = []
     w = trim(w)
     while w:
-        winv = inverse(w)
-        i = next(i for i in range(1, len(w)) if winv[i - 1] > winv[i])
+        i = first_left_descent(w)
         word.append(i)
         w = compose(simple(i), w)
     return tuple(word)
+
+
+def first_left_descent(w: Permutation) -> int:
+    """The least i with l(s_i w) < l(w), i.e. i+1 to the left of i in the
+    one-line form of a nonidentity trimmed w; the first letter of
+    `reduced_word(w)`.
+
+    >>> first_left_descent((3, 1, 2))
+    2
+    """
+    where = inverse(w)
+    return next(i for i in range(1, len(w)) if where[i - 1] > where[i])
 
 
 def perm_from_word(word) -> Permutation:
@@ -228,8 +240,9 @@ def weak_order_ideal(w) -> list:
     return list(_weak_order_ideal(trim(w)))
 
 
-# Bounded like the member caches: one tuple per trimmed w asked for, and the
-# Cauchy sums and bijection checks of S_5 ask for 120.
+# Bounded like the member caches: one tuple per trimmed w asked for.  The
+# bijection checks of S_5 and every composition of 5 read 120 of them, the
+# targets pi_P(w s_alpha) among them, and `_ideal_cosets` reads the same.
 @lru_cache(maxsize=2048)
 def _weak_order_ideal(w: Permutation) -> tuple:
     """The ideal of a trimmed w, as a tuple since the cache shares it.
@@ -255,6 +268,15 @@ def _weak_order_ideal(w: Permutation) -> tuple:
                     below.add(trim(line))
         level = below
     return tuple(v for same_length in reversed(levels) for v in same_length)
+
+
+# Bounded like the ideals: the Cauchy sums of S_5 and of every composition
+# of 5 ask for 120 entries, one per w, against 781 sums.
+@lru_cache(maxsize=2048)
+def _ideal_cosets(w: Permutation) -> tuple:
+    """((v, v w^{-1}), ...) over the ideal of a trimmed w, in its order."""
+    w_inverse = inverse(w)
+    return tuple((v, compose(v, w_inverse)) for v in _weak_order_ideal(w))
 
 
 def all_perms(n: int) -> list:

@@ -370,7 +370,9 @@ class TestChainCache:
             schubert._cauchy_left,
             schubert._w0_p_inverse,
             quantum_ring._b_root_set,
+            quantum_ring._bijection_row,
             weyl._weak_order_ideal,
+            weyl._ideal_cosets,
         ):
             info = chain.cache_info()
             assert info.maxsize == 2048

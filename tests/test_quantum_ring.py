@@ -3,6 +3,7 @@
 import pytest
 
 from qschub import quantum_ring
+from qschub.cli import main
 from qschub.parabolic import expand_in_parabolic_basis, parabolic_q_double_schubert
 from qschub.poly import SLOTS, Polynomial, a, format_polynomial, parse_polynomial, q
 from qschub.quantum_ring import (
@@ -24,6 +25,7 @@ from qschub.weyl import (
     ParabolicContext,
     all_perms,
     apply_to,
+    compose,
     is_cover,
     length,
     pair_two_rho,
@@ -188,6 +190,33 @@ class TestBijection:
         assert cold == warm == [True] * len(cases)
         for w, ctx in cases:
             assert b_root_set(w, ctx) == wide_b_roots(w, ctx, 2), (w, ctx)
+
+    def test_drop_targets_are_the_projections(self):
+        for ctx in [quantum_ring._FULL_FLAG] + proper_contexts(4):
+            for w in all_perms(4):
+                targets = quantum_ring._b_root_set(w, ctx)
+                assert set(targets) == b_root_set(w, ctx)
+                for alpha, z in targets.items():
+                    assert z == ctx.min_rep(reflect(w, alpha)), (ctx, w, alpha)
+
+    @pytest.mark.parametrize("slot", [1, 2], ids=["wrong u", "wrong coset"])
+    def test_a_corrupted_row_is_rejected(self, capsys, monkeypatch, slot):
+        real = quantum_ring._bijection_row
+
+        def corrupted(v, ctx):
+            in_wp, row = real(v, ctx)
+            if v == (2, 1) and ctx == quantum_ring._FULL_FLAG:
+                entry = list(row[0])
+                entry[slot] = compose(entry[slot], simple(2))
+                row = (tuple(entry),) + row[1:]
+            return in_wp, row
+
+        assert bijection_check((2, 1)) and bijection_check((3, 2, 1))
+        monkeypatch.setattr(quantum_ring, "_bijection_row", corrupted)
+        assert not bijection_check((2, 1))
+        assert not bijection_check((3, 2, 1))
+        assert main(["verify", "bijection", "--max-n", "3"]) == 1
+        assert "FALSIFIED" in capsys.readouterr().out
 
 
 def wide_b_roots(w, ctx, window):

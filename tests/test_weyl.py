@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qschub.poly import q
 from qschub.weyl import (
     ParabolicContext,
+    _ideal_cosets,
     all_perms,
     apply_to,
     bruhat_leq,
@@ -18,6 +19,7 @@ from qschub.weyl import (
     compose,
     cycle,
     eta_p,
+    first_left_descent,
     format_permutation,
     identity,
     inverse,
@@ -118,6 +120,11 @@ def test_reduced_word_examples():
     assert reduced_word(identity) == ()
     assert reduced_word((2, 1)) == (1,)
     assert reduced_word((3, 1, 2)) == (2, 1)
+
+
+def test_first_left_descent_is_the_first_letter():
+    for w in all_perms(5)[1:]:
+        assert first_left_descent(w) == reduced_word(w)[0], w
 
 
 def test_reduced_words_multiply_back():
@@ -451,6 +458,14 @@ def test_block_slices_stay_out_of_repr_equality_and_hash():
     twin = ParabolicContext([2, 1, 3])
     assert twin == ctx and hash(twin) == hash(ctx)
     assert ctx != ParabolicContext((2, 1, 2))
+
+
+def test_ideal_cosets_pair_each_v_with_v_w_inverse():
+    for w in all_perms(4):
+        cosets = _ideal_cosets(w)
+        assert [v for v, _ in cosets] == weak_order_ideal(w)
+        for v, u in cosets:
+            assert u == compose(v, inverse(w)), (w, v)
 
 
 def test_weak_order_ideal_hands_out_fresh_lists():
