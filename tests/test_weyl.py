@@ -123,7 +123,7 @@ def test_reduced_word_examples():
 
 
 def test_first_left_descent_is_the_first_letter():
-    for w in all_perms(5)[1:]:
+    for w in filter(None, all_perms(5)):
         assert first_left_descent(w) == reduced_word(w)[0], w
 
 
