@@ -159,6 +159,11 @@ GOLDEN = [
         "8413ba11a376c53c4fa62660751fc2b4c46a872c4ba52e3bebb97e2acb20e60d",
     ),
     (
+        ["verify", "quantization", "--max-n", "5"],
+        0,
+        "65a3ce991b7cc471a38227e9f5123e5ff2e8cfdde56ff9507523a4c94a64c8e5",
+    ),
+    (
         ["poly", "--w", "[1,2,4,3]", "--parabolic", "2,1"],
         2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",

@@ -1,7 +1,7 @@
 """Golden quantization output: SHA-256 of the text of fixed decompositions.
 
-No CLI command reaches `theta`, so `test_golden_cli.py` does not pin it.
-These digests pin the standard decomposition, `theta`, `decompose_in_E` and
+The CLI reaches `theta` only through `verify quantization`, which prints a
+count, so `test_golden_cli.py` pins none of its output.  These digests pin the standard decomposition, `theta`, `decompose_in_E` and
 `theta_P` on fixed inputs.  Re-record only for a change that is meant to
 alter output, and say so where the change is described.
 """
@@ -12,7 +12,7 @@ import itertools
 import pytest
 
 from qschub.parabolic import theta_P
-from qschub.poly import Polynomial, format_polynomial, x
+from qschub.poly import Polynomial, format_polynomial, variable, x
 from qschub.quantization import decompose_in_E, standard_decompose, theta
 from qschub.schubert import schubert_polynomial
 from qschub.weyl import ParabolicContext, all_perms
@@ -32,6 +32,20 @@ def _standard_decompositions() -> str:
     return "\n".join(lines)
 
 
+def _theta_of_members(n: int) -> str:
+    return "\n".join(
+        f"{list(w)} {family}: {format_polynomial(theta(schubert_polynomial(w, family)))}"
+        for w in all_perms(n)
+        for family in ("classical", "double")
+    )
+
+
+def _theta_of_mixed_staircases() -> str:
+    # Its a/q strata have x parts of staircase 5, 5 and 3.
+    a1, q1 = variable("a", 1), variable("q", 1)
+    return format_polynomial(theta(a1 * x(3) ** 2 + q1 * x(1) ** 3 * x(2) ** 3 + x(2)))
+
+
 def _theta_of_double_members() -> str:
     return "\n".join(
         f"{list(w)}: {format_polynomial(theta(schubert_polynomial(w, 'double')))}"
@@ -39,9 +53,9 @@ def _theta_of_double_members() -> str:
     )
 
 
-def _decompose_quantum_members() -> str:
+def _decompose_quantum_members(n: int = 4) -> str:
     lines = []
-    for w in all_perms(4):
+    for w in all_perms(n):
         coords = decompose_in_E(schubert_polynomial(w, "quantum"))
         for index, c in sorted(coords.items()):
             lines.append(f"{list(w)} {list(index)}: {format_polynomial(c)}")
@@ -82,6 +96,31 @@ GOLDEN = [
         "theta_P-1,2,1",
         lambda: _theta_P_of_double_members((1, 2, 1)),
         "aa51259f951ea36fbf33430526a1872d181dd60d4dbfb6329e8ec7fe24c94b0e",
+    ),
+    (
+        "theta-S5",
+        lambda: _theta_of_members(5),
+        "5020c0def3c9acfc9afb999f5da6e038c0d519f418b0e081c436fc6d658954c3",
+    ),
+    (
+        "theta-mixed-staircases",
+        _theta_of_mixed_staircases,
+        "555ad62265e76e21985c3c9599b8c8e3348f41d992595fd3aab9bafc6a036a92",
+    ),
+    (
+        "decompose_in_E-S5",
+        lambda: _decompose_quantum_members(5),
+        "aca6e9b669bf0516a381db86442e5c2234c65b5c4752a9a1d583ddbb3ee0d9ab",
+    ),
+    (
+        "theta_P-2,2,1",
+        lambda: _theta_P_of_double_members((2, 2, 1)),
+        "91f1c42a6547d914b074932ab2aa28f7d3be37dd813f884e5d6c22f175206f66",
+    ),
+    (
+        "theta_P-1,1,3",
+        lambda: _theta_P_of_double_members((1, 1, 3)),
+        "e9334f8d8b851217ff166184732040c9bfb62e4dab8b3fa5cf21dcc3d8306727",
     ),
 ]
 
