@@ -39,13 +39,27 @@ Decomposition over {g_lam} runs by integer triangular elimination (see
 leading monomial downward, each new row is reduced against the rows already
 placed, and the surviving lead becomes its pivot.  Rows are built lazily and
 cached per (composition, degree) slice.
+
+The loop works per basis element, not per term: `_quantize` gathers the
+coordinates of all the x parts into one a/q coefficient per G_lam and makes
+one `sum_of_products` call, each G_lam built once in a bounded cache.  On
+the full flag a slice decomposes each x-monomial once and keeps its
+coordinates; `_invariant_decompose` says why a parabolic slice cannot.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 
-from .poly import SLOTS, Polynomial, elementary_symmetric, q, x_order_key
+from .poly import (
+    SLOTS,
+    Polynomial,
+    _poly,
+    elementary_symmetric,
+    q,
+    sum_of_products,
+    x_order_key,
+)
 from .schubert import _d_char_coeffs, quantum_elementary
 from .weyl import ParabolicContext
 
@@ -193,7 +207,15 @@ def g_tuple(ctx: ParabolicContext, tup) -> Polynomial:
 
 def G_tuple(ctx: ParabolicContext, tup) -> Polynomial:
     """G_lam, the same product with each factor quantized to G_{part}^j."""
-    return _product(ctx.composition, _validated_tuple(ctx, tup), _G_factor)
+    tup = _validated_tuple(ctx, tup)
+    return _G_lam(ctx.composition[: len(tup)], tup)
+
+
+# G_lam over the first len(tup) blocks of a composition, the only blocks the
+# product reads, so every composition with those blocks shares the entry.
+@lru_cache(maxsize=2048)
+def _G_lam(blocks: tuple, tup: tuple) -> Polynomial:
+    return _product(blocks, tup, _G_factor)
 
 
 def e_monomial(index) -> Polynomial:
@@ -211,7 +233,8 @@ def E_monomial(index) -> Polynomial:
     >>> print(E_monomial((0, 2)))
     x1*x2 + q1
     """
-    return _product((), _validated_index(index), _G_factor)
+    tup = _validated_index(index)
+    return _G_lam((1,) * len(tup), tup)
 
 
 # -- triangular elimination over the g_lam table --------------------------------
@@ -278,6 +301,7 @@ class EchelonSlice:
         self.pending = pending
         self.row_fn = row_fn
         self.rows: dict = {}  # pivot monomial -> (pivot coeff, row dict, coords)
+        self.monomials: dict = {}  # monomial -> coords, see decompose_monomial
 
     def _place_next_row(self):
         _, label = self.pending.pop()
@@ -338,9 +362,18 @@ class EchelonSlice:
             self._eliminate(work, coords, mono, placed)
         return coords
 
+    def decompose_monomial(self, mono: int) -> dict:
+        """The coordinates of one monomial, a key of `Polynomial.terms`,
+        computed once; only for a slice that spans every monomial."""
+        coords = self.monomials.get(mono)
+        if coords is None:
+            coords = self.monomials[mono] = self.decompose(_poly({mono: 1}))
+        return coords
+
 
 # The one slice cache, unbounded but held on purpose: a slice keeps the rows
-# it has built for the next decomposition of its (composition, degree).  A
+# it has built, and on the full flag the coordinates of each monomial it has
+# decomposed, for the next decomposition of its (composition, degree).  A
 # composition past the packed layout is refused, so it sums to n <= 16, and a
 # full-flag slice, shared by `theta` and `theta_P` on (1, ..., 1), has degree
 # d <= n(n - 1)/2, the top degree of H_n: at most C(17, 3) = 680 of them.
@@ -361,11 +394,24 @@ def _g_slice(composition: tuple, degree: int) -> EchelonSlice:
 
 
 def _invariant_decompose(composition: tuple, f: Polynomial) -> dict:
-    """{partition tuple: coefficient} of f, in x alone, over the g_lam."""
+    """{partition tuple: coefficient} of f, in x alone, over the g_lam.
+
+    On the full flag (1, ..., 1) the g_lam are the e_I, a Z-basis of all of
+    H_n, so each x-monomial of f has coordinates of its own: the slice
+    decomposes it once and keeps them, and f's coordinates are their linear
+    combination.  On a coarser composition the g_lam span only the
+    W_P-invariants of H_n, and a single monomial is in general not one, so
+    each homogeneous part of f is decomposed whole.
+    """
+    full_flag = composition.count(1) == len(composition)
     out: dict = {}
     for d, part in f.homogeneous_parts().items():
         if d == 0:
             out[()] = part.constant_value()
+        elif full_flag:
+            piece = _g_slice(composition, d)
+            for mono, c in part.terms.items():
+                _add_multiple(out, c, piece.decompose_monomial(mono))
         else:
             out.update(_g_slice(composition, d).decompose(part))
     return out
@@ -377,16 +423,24 @@ def _padded(composition: tuple, f: Polynomial) -> tuple:
 
 
 def _quantize(f: Polynomial, composition: tuple) -> Polynomial:
-    """g_lam -> G_lam, Z[a, q]-linearly: split off each a/q monomial,
-    decompose its x part over the g_lam of `composition` padded to the x
-    part's staircase, and multiply back by G_lam."""
-    total = Polynomial.zero()
+    """g_lam -> G_lam, Z[a, q]-linearly.
+
+    Each a/q monomial's x part is decomposed over the g_lam of `composition`
+    padded to that part's staircase, and the coordinates are gathered per
+    tuple into one a/q coefficient, so each G_lam is multiplied once.
+    Padding only appends singleton blocks, so all x parts agree on the
+    blocks a G_lam reads.
+    """
+    coefficients: dict = {}  # tup -> {a/q monomial: coefficient}
     for aq_mono, x_part in f.split("aq").items():
-        carrier = Polynomial({aq_mono: 1})
+        (aq_key,) = Polynomial({aq_mono: 1}).terms
         padded = _padded(composition, x_part)
         for tup, c in _invariant_decompose(padded, x_part).items():
-            total = total + carrier * (_product(padded, tup, _G_factor) * c)
-    return total
+            coefficients.setdefault(tup, {})[aq_key] = c
+    blocks = composition + (1,) * max(map(len, coefficients), default=0)
+    return sum_of_products(
+        (_G_lam(blocks[: len(tup)], tup), _poly(c)) for tup, c in coefficients.items()
+    )
 
 
 def standard_decompose(f: Polynomial) -> dict:
@@ -439,11 +493,13 @@ def decompose_in_E(f: Polynomial) -> dict:
     strata = rest.split("q")
     while strata:
         lowest = min(strata, key=lambda m: Polynomial({m: 1}).total_degree())
-        coords = standard_decompose(strata[lowest])
-        carrier = Polynomial({lowest: 1})
-        for ix, c in coords.items():
-            out[ix] = out.get(ix, Polynomial.zero()) + carrier * c
-            rest = rest - carrier * (E_monomial(ix) * c)
+        terms = {
+            ix: Polynomial({lowest: c})
+            for ix, c in standard_decompose(strata[lowest]).items()
+        }
+        for ix, term in terms.items():
+            out[ix] = out.get(ix, Polynomial.zero()) + term
+        rest = rest - sum_of_products((E_monomial(ix), t) for ix, t in terms.items())
         strata = rest.split("q")
         if lowest in strata:
             raise RuntimeError(

@@ -163,6 +163,13 @@ class TestVerify:
         assert exit_code == 0
         assert "verified" in out
 
+    @pytest.mark.slow
+    def test_quantization_at_n6(self, capsys):
+        # The n = 6 target: run with `python -m pytest -m slow`.
+        exit_code, out, _ = run(capsys, "verify", "quantization", "--max-n", "6")
+        assert exit_code == 0
+        assert out == "quantization verified: 720 permutations"
+
     def test_flavor_flag(self, capsys):
         exit_code, out, _ = run(
             capsys,

@@ -350,7 +350,7 @@ class TestExpansion:
 
 class TestChainCache:
     def test_chain_caches_share_one_bounded_policy(self):
-        from qschub import parabolic, quantum_ring, schubert, selftest, weyl
+        from qschub import parabolic, quantization, quantum_ring, schubert, selftest, weyl
 
         for comp in compositions(4):
             ctx = ParabolicContext(comp)
@@ -360,6 +360,7 @@ class TestChainCache:
         schubert_polynomial((2, 4, 1, 3), "classical")
         assert selftest.check_bijections(4)[0] and selftest.check_cauchy(4)[0]
         assert selftest.check_chevalley(3, "parabolic")[0]
+        quantization.theta(schubert_polynomial((2, 4, 1, 3), "double"))
         for chain in (
             parabolic._p_dd,
             schubert._dd_from_top,
@@ -373,6 +374,7 @@ class TestChainCache:
             quantum_ring._bijection_row,
             weyl._weak_order_ideal,
             weyl._ideal_cosets,
+            quantization._G_lam,
         ):
             info = chain.cache_info()
             assert info.maxsize == 2048

@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qschub import quantization
 from qschub.poly import Polynomial, variable, x_order_key
@@ -308,3 +310,75 @@ class TestWideCorrectness:
             for family, quantum in (("classical", "quantum"), ("double", "quantum_double")):
                 image = theta(schubert_polynomial(w, family))
                 assert image == schubert_polynomial(w, quantum), (w, family)
+
+
+# -- Z[a, q]-linearity ---------------------------------------------------------------
+
+LINEARITY = settings(max_examples=40, derandomize=True, database=None, deadline=None)
+
+
+def _aq_monomial(exponents) -> Polynomial:
+    # Exponents of a1, a2, a3, then q1, q2, q3.
+    out = Polynomial.const(1)
+    for slot, e in enumerate(exponents):
+        out = out * variable("aq"[slot // 3], slot % 3 + 1) ** e
+    return out
+
+
+AQ_MONOMIALS = st.tuples(*[st.integers(0, 2)] * 6).map(_aq_monomial)
+FAMILIES = st.sampled_from(("classical", "double"))
+
+
+@LINEARITY
+@given(
+    p=AQ_MONOMIALS,
+    r=AQ_MONOMIALS,
+    f_key=st.tuples(st.sampled_from(all_perms(4)), FAMILIES),
+    g_key=st.tuples(st.sampled_from(all_perms(4)), FAMILIES),
+)
+def test_theta_is_linear_over_aq(p, r, f_key, g_key):
+    f, g = schubert_polynomial(*f_key), schubert_polynomial(*g_key)
+    assume(f.staircase() != g.staircase())
+    assert theta(p * f + r * g) == p * theta(f) + r * theta(g)
+
+
+@LINEARITY
+@given(
+    composition=st.sampled_from(((1, 2, 1), (2, 1, 1))),
+    p=AQ_MONOMIALS,
+    r=AQ_MONOMIALS,
+    picks=st.tuples(st.integers(0, 11), st.integers(0, 11), FAMILIES, FAMILIES),
+)
+def test_theta_P_is_linear_over_aq(composition, p, r, picks):
+    ctx = ParabolicContext(composition)
+    reps = ctx.minimal_reps()
+    i, j, f_family, g_family = picks
+    assume(i % len(reps) != j % len(reps))
+    f = schubert_polynomial(reps[i % len(reps)], f_family, ctx.n)
+    g = schubert_polynomial(reps[j % len(reps)], g_family, ctx.n)
+    assert theta_P(ctx, p * f + r * g) == p * theta_P(ctx, f) + r * theta_P(ctx, g)
+
+
+def test_a_second_theta_places_no_row_and_decomposes_no_monomial_twice(monkeypatch):
+    calls = {"rows": 0, "decomposed": []}
+    place, decompose = EchelonSlice._place_next_row, EchelonSlice.decompose
+
+    def counting_place(self):
+        calls["rows"] += 1
+        place(self)
+
+    def recording_decompose(self, f):
+        calls["decomposed"].append((self, tuple(f.terms)))
+        return decompose(self, f)
+
+    monkeypatch.setattr(EchelonSlice, "_place_next_row", counting_place)
+    monkeypatch.setattr(EchelonSlice, "decompose", recording_decompose)
+    quantization._g_slice.cache_clear()
+    # The a-strata of a double member share x-monomials.
+    f = schubert_polynomial((2, 4, 1, 5, 3), "double")
+    first = theta(f)
+    rows, decomposed = calls["rows"], list(calls["decomposed"])
+    assert rows and len(set(decomposed)) == len(decomposed)
+    assert len(decomposed) < sum(len(part.terms) for part in f.split("aq").values())
+    assert theta(f) == first
+    assert calls["rows"] == rows and calls["decomposed"] == decomposed
