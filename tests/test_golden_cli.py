@@ -164,6 +164,11 @@ GOLDEN = [
         "65a3ce991b7cc471a38227e9f5123e5ff2e8cfdde56ff9507523a4c94a64c8e5",
     ),
     (
+        ["table", "--parabolic", "2,2,1"],
+        0,
+        "52977c6fbd4eae13669277115a60a6588e933801d4f7c40beffa00c95cb3bfa1",
+    ),
+    (
         ["poly", "--w", "[1,2,4,3]", "--parabolic", "2,1"],
         2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -184,3 +189,14 @@ def test_output_is_byte_identical(capsys, argv, exit_code, digest):
     out = capsys.readouterr().out
     assert got == exit_code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.slow
+def test_sixty_element_table_is_byte_identical(capsys):
+    # About 30 s: run with `python -m pytest -m slow`.
+    test_output_is_byte_identical(
+        capsys,
+        ["table", "--parabolic", "1,1,1,2"],
+        0,
+        "626cfe3693d53af1075057f2c8df1a9885661868330c702e46d0a4d76efbddc7",
+    )
