@@ -32,11 +32,12 @@ FAMILY_FLAGS = tuple(kind.replace("_", "-") for kind in FAMILY_KINDS)
 FLAVOR_FLAGS = tuple(kind.replace("_", "-") for kind in CHEVALLEY_FLAVORS)
 EXIT_INTERNAL = 3
 EXIT_CLOSED_PIPE = 141
-# The largest table basis `table` builds.  Measured on one core of a shared
-# 2-vCPU VM (Python 3.11): S_4 (24 elements) in 1.2 s and 32 MB, (2,2,1)
-# (30) in 0.9 s, (3,2,1) and (1,1,1,2) (60) in 19 s and 32 s at up to
-# 195 MB, (2,2,2) (90) in 59 s and 519 MB; S_5 (120) had not finished after
-# four minutes and 1.5 GB.
+# The largest table basis `table` builds.  Measured in one process writing
+# the JSON to a file, on one core of a shared 2-vCPU VM (Python 3.11): S_4
+# (24 elements) in 0.4 s and 24 MB, (2,2,1) (30) in 0.8 s and 32 MB,
+# (1,1,1,2) (60) in 7.8 s and 141 MB, (2,2,2) (90) in 58 s and 714 MB,
+# S_5 (120) in 65 s and 991 MB, and (3,1,1,1), also 120, in 162 s and
+# 1,543 MB, which is why the bound stays below 90.
 MAX_TABLE_BASIS = 60
 
 # The `selftest` check each suite runs, looked up by name when the suite runs.
@@ -46,6 +47,19 @@ VERIFY_SUITES = {
     "quantization": "check_quantization",
     "stability": "check_stability",
     "bijection": "check_bijections",
+}
+# The largest --max-n each suite runs, measured like MAX_TABLE_BASIS, in one
+# process under a 3 GB address-space cap: chevalley at n = 5 in 5.7 s and
+# 139 MB, at n = 6 MemoryError after 47 s; bijection at n = 7 in 89 s and
+# 76 MB; cauchy, quantization and stability at n = 6 in 30-37 s, 14-21 s
+# and 31-37 s at up to 986, 716 and 1,474 MB, while a quantum double member
+# of S_7 (w_0) alone reaches MemoryError.
+VERIFY_MAX_N = {
+    "chevalley": 5,
+    "cauchy": 6,
+    "quantization": 6,
+    "stability": 6,
+    "bijection": 7,
 }
 
 
@@ -137,6 +151,11 @@ def _cmd_verify(args) -> int:
     max_n = args.max_n
     if not 1 <= max_n <= SLOTS:
         raise UsageError(f"--max-n must be >= 1 and <= {SLOTS}, got {max_n}")
+    bound = VERIFY_MAX_N[args.suite]
+    if max_n > bound:
+        raise UsageError(
+            f"the {args.suite} suite runs up to --max-n {bound}, got {max_n}"
+        )
     flavor = args.flavor.replace("-", "_") if args.flavor else None
     if flavor is not None and args.suite != "chevalley":
         raise UsageError("--flavor applies to the chevalley suite only")

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul, sub
+from operator import add, le, mul, sub
 from types import MappingProxyType
 
 from .poly import (
@@ -43,7 +44,6 @@ from .weyl import (
     Permutation,
     _weak_order_ideal,
     apply_to,
-    bruhat_leq,
     code,
     compose,
     eta_p,
@@ -351,12 +351,34 @@ class _Solver:
     its exact quotient.  Every term on the right lowers deg q^d, or keeps
     it and lowers l(w) - l(u) - l(v), so the recursion ends in the base
     cases of `_settled`: F = 0 below degree 0; F(id, v, w, d) = 1 for
-    v = w and d = 0, else 0; at d = 0, F = 0 unless u <= w and v <= w, and
-    F(u, v, u, 0) is the q-free member of v at x_j -> a_{u(j)}.
+    v = w and d = 0, else 0; F = 0 off the support below; and F(u, v, u, 0)
+    is the q-free member of v at x_j -> a_{u(j)}.
 
-    F is symmetric in u and v, so a key is (u, v, w, d) with the longer of
-    u and v first, unless that one is w; d is an index into `self.degrees`.
-    The diagonal F(u, v, u, d) for v != u is then F(v, u, u, d).
+    Support.  Let G be the graph on W^P with an edge z -> z' of weight e
+    for every term m q^e of an off-diagonal C^i_{z,z'}, over all nodes i:
+    the quantum Bruhat graph of the ring, whose q-free edges are the
+    Bruhat covers.  If F(u, v, w, d) != 0, some path u ~> w in G has
+    weight <= d, and since F is symmetric, so has some path v ~> w.  By
+    induction on (deg q^d, l(w) - l(u) - l(v)): for u = w the empty path
+    will do.  For u != w take the equation above with D != 0; a nonzero
+    term on its right is an edge u -> u' of weight e with
+    F(u', v, w, d - e) != 0, or F(u, v, w', d - e) != 0 with an edge
+    w' -> w of weight e.  Either key is smaller (an edge of weight 0 is a
+    cover, so it lowers l(w) - l(u) - l(v)), and its path extends by the
+    edge to a path u ~> w of weight <= d.  The induction is over the true
+    F, which satisfy every equation, so it does not depend on the order in
+    which the recursion, the alias below or the probe reach a key.
+    `reach[u][w]` keeps, as a bit mask over `self.degrees`, the d at or
+    above the least degree and the least exponent of each q_j over the
+    paths u ~> w; a key outside `reach[u][w] & reach[v][w]` is 0 with no
+    equation opened.  Only q-free paths have weight 0, so at d = 0 the
+    test is the Bruhat base case u <= w and v <= w.
+
+    Basis elements are indices into `self.basis`, which is sorted by
+    length, so the identity is 0.  F is symmetric in u and v, so a key is
+    (u, v, w, d) with the longer of u and v first, unless that one is w;
+    d is an index into `self.degrees`.  The diagonal F(u, v, u, d) for
+    v != u is then F(v, u, u, d).
 
     F(u, u, u, d) for d != 0 appears in none of these equations with a
     nonzero D, and it need not vanish (it is 1 at u = [2,4,5,1,3] of the
@@ -373,65 +395,134 @@ class _Solver:
     def __init__(self, ring: ParabolicContext):
         self.ring = ring
         self.basis = ring.minimal_reps()
-        reps = set(self.basis)
-        self.length = {w: length(w) for w in self.basis}
-        self.by_code = sorted(self.basis, key=lambda w: x_order_key(code(w)), reverse=True)
+        self.index = {w: t for t, w in enumerate(self.basis)}
+        self.length = [length(w) for w in self.basis]
+        self.by_code = sorted(
+            range(len(self.basis)),
+            key=lambda t: x_order_key(code(self.basis[t])),
+            reverse=True,
+        )
         q_degrees = [ring.q_degree(j) for j in range(1, ring.k)]
         # Every exponent vector d of degree up to the top 2 l(w_0^P), by
         # degree; the zero vector comes first.
-        top = 2 * max(self.length.values())
+        top = 2 * max(self.length)
         vectors = itertools.product(*(range(top // deg + 1) for deg in q_degrees))
         self.degrees = sorted(
             (deg, d) for d in vectors if (deg := sum(map(mul, d, q_degrees))) <= top
         )
         self.degree = [deg for deg, _ in self.degrees]
-        index = {d: t for t, (_, d) in enumerate(self.degrees)}
-        # Per node i and basis element w: the diagonal C^i_{w,w}, and the
-        # off-diagonal C^i_{w,z} ("up") and -C^i_{z,w} ("down") as (z, e, m)
-        # for each term m q^e, e an index into `self.degrees`.
-        self.weight, self.up, self.down = {}, {}, {}
+        self.q_monomials = [_q_monomial(d) for _, d in self.degrees]
+        # within[b] is the mask of the d of degree <= b.
+        self.within = [
+            (1 << sum(deg <= b for deg in self.degree)) - 1 for b in range(top + 1)
+        ]
+        at_degree = {d: t for t, (_, d) in enumerate(self.degrees)}
+        # Per node i (by position) and basis element w: the diagonal
+        # C^i_{w,w}, and the off-diagonal C^i_{w,z} ("up") and -C^i_{z,w}
+        # ("down") as (z, e, m) for each term m q^e, e an index into
+        # `self.degrees`.
+        reps = set(self.basis)
+        self.weight, self.up, self.down = [], [], []
         for i in ring.nodes:
-            for w in self.basis:
-                self.down[i, w] = []
+            weight, up, down = [], [], [[] for _ in self.basis]
             for w in self.basis:
                 row = _basis_row(i, w, ring, reps)
-                self.weight[i, w] = row.pop(w, _ZERO)
-                self.up[i, w] = [
-                    (z, index[e], Polynomial.const(m))
-                    for z, c in row.items()
-                    for e, m in _q_parts(c, ring.k)
-                ]
-                for z, e, m in self.up[i, w]:
-                    self.down[i, z].append((w, e, -m))
+                weight.append(row.pop(w, _ZERO))
+                up.append(
+                    [
+                        (self.index[z], at_degree[e], Polynomial.const(m))
+                        for z, c in row.items()
+                        for e, m in _q_parts(c, ring.k)
+                    ]
+                )
+            for w, terms in enumerate(up):
+                for z, e, m in terms:
+                    down[z].append((w, e, -m))
+            self.weight.append(weight)
+            self.up.append(up)
+            self.down.append(down)
         # minus[d][e] is the index of d - e, or None when it is negative.
-        used = {e for terms in self.up.values() for _, e, _ in terms}
+        used = {e for up in self.up for terms in up for _, e, _ in terms}
         self.minus = [
-            {e: index.get(tuple(map(sub, d, self.degrees[e][1]))) for e in used}
+            {e: at_degree.get(tuple(map(sub, d, self.degrees[e][1]))) for e in used}
             for _, d in self.degrees
         ]
+        self.reach = self._support_masks()
         self.values = {}  # the nonzero F and H found by the recursion
         self.zeros = set()  # the keys where it found 0
-        self._divisors = {}  # (u, w) -> (node, D)
-        self._below = {}  # (u, w) -> u <= w in Bruhat order
+        self._divisors = {}  # (u, w) -> (node position, D)
         self._localized = {}  # (u, v) -> F(u, v, u, 0)
+
+    def _support_masks(self) -> list:
+        """reach[u][w] for the support test: the mask of the d that bound
+        the least degree and the least exponent of each q_j over the paths
+        u ~> w of G, by one label-correcting pass from each u; 0 when w is
+        out of reach."""
+        # A weight is (deg q^e, e_1, ..., e_{k-1}), so the zero vector is 0.
+        weights = [(deg,) + d for deg, d in self.degrees]
+        edges = [set() for _ in self.basis]
+        for up in self.up:
+            for z, terms in enumerate(up):
+                edges[z].update((y, e) for y, e, _ in terms)
+        edges = [[(y, weights[e]) for y, e in sorted(out)] for out in edges]
+        masks = {}
+
+        def mask(least) -> int:
+            if least is None:
+                return 0
+            found = masks.get(least)
+            if found is None:
+                found = masks[least] = sum(
+                    1 << t
+                    for t, bound in enumerate(weights)
+                    if all(map(le, least, bound))
+                )
+            return found
+
+        reach = []
+        for source in range(len(self.basis)):
+            least = [None] * len(self.basis)
+            least[source] = weights[0]
+            pending, queued = deque([source]), {source}
+            while pending:
+                z = pending.popleft()
+                queued.discard(z)
+                for y, weight in edges[z]:
+                    step = tuple(map(add, least[z], weight))
+                    if least[y] is not None:
+                        step = tuple(map(min, least[y], step))
+                    if step != least[y]:
+                        least[y] = step
+                        if y not in queued:
+                            queued.add(y)
+                            pending.append(y)
+            reach.append([mask(found) for found in least])
+        return reach
 
     def product(self, u: Permutation, v: Permutation) -> dict:
         """{w: c_{u,v}^w} over the basis, zero coefficients left out, in the
         x-leading order of the codes of w, highest first (the order in which
         a leading-term expansion meets them)."""
+        u, v = self.index[u], self.index[v]
+        length, reach_u, reach_v = self.length, self.reach[u], self.reach[v]
         out = {}
         for w in self.by_code:
-            budget = self.length[u] + self.length[v] - self.length[w]
-            pairs = [
-                (_q_monomial(d), value)
-                for t, (deg, d) in enumerate(self.degrees)
-                if deg <= budget and (value := self.coefficient(u, v, w, t))
-            ]
+            budget = length[u] + length[v] - length[w]
+            if budget < 0:
+                continue
+            mask = reach_u[w] & reach_v[w] & self.within[budget]
+            pairs = []
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                t = low.bit_length() - 1
+                if value := self.coefficient(u, v, w, t):
+                    pairs.append((self.q_monomials[t], value))
             if pairs:
-                out[w] = sum_of_products(pairs)
+                out[self.basis[w]] = sum_of_products(pairs)
         return out
 
-    def coefficient(self, u, v, w, d) -> Polynomial:
+    def coefficient(self, u: int, v: int, w: int, d: int) -> Polynomial:
         """F(u, v, w, d), solving every unknown it needs on one explicit
         stack, so the depth of the recursion costs no Python frames."""
         found = self._settled(u, v, w, d)
@@ -476,11 +567,11 @@ class _Solver:
             return _ZERO
         if not u or not v:
             return _ONE if d == 0 and (u or v) == w else _ZERO
-        if d == 0:
-            if not (self._leq(u, w) and self._leq(v, w)):
-                return _ZERO
-            if w == u or w == v:
-                return self._localize(w, v if w == u else u)
+        reach = self.reach
+        if not (reach[u][w] & reach[v][w]) >> d & 1:
+            return _ZERO
+        if d == 0 and (w == u or w == v):
+            return self._localize(w, v if w == u else u)
         if u == w or (v != w and (length[u], u) < (length[v], v)):
             u, v = v, u
         return self._solved((u, v, w, d))
@@ -500,53 +591,50 @@ class _Solver:
         u, v, w, d = key
         if u == v == w:
             return self._self_equation(u, d)
-        i, divisor = self._divisor(u, w)
+        node, divisor = self._divisor(u, w)
         minus = self.minus[d]
-        terms = [(m, (z, v, w, minus[e])) for z, e, m in self.up[i, u]]
-        terms += [(m, (u, v, z, minus[e])) for z, e, m in self.down[i, w]]
+        terms = [(m, (z, v, w, minus[e])) for z, e, m in self.up[node][u]]
+        terms += [(m, (u, v, z, minus[e])) for z, e, m in self.down[node][w]]
         return divisor, terms
 
-    def _self_equation(self, u: Permutation, d: int) -> tuple:
+    def _self_equation(self, u: int, d: int) -> tuple:
         """F(u, u, u, d) = -H(id) for d != 0."""
-        return None, [(_MINUS_ONE, ((), u, d))]
+        return None, [(_MINUS_ONE, (0, u, d))]
 
-    def _probe_equation(self, x: Permutation, u: Permutation, d: int) -> tuple:
+    def _probe_equation(self, x: int, u: int, d: int) -> tuple:
         """The equation of H(x) for the probe of F(u, u, u, d), x != u."""
-        i, divisor = self._divisor(x, u)
-        xi, minus = self._localize(u, u), self.minus[d]
+        node, divisor = self._divisor(x, u)
+        xi, minus, reach = self._localize(u, u), self.minus[d], self.reach
         terms = []
-        for z, e, m in self.up[i, x]:
-            if e == 0 and self._leq(z, u):
+        for z, e, m in self.up[node][x]:
+            if e == 0 and reach[z][u] & 1:  # z <= u
                 if z != u:  # H(u) = 0
                     terms.append((m, (z, u, d)))
             else:
                 terms.append((m * xi, (z, u, u, minus[e])))
-        terms += [(m * xi, (x, u, z, minus[e])) for z, e, m in self.down[i, u]]
+        terms += [(m * xi, (x, u, z, minus[e])) for z, e, m in self.down[node][u]]
         return divisor, terms
 
-    def _divisor(self, u: Permutation, w: Permutation) -> tuple:
+    def _divisor(self, u: int, w: int) -> tuple:
         found = self._divisors.get((u, w))
         if found is None:
             found = next(
-                (i, diff)
-                for i in self.ring.nodes
-                if (diff := self.weight[i, w] - self.weight[i, u])
+                (node, diff)
+                for node, weight in enumerate(self.weight)
+                if (diff := weight[w] - weight[u])
             )
             self._divisors[u, w] = found
         return found
 
-    def _leq(self, u: Permutation, w: Permutation) -> bool:
-        found = self._below.get((u, w))
-        if found is None:
-            found = self._below[u, w] = bruhat_leq(u, w)
-        return found
-
-    def _localize(self, u: Permutation, v: Permutation) -> Polynomial:
+    def _localize(self, u: int, v: int) -> Polynomial:
         """F(u, v, u, 0): the q-free member of v at x_j -> a_{u(j)}."""
         found = self._localized.get((u, v))
         if found is None:
-            member = _chain_member(self.ring.composition, False, v)
-            point = {("x", j): a(apply_to(u, j)) for j in range(1, self.ring.n + 1)}
+            member = _chain_member(self.ring.composition, False, self.basis[v])
+            point = {
+                ("x", j): a(apply_to(self.basis[u], j))
+                for j in range(1, self.ring.n + 1)
+            }
             found = self._localized[u, v] = member.specialize(point)
         return found
 
@@ -556,7 +644,8 @@ def _q_monomial(d: tuple) -> Polynomial:
 
 
 # Bounded: one solver per composition asked for, each holding every
-# coefficient it has solved (about 7 MB for the whole S_4 table).
+# coefficient it has solved (2.0 MB for the whole S_4 table, 3.0 MB for
+# (2,2,1), by tracemalloc across `_solver.cache_clear()`).
 @lru_cache(maxsize=8)
 def _solver(composition: tuple) -> _Solver:
     return _Solver(ParabolicContext(composition))
@@ -620,16 +709,19 @@ class StructureTable:
         )
 
     def check_associative(self) -> bool:
-        for u in self.basis:
-            for v in self.basis:
-                uv = self.entries[(u, v)]
-                for t in self.basis:
-                    vt = self.entries[(v, t)]
-                    left = self._expand_product(uv, lambda w: self.entries[(w, t)])
-                    right = self._expand_product(vt, lambda w: self.entries[(u, w)])
-                    if left != right:
-                        return False
-        return True
+        return all(
+            self.associative_at(u, v, t)
+            for u in self.basis
+            for v in self.basis
+            for t in self.basis
+        )
+
+    def associative_at(self, u, v, t) -> bool:
+        """(sigma_u sigma_v) sigma_t = sigma_u (sigma_v sigma_t) in the table."""
+        entries = self.entries
+        left = self._expand_product(entries[(u, v)], lambda w: entries[(w, t)])
+        right = self._expand_product(entries[(v, t)], lambda w: entries[(u, w)])
+        return left == right
 
     def _divisor_rows(self):
         """(w, table row, rule row) at every node i and basis element w."""

@@ -319,6 +319,32 @@ class TestExitCodes:
         err = self.assert_usage_error(capsys, "verify", suite, "--max-n", "17")
         assert "--max-n" in err and "<= 16" in err
 
+    @pytest.mark.parametrize("suite", sorted(VERIFY_SUITES))
+    def test_verify_beyond_the_work_bound(self, capsys, monkeypatch, suite):
+        # Inside the layout, but too large to run: rejected before any work.
+        def check(**kwargs):
+            raise AssertionError("ran a suite past its work bound")
+
+        monkeypatch.setattr(selftest, VERIFY_SUITES[suite], check)
+        bound = cli.VERIFY_MAX_N[suite]
+        err = self.assert_usage_error(
+            capsys, "verify", suite, "--max-n", str(bound + 1)
+        )
+        assert f"{suite} suite runs up to --max-n {bound}" in err
+
+    @pytest.mark.parametrize("suite", sorted(VERIFY_SUITES))
+    def test_verify_at_the_work_bound_is_accepted(self, capsys, monkeypatch, suite):
+        asked = []
+        monkeypatch.setattr(
+            selftest,
+            VERIFY_SUITES[suite],
+            lambda max_n, **kwargs: asked.append(max_n) or (True, "planted"),
+        )
+        bound = cli.VERIFY_MAX_N[suite]
+        exit_code, out, _ = run(capsys, "verify", suite, "--max-n", str(bound))
+        assert exit_code == 0 and asked == [bound]
+        assert out == f"{suite} verified: planted"
+
     def test_internal_error_has_its_own_code(self, capsys, monkeypatch):
         def crash(max_n=4):
             raise KeyError("planted\ncrash")

@@ -1,6 +1,8 @@
 """Chevalley-Monk rules, correction-sum bijection, and structure tables."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qschub import quantum_ring
 from qschub.cli import main
@@ -25,6 +27,7 @@ from qschub.weyl import (
     ParabolicContext,
     all_perms,
     apply_to,
+    bruhat_leq,
     compose,
     is_cover,
     length,
@@ -429,11 +432,12 @@ class TestSelfDiagonal:
     """A wrong q-part of c_{u,u}^u does not pass unnoticed."""
 
     def plant(self, monkeypatch, value):
-        # F(u, u, u, d) := value * F(id, u, u, 0) = value, for every d != 0
+        # F(u, u, u, d) := value * F(id, u, u, 0) = value, for every d != 0;
+        # the solver keys basis elements by index, the identity being 0
         monkeypatch.setattr(
             quantum_ring._Solver,
             "_self_equation",
-            lambda self, u, d: (None, [(Polynomial.const(value), ((), u, u, 0))]),
+            lambda self, u, d: (None, [(Polynomial.const(value), (0, u, u, 0))]),
         )
 
     def test_planted_nonzero_entry_breaks_s3(self, monkeypatch, fresh_solvers):
@@ -447,6 +451,82 @@ class TestSelfDiagonal:
         self.plant(monkeypatch, 0)
         table = StructureTable.build(ParabolicContext((3, 2)))
         assert not table.check_associative()
+
+
+def unprune(monkeypatch):
+    """Solvers built from here on open the equation of every key that the
+    length count allows: the support masks of `_Solver` admit every d,
+    at d = 0 too, so neither the path test nor the Bruhat test prunes."""
+    monkeypatch.setattr(
+        quantum_ring._Solver,
+        "_support_masks",
+        lambda self: [[(1 << len(self.degrees)) - 1] * len(self.basis)]
+        * len(self.basis),
+    )
+
+
+def exponents(mono, k) -> tuple:
+    """The exponent vector of a q-monomial of `Polynomial.split("q")`."""
+    e = [0] * (k - 1)
+    for (_, j), power in mono:
+        e[j - 1] = power
+    return tuple(e)
+
+
+class TestSupport:
+    """The path test of `_Solver` against solves that do not use it."""
+
+    @pytest.mark.parametrize(
+        "domain",
+        [3, 4] + [ParabolicContext(c) for c in [(2, 2), (1, 2, 1), (2, 1, 1), (3, 2)]],
+        ids=str,
+    )
+    def test_every_nonzero_coefficient_has_both_paths(
+        self, domain, monkeypatch, fresh_solvers
+    ):
+        # (3, 2) has F(u, u, u, q1) = 1 at u = [2,4,5,1,3].
+        ring = quantum_ring._ring(domain)
+        solver = quantum_ring._Solver(ring)
+        degree = {d: t for t, (_, d) in enumerate(solver.degrees)}
+        unprune(monkeypatch)
+        table = StructureTable.build(domain)
+        checked = 0
+        for (u, v), row in table.entries.items():
+            for w, coeff in row.items():
+                for mono in coeff.split("q"):
+                    t = degree[exponents(mono, ring.k)]
+                    for x in (u, v):
+                        reach = solver.reach[solver.index[x]][solver.index[w]]
+                        assert reach >> t & 1, (x, w, mono)
+                    checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("domain", ORACLE_DOMAINS, ids=str)
+    def test_pruning_changes_no_table(self, domain, monkeypatch, fresh_solvers):
+        pruned = StructureTable.build(domain)
+        quantum_ring._solver.cache_clear()
+        unprune(monkeypatch)
+        unpruned = StructureTable.build(domain)
+        assert unpruned.entries == pruned.entries
+        assert unpruned.to_json() == pruned.to_json()
+        for key, row in pruned.entries.items():
+            assert list(unpruned.entries[key]) == list(row), key
+
+    @pytest.mark.parametrize(
+        "domain", [4] + [ParabolicContext(c) for c in [(2, 2, 1), (1, 3, 1)]], ids=str
+    )
+    def test_weight_zero_is_bruhat_order(self, domain):
+        solver = quantum_ring._Solver(quantum_ring._ring(domain))
+        for u, x in enumerate(solver.basis):
+            for w, y in enumerate(solver.basis):
+                assert bool(solver.reach[u][w] & 1) == bruhat_leq(x, y), (x, y)
+
+    def test_prunes_most_zero_keys_of_s4(self, fresh_solvers):
+        # 1,696 values; the Bruhat base case alone left 49,952 zero keys.
+        StructureTable.build(4)
+        solver = quantum_ring._solver((1, 1, 1, 1))
+        assert len(solver.values) == 1696
+        assert len(solver.zeros) < 10_000
 
 
 class TestExactDivision:
@@ -583,3 +663,20 @@ class TestParabolicTables:
 
     def test_json_round_trip(self, parabolic_table):
         assert StructureTable.from_json(parabolic_table.to_json()) == parabolic_table
+
+
+BASIS_221 = ParabolicContext((2, 2, 1)).minimal_reps()
+
+
+@pytest.fixture(scope="module")
+def table_221():
+    return StructureTable.build(ParabolicContext((2, 2, 1)))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(uvt=st.tuples(*[st.sampled_from(BASIS_221)] * 3))
+def test_ring_axioms_on_sampled_entries(table_221, uvt):
+    # 30 basis elements: 27,000 triples, too many to check them all here.
+    u, v, t = uvt
+    assert table_221.entries[(u, v)] == table_221.entries[(v, u)]
+    assert table_221.associative_at(u, v, t)
