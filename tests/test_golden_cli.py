@@ -169,6 +169,26 @@ GOLDEN = [
         "52977c6fbd4eae13669277115a60a6588e933801d4f7c40beffa00c95cb3bfa1",
     ),
     (
+        ["table", "--parabolic", "3,2"],
+        0,
+        "3aee6e583f9170116c17bb68377e8e67e3c77925b263216cdf7dd43ea30561b2",
+    ),
+    (
+        ["table", "--parabolic", "2,3"],
+        0,
+        "b6f9842af9d408c6a4ee996bde61c3e784fb5b9a5a2f5521b058c89d2a104013",
+    ),
+    (
+        ["table", "--parabolic", "1,3,1"],
+        0,
+        "e48a64722941aa5c77839d825fcc5581934823228461b0fc296ea9c0f9d956a8",
+    ),
+    (
+        ["table", "--parabolic", "3,1,1"],
+        0,
+        "e05ba6157837ef3899a9ca645a38c4ec513b48156ed5872de753f42f2b759c9d",
+    ),
+    (
         ["poly", "--w", "[1,2,4,3]", "--parabolic", "2,1"],
         2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
