@@ -84,6 +84,12 @@ def _parse_perm(text: str):
         raise UsageError(str(exc)) from None
 
 
+def _check_out(path: str):
+    """Refuse an --out path that is a directory or in no writable one."""
+    if os.path.isdir(path) or not os.access(os.path.dirname(path) or ".", os.W_OK):
+        raise UsageError(f"--out {path!r} is not a file in a writable directory")
+
+
 def _emit(args, payload_text: str):
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -262,6 +268,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         code = args.func(args)
         sys.stdout.flush()
         return code

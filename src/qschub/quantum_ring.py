@@ -1,8 +1,9 @@
 """Chevalley-Monk root sets, identity checks, and structure-constant tables.
 
-For a node i only the roots alpha_{rs} with r <= i < s can contribute, so the
-stored root sets are finite: covers live below s = max(n, i) + 1 and length
-drops below s = n, bounds that the tests re-derive against wider windows.
+For a node i only the roots alpha_{rs} with r <= i < s can contribute.  The
+covers and length drops of w in W^P are read off its one-line values
+(`_moves`): covers lie below s = max(n, i) + 1 and drops below s = n, bounds
+that the tests re-derive against wider windows by the projection test.
 Structure constants come from the Chevalley rule alone, by the recursion of
 Mihalcea (Equivariant quantum Schubert calculus, Adv. Math. 203 (2006); for
 G/P, Duke Math. J. 140 (2007)): associativity of sigma_{s_i} sigma_u sigma_v
@@ -50,9 +51,7 @@ from .weyl import (
     extend,
     format_permutation,
     inverse,
-    is_cover,
     length,
-    pair_two_rho,
     parse_permutation,
     reflect,
     simple,
@@ -98,40 +97,19 @@ class ChevalleyRootSets:
     B: frozenset
 
 
-def _in_a_set(w, alpha, ctx) -> bool:
-    if not is_cover(w, alpha) or ctx.is_p_root(alpha):
-        return False
-    return ctx.is_min_rep(reflect(w, alpha))
-
-
-def _drop_target(w, alpha, ctx, length_w: int):
-    """pi_P(w s_alpha) if alpha is a length drop of w, else None; `length_w`
-    is l(w), computed once per scan of the roots."""
-    if ctx.is_p_root(alpha):
-        return None
-    z = ctx.min_rep(reflect(w, alpha))
-    drop = pair_two_rho(alpha) - ctx.pair_two_rho_p(alpha)
-    return z if length(z) == length_w + 1 - drop else None
-
-
-def _in_b_set(w, alpha, ctx, length_w: int) -> bool:
-    """Whether alpha is a length drop of w, for scans that need no target
-    (the tests re-derive the stored bounds with it)."""
-    return _drop_target(w, alpha, ctx, length_w) is not None
-
-
 def chevalley_root_sets(
     w, i: int, ctx: ParabolicContext | None = None
 ) -> ChevalleyRootSets:
     """The A (cover) and B (length drop) roots at node i, exactly enumerated;
-    no ctx means the full flag.
+    no ctx means the full flag, and a ctx admits W^P only.
 
     >>> sets = chevalley_root_sets((2, 1), 1)
     >>> sorted(sets.A), sorted(sets.B)
     ([(1, 3)], [(1, 2)])
     """
     _check_node(i, ctx)
-    return _root_sets(trim(w), i, ctx or _FULL_FLAG)
+    covers, drops = _root_sets(*_entry(w, ctx), i)
+    return ChevalleyRootSets(i, frozenset(covers), frozenset(drops))
 
 
 def _check_node(i: int, ctx: ParabolicContext | None):
@@ -141,43 +119,84 @@ def _check_node(i: int, ctx: ParabolicContext | None):
         raise ValueError(f"{i} is not a node of the composition {ctx.composition}")
 
 
-def _root_sets(w: Permutation, i: int, ctx: ParabolicContext):
-    a_max = max(len(w), i) + 1
-    A = frozenset(
-        (r, s)
-        for r in range(1, i + 1)
-        for s in range(i + 1, a_max + 1)
-        if _in_a_set(w, (r, s), ctx)
+def _entry(w, ctx: ParabolicContext | None) -> tuple:
+    """(w, ctx) for the full flag if ctx is None, else w through
+    `check_rep`: `_moves` holds on W^P only."""
+    return (trim(w), _FULL_FLAG) if ctx is None else (ctx.check_rep(w), ctx)
+
+
+def _root_sets(w: Permutation, ctx: ParabolicContext, i: int) -> tuple:
+    """The maps of `_moves` on the roots with r <= i < s, for a node i of
+    ctx; past len(w) the one cover crossing i is (i, i + 1)."""
+    covers, drops = (
+        {alpha: z for alpha, z in moves.items() if alpha[0] <= i < alpha[1]}
+        for moves in _moves(w, ctx)
     )
-    B = frozenset((r, s) for r, s in _b_root_set(w, ctx) if r <= i < s)
-    return ChevalleyRootSets(i, A, B)
+    if i > len(w):
+        covers[i, i + 1] = reflect(w, (i, i + 1))
+    return covers, drops
 
 
 def b_root_set(w, ctx: ParabolicContext | None = None) -> frozenset:
     """All length-drop roots of w (no node filter); drives the bijection checks.
-    w may be any one-line sequence; no ctx means the full flag.
+    w may be any one-line sequence; no ctx means the full flag, and a ctx
+    admits W^P only.
 
     >>> sorted(b_root_set([2, 1]))
     [(1, 2)]
     """
-    return frozenset(_b_root_set(trim(w), ctx or _FULL_FLAG))
+    return frozenset(_moves(*_entry(w, ctx))[1])
 
 
-# Bounded like the member caches: one small mapping per (trimmed w, ctx),
-# and the bijection checks of S_5 ask for 660 of them.  Length drops lie
-# below s = len(w).
+# Bounded like the member caches: two small mappings per (trimmed w, ctx),
+# and the bijection checks of S_5 and every composition of 5 ask for 660.
 @lru_cache(maxsize=2048)
-def _b_root_set(w: Permutation, ctx: ParabolicContext) -> MappingProxyType:
-    """{alpha: pi_P(w s_alpha)} over the length drops alpha of w, read-only
-    since the cache shares it."""
-    bound, length_w = len(w), length(w)
-    targets = {
-        (r, s): z
-        for r in range(1, bound)
-        for s in range(r + 1, bound + 1)
-        if (z := _drop_target(w, (r, s), ctx, length_w)) is not None
-    }
-    return MappingProxyType(targets)
+def _moves(w: Permutation, ctx: ParabolicContext) -> tuple:
+    """({alpha: w s_alpha} over the covers of w, {alpha: pi_P(w s_alpha)}
+    over its length drops) for w in W^P, in root order, read-only since the
+    cache shares them.  For alpha = (r, s), A = w(r) and B = w(s):
+    - a cover has A < B, no w(t) between them for r < t < s, and r, s in
+      different blocks; both blocks of w s_alpha then stay sorted;
+    - a drop, l(pi_P(w s_alpha)) = l(w) + 1 - <alpha^vee, 2 rho - 2 rho_P>
+      for alpha no P-root, has B < w(t) < A for r < t < s, the first entry
+      of r's block > B and the last entry of s's block < A.  On the full
+      flag the block conditions are empty: the type-A criterion.
+
+    Proof.  Write l(pi_P y) = l(y) - inv_P(y), inv_P counting inversions
+    inside blocks, and R-, R+ (S-, S+) for the positions of r's (s's) block
+    before and after r (s), so <alpha^vee, 2 rho_P> = |R+| - |R-| - |S+|
+    + |S-|.  If A > B (the blocks differ, as w increases on each), let d
+    count the r < t < s with w(t) outside (B, A); then l(w s_alpha) = l(w)
+    + 1 - 2(s - r) + 2d, so alpha is a drop iff inv_P(w s_alpha)
+    + <alpha^vee, 2 rho_P> = 2d.  The left side is |R+| + |S-| - e1 - e2,
+    with e1 the t in R- with w(t) < B and e2 the t in S+ with w(t) > A, and
+    R+ and S- lie between r and s outside (B, A), so it is <= d - e1 - e2:
+    it is 2d iff d = e1 = e2 = 0.  If A < B, w s_alpha has block inversions
+    in R+ and S- only, so the left side is <= 2(|R+| + |S-|) < 2(s - r),
+    short of the 2(s - r) + 2 #{t : A < w(t) < B} a drop needs.  Outside
+    W^P the criterion fails, so the public entry points admit W^P only.
+    """
+    m = len(w)
+    line = extend(w, max(m + 1, ctx.n))
+    block = [(t, t) for t in range(len(line) + 1)]  # (first, last) position
+    for lo, hi in ctx.blocks():
+        block[lo : hi + 1] = [(lo, hi)] * (hi - lo + 1)
+    covers, drops = {}, {}
+    for r, wr in enumerate(line[:m], 1):
+        # The least value above w(r) between r and s, and the least below
+        # it there or at the start of r's block.
+        above, below = m + 2, line[block[r][0] - 1]
+        for s in range(r + 1, m + 2):
+            ws = line[s - 1]
+            if wr < ws < above:
+                if block[r][1] < s:
+                    covers[r, s] = reflect(w, (r, s))
+                above = ws
+            elif ws < below:
+                if above > m + 1 and line[block[s][1] - 1] < wr:
+                    drops[r, s] = ctx.min_rep(reflect(w, (r, s)))
+                below = ws
+    return MappingProxyType(covers), MappingProxyType(drops)
 
 
 def weight_term(w, i: int) -> Polynomial:
@@ -206,16 +225,11 @@ def _chevalley_terms(i: int, w, flavor: str, ctx: ParabolicContext) -> dict:
     the q-monomial of the coroot.  The classical, quantum and double
     flavors are that row with {a, q}, {a} and {q} set to 0.
     """
-    sets, targets = _root_sets(w, i, ctx), _b_root_set(w, ctx)
-    terms = {w: weight_term(w, i)}
-
-    def add(z, coeff):
-        terms[z] = terms.get(z, _ZERO) + coeff
-
-    for alpha in sorted(sets.A):
-        add(reflect(w, alpha), _ONE)
-    for alpha in sorted(sets.B):
-        add(targets[alpha], eta_p(alpha, ctx))
+    covers, drops = _root_sets(w, ctx, i)
+    # Cover targets are distinct, and none is w or a drop target.
+    terms = {w: weight_term(w, i)} | dict.fromkeys(covers.values(), _ONE)
+    for alpha, z in drops.items():
+        terms[z] = terms.get(z, _ZERO) + eta_p(alpha, ctx)
     for family in _ZEROED[flavor]:
         terms = {z: c.zero_out(family) for z, c in terms.items()}
     return {z: c for z, c in terms.items() if c}
@@ -235,15 +249,13 @@ def chevalley_rhs(
     """
     if flavor not in CHEVALLEY_FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
-    w = trim(w)
     if flavor != "parabolic":
         ctx = None
     elif ctx is None:
         raise ValueError("parabolic flavor needs a composition context")
-    else:
-        w = ctx.check_rep(w)
     _check_node(i, ctx)
-    terms = _chevalley_terms(i, w, flavor, ctx or _FULL_FLAG)
+    w, ring = _entry(w, ctx)
+    terms = _chevalley_terms(i, w, flavor, ring)
     return sum_of_products((coeff, _member(flavor, z, ctx)) for z, coeff in terms.items())
 
 
@@ -271,7 +283,9 @@ def bijection_check(w, ctx: ParabolicContext | None = None) -> bool:
     and the index identity holds for every pair.
     """
     w, ctx = trim(w), ctx or _FULL_FLAG
-    moved = _b_root_set(w, ctx)
+    if not ctx.is_min_rep(w):
+        return False
+    moved = _moves(w, ctx)[1]
     second = {(u, alpha) for alpha, z in moved.items() for u in _weak_order_ideal(z)}
     index = {alpha: compose(inverse(z), w) for alpha, z in moved.items()}
     image, pairs = set(), 0
@@ -295,7 +309,7 @@ def _bijection_row(v: Permutation, ctx: ParabolicContext) -> tuple:
     """(v in W^P, ((alpha, u, u^{-1} v), ...)) over the length drops alpha
     of v, with u = pi_P(v s_alpha)."""
     row = tuple(
-        (alpha, u, compose(inverse(u), v)) for alpha, u in _b_root_set(v, ctx).items()
+        (alpha, u, compose(inverse(u), v)) for alpha, u in _moves(v, ctx)[1].items()
     )
     return ctx.is_min_rep(v), row
 

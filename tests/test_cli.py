@@ -304,6 +304,30 @@ class TestExitCodes:
         err = self.assert_usage_error(capsys, "table", *argv)
         assert f"{size} basis elements" in err and str(cli.MAX_TABLE_BASIS) in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--parabolic", "2,2,1"],
+            ["poly", "--w", "[2,1]"],
+            ["expand", "--poly", "x1"],
+        ],
+        ids=["table", "poly", "expand"],
+    )
+    @pytest.mark.parametrize("where", ["missing-dir", "dir"])
+    def test_unwritable_out_is_refused_up_front(
+        self, capsys, monkeypatch, tmp_path, argv, where
+    ):
+        def build(*args, **kwargs):
+            raise AssertionError("worked before checking --out")
+
+        monkeypatch.setattr(cli.StructureTable, "build", build)
+        monkeypatch.setattr(cli, "schubert_polynomial", build)
+        monkeypatch.setattr(cli, "expand_in_schubert_basis", build)
+        out = tmp_path / "no" / "such" / "t.json" if where == "missing-dir" else tmp_path
+        err = self.assert_usage_error(capsys, *argv, "--out", str(out))
+        assert "--out" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_table_at_the_work_bound_is_accepted(self, capsys, monkeypatch):
         # (3,2,1) has 6!/(3!2!1!) = 60 elements, the bound itself.
         asked, small = [], StructureTable.build(2)

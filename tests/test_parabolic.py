@@ -370,7 +370,7 @@ class TestChainCache:
             schubert._x_chain_member,
             schubert._cauchy_left,
             schubert._w0_p_inverse,
-            quantum_ring._b_root_set,
+            quantum_ring._moves,
             quantum_ring._bijection_row,
             weyl._weak_order_ideal,
             weyl._ideal_cosets,

@@ -74,14 +74,14 @@ class TestRootSets:
                 assert sets.B == {(r, s) for r, s in drops if r <= i < s}
 
     def test_root_set_takes_lists_and_shares_trimmed_entries(self):
-        quantum_ring._b_root_set.cache_clear()
+        quantum_ring._moves.cache_clear()
         drops = b_root_set((2, 1))
         assert b_root_set([2, 1]) == drops == frozenset({(1, 2)})
         assert b_root_set((2, 1, 3)) == drops
         assert b_root_set([2, 1, 3, 4]) == drops
-        assert quantum_ring._b_root_set.cache_info().currsize == 1
+        assert quantum_ring._moves.cache_info().currsize == 1
         ctx = ParabolicContext((1, 2))
-        assert b_root_set([2, 3, 1], ctx) == b_root_set((2, 3, 1), ctx)
+        assert b_root_set([3, 1, 2], ctx) == b_root_set((3, 1, 2), ctx)
 
     def test_enumeration_bounds_are_complete(self):
         for w in all_perms(4):
@@ -114,6 +114,18 @@ class TestRootSets:
     def test_rejects_bad_node(self):
         with pytest.raises(ValueError):
             chevalley_root_sets((2, 1), 0)
+
+    def test_a_context_admits_minimal_representatives_only(self):
+        # The one-line criterion of `_moves` holds on W^P only.
+        ctx = ParabolicContext((1, 2))
+        for w in ([2, 3, 1], [1, 3, 2], [1, 2, 4, 3]):
+            with pytest.raises(ValueError):
+                b_root_set(w, ctx)
+            with pytest.raises(ValueError):
+                chevalley_root_sets(w, 1, ctx)
+        assert not bijection_check([2, 3, 1], ctx)
+        assert not bijection_check([1, 3, 2], ctx)
+        assert bijection_check([3, 1, 2], ctx)
 
 
 class TestWeightTerm:
@@ -186,21 +198,31 @@ class TestBijection:
             for ctx in (ParabolicContext((2, 1, 1)), ParabolicContext((1, 2, 1)))
             for w in ctx.minimal_reps()
         ]
-        quantum_ring._b_root_set.cache_clear()
+        quantum_ring._moves.cache_clear()
         cold = [bijection_check(w, ctx) for w, ctx in cases]
-        assert quantum_ring._b_root_set.cache_info().currsize > 0
+        assert quantum_ring._moves.cache_info().currsize > 0
         warm = [bijection_check(w, ctx) for w, ctx in cases]
         assert cold == warm == [True] * len(cases)
         for w, ctx in cases:
             assert b_root_set(w, ctx) == wide_b_roots(w, ctx, 2), (w, ctx)
 
     def test_drop_targets_are_the_projections(self):
-        for ctx in [quantum_ring._FULL_FLAG] + proper_contexts(4):
-            for w in all_perms(4):
-                targets = quantum_ring._b_root_set(w, ctx)
-                assert set(targets) == b_root_set(w, ctx)
+        cases = [(None, all_perms(4))]
+        cases += [(ctx, ctx.minimal_reps()) for ctx in proper_contexts(4)]
+        for given, reps in cases:
+            ctx = given or quantum_ring._FULL_FLAG
+            for w in reps:
+                covers, targets = quantum_ring._moves(w, ctx)
+                assert set(targets) == b_root_set(w, given)
                 for alpha, z in targets.items():
                     assert z == ctx.min_rep(reflect(w, alpha)), (ctx, w, alpha)
+                top = len(w) + 1
+                roots = [(r, s) for r in range(1, top) for s in range(r + 1, top + 1)]
+                assert set(covers) == {
+                    alpha for alpha in roots if former_in_a_set(w, alpha, given)
+                }
+                for alpha, z in covers.items():
+                    assert z == reflect(w, alpha), (ctx, w, alpha)
 
     @pytest.mark.parametrize("slot", [1, 2], ids=["wrong u", "wrong coset"])
     def test_a_corrupted_row_is_rejected(self, capsys, monkeypatch, slot):
@@ -224,32 +246,35 @@ class TestBijection:
 
 def wide_b_roots(w, ctx, window):
     """The length drops of w up to s = len(w) + window, `window` past the
-    bound `b_root_set` enumerates, found by the membership test itself."""
+    bound `b_root_set` enumerates, found by the projection test of the
+    former rule."""
     top = len(w) + window
     return {
         (r, s)
         for r in range(1, top)
         for s in range(r + 1, top + 1)
-        if quantum_ring._in_b_set(w, (r, s), ctx or quantum_ring._FULL_FLAG, length(w))
+        if former_in_b_set(w, (r, s), ctx)
     }
 
 
 def wide_root_sets(w, i, ctx, window):
     """(A, B) at node i, each `window` past the bounds `chevalley_root_sets`
-    enumerates, found by the membership tests themselves."""
+    enumerates, found by the membership tests of the former rule."""
     top = max(len(w), i) + 1 + window
     A = {
         (r, s)
         for r in range(1, i + 1)
         for s in range(i + 1, top + 1)
-        if quantum_ring._in_a_set(w, (r, s), ctx or quantum_ring._FULL_FLAG)
+        if former_in_a_set(w, (r, s), ctx)
     }
     B = {(r, s) for r, s in wide_b_roots(w, ctx, window) if r <= i < s}
     return A, B
 
 
 # The former two-armed Chevalley rule, kept here as an independent oracle:
-# the full flag (ctx None) has its own arm in each membership test, B is
+# the full flag (ctx None) has its own arm in each membership test, a cover
+# is a Bruhat cover tested for W^P, a drop is found by projecting w s_alpha
+# and comparing lengths rather than read off the one-line values, B is
 # enumerated per node rather than filtered from the unfiltered drops, and
 # each stable flavor builds its own row.
 
@@ -330,8 +355,9 @@ class TestOneRuleAgainstTheFlavorLadder:
         for w in all_perms(5):
             assert b_root_set(w) == former_b_root_set(w), w
 
-    def test_parabolic_root_sets_on_compositions_of_four(self):
-        for ctx in proper_contexts(4):
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_parabolic_root_sets_on_compositions(self, n):
+        for ctx in proper_contexts(n):
             for w in ctx.minimal_reps():
                 assert b_root_set(w, ctx) == former_b_root_set(w, ctx), w
                 for i in ctx.nodes:
