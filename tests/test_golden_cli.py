@@ -169,6 +169,11 @@ GOLDEN = [
         "52977c6fbd4eae13669277115a60a6588e933801d4f7c40beffa00c95cb3bfa1",
     ),
     (
+        ["table", "--n", "3", "--format", "text"],
+        0,
+        "fe8763d56f4fcca2cac2a807f5f006ccefc6661d16fcb430c1b75db68b70a641",
+    ),
+    (
         ["table", "--parabolic", "3,2"],
         0,
         "3aee6e583f9170116c17bb68377e8e67e3c77925b263216cdf7dd43ea30561b2",
@@ -209,6 +214,16 @@ def test_output_is_byte_identical(capsys, argv, exit_code, digest):
     out = capsys.readouterr().out
     assert got == exit_code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys):
+    target = tmp_path / "table.json"
+    assert main(["table", "--parabolic", "2,2,1", "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert (
+        hashlib.sha256(target.read_bytes()).hexdigest()
+        == "52977c6fbd4eae13669277115a60a6588e933801d4f7c40beffa00c95cb3bfa1"
+    )
 
 
 @pytest.mark.slow
