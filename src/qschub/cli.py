@@ -34,10 +34,11 @@ EXIT_INTERNAL = 3
 EXIT_CLOSED_PIPE = 141
 # The largest table basis `table` builds.  Measured in one process writing
 # the JSON to a file, on one core of a shared 2-vCPU VM (Python 3.11): S_4
-# (24 elements) in 0.4 s and 24 MB, (2,2,1) (30) in 0.8 s and 32 MB,
-# (1,1,1,2) (60) in 7.8 s and 141 MB, (2,2,2) (90) in 58 s and 714 MB,
-# S_5 (120) in 65 s and 991 MB, and (3,1,1,1), also 120, in 162 s and
-# 1,543 MB, which is why the bound stays below 90.
+# (24 elements) in 0.2 s and 22 MB, (2,2,1) (30) in 0.5 s and 28 MB,
+# (1,1,1,2) (60) in 3.8-5.1 s and 108 MB, (2,2,2) (90) in 17.5 s and
+# 602 MB, S_5 (120) in 47 s and 772 MB, and (3,1,1,1), also 120, in 162 s
+# and 1,543 MB (before the JSON text was written directly), which is why
+# the bound stays below 90.
 MAX_TABLE_BASIS = 60
 
 # The `selftest` check each suite runs, looked up by name when the suite runs.
@@ -93,7 +94,8 @@ def _check_out(path: str):
 def _emit(args, payload_text: str):
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload_text + "\n")
+            handle.write(payload_text)
+            handle.write("\n")
     else:
         print(payload_text)
 

@@ -143,12 +143,16 @@ def _unit(v) -> int:
     return unit
 
 
+def _overflow(what: str):
+    raise ValueError(
+        f"{what} has an exponent or x-degree above {MAX_EXPONENT}, beyond the "
+        f"packed layout"
+    )
+
+
 def _check_guard(key: int, what: str):
     if key & _GUARD:
-        raise ValueError(
-            f"{what} has an exponent or x-degree above {MAX_EXPONENT}, beyond the "
-            f"packed layout"
-        )
+        _overflow(what)
 
 
 def _pack(mono) -> int:
@@ -403,27 +407,61 @@ class Polynomial:
     def specialize(self, assignment: dict) -> "Polynomial":
         """Substitute variables; `assignment` maps Variable to Polynomial or int.
 
+        One simultaneous pass over the terms: every substituted exponent is
+        taken off a term's key first.  A value of one term d*k then moves
+        the key by e*k and scales the coefficient by d^e, a value 0 drops
+        the term, and only values of several terms are multiplied in.  The
+        guard bits are checked after each move, so no exponent sum can
+        carry past them into a neighbouring field.
+
         >>> f = (x(1) - a(1)) ** 2
         >>> print(f.specialize({("a", 1): 0}))
         x1^2
+        >>> print((x(1) - a(1)).specialize({("x", 1): a(1), ("a", 1): 1 + x(1)}))
+        -x1 + a1 - 1
         """
-        fixed = [
-            (_unit(v), _shift(*v), p if isinstance(p, Polynomial) else Polynomial.const(p))
-            for v, p in assignment.items()
-        ]
+        fixed, dead = [], 0
+        for v, p in assignment.items():
+            unit, shift = _unit(v), _shift(*v)
+            terms = p.terms if isinstance(p, Polynomial) else {0: p} if p else {}
+            if not terms:
+                dead |= _EXP << shift
+            elif len(terms) > 1:
+                fixed.append((unit, shift, p))
+            else:
+                ((key, coeff),) = terms.items()
+                top = max([key >> _DEG_SHIFT] + [e for _, e in _pairs(key)])
+                fixed.append((unit, shift, (key, coeff, top)))
         acc: dict = {}
+        get = acc.get
         for m, c in self.terms.items():
-            rest, factors = m, []
+            if m & dead:
+                continue
+            rest, found = m, []
             for unit, shift, value in fixed:
                 e = (m >> shift) & _EXP
                 if e:
                     rest -= e * unit
+                    found.append((e, value))
+            factors = []
+            for e, value in found:
+                if isinstance(value, Polynomial):
                     factors.append(value**e)
-            factor = _poly({rest: c})
-            for p in factors:
-                factor = factor * p
-            for k, v in factor.terms.items():
-                acc[k] = acc.get(k, 0) + v
+                    continue
+                key, coeff, top = value
+                if e * top > MAX_EXPONENT:
+                    _overflow("substitution")
+                rest += e * key
+                _check_guard(rest, "substitution")
+                c *= coeff**e
+            if factors:
+                term = _poly({rest: c})
+                for p in factors:
+                    term = term * p
+                for k, v in term.terms.items():
+                    acc[k] = get(k, 0) + v
+            else:
+                acc[rest] = get(rest, 0) + c
         return _poly({m: c for m, c in acc.items() if c})
 
     def zero_out(self, family: str) -> "Polynomial":
@@ -677,54 +715,46 @@ def char_poly_at(coeffs: list, value: Polynomial) -> Polynomial:
 # -- canonical text form ------------------------------------------------------
 
 
-def _sorted_terms(f: Polynomial) -> list:
-    wa, wq = max(1, f.max_index("a")), max(1, f.max_index("q"))
-    x_fields = _BLOCK_MASK["x"]
+def _describe(m: int) -> tuple:
+    """(sort key, text) of a packed monomial; the text of 1 is ''.
 
-    # Descending total degree; then the x parts in reverse-lex order where at
-    # the largest differing index the larger exponent comes first; then the a
-    # and q parts lexicographically from the low indices.
-    def key(item):
-        m = item[0]
-        return (
-            -_degree(m),
-            -(m & x_fields),
-            [-e for e in _exponents(m, "a", wa)],
-            [-e for e in _exponents(m, "q", wq)],
-        )
+    Terms sort by descending total degree; then by the x parts in
+    reverse-lex order, where at the largest differing index the larger
+    exponent comes first; then by the a and then the q exponents
+    lexicographically from the low indices, the larger first.  One field is
+    one byte, so that last order is the big-endian reading of the a and q
+    blocks' little-endian bytes.
+    """
+    aq = int.from_bytes((m & _AQ_MASK).to_bytes(2 * SLOTS, "little"), "big")
+    factors = [
+        f"{fam}{idx}^{e}" if e > 1 else f"{fam}{idx}"
+        for (fam, idx), e in _pairs(m & _BLOCK_MASK["x"]) + _pairs(m & _AQ_MASK)
+    ]
+    return (-_degree(m), -(m & _BLOCK_MASK["x"]), -aq), "*".join(factors)
 
-    return sorted(f.terms.items(), key=key)
+
+def _sorted_terms(f: Polynomial, describe=_describe) -> list:
+    """((sort key, text), monomial, coefficient) for the terms of f, in the
+    canonical order."""
+    return sorted((describe(m), m, c) for m, c in f.terms.items())
 
 
-def _family_pairs(m: int) -> dict:
-    out = {fam: [] for fam in FAMILIES}
-    for (fam, idx), e in _pairs(m):
-        out[fam].append((idx, e))
-    return out
+def _format(f: Polynomial, describe=_describe) -> str:
+    """`format_polynomial`, reading each monomial through `describe`."""
+    pieces = []
+    for (_, text), _, c in _sorted_terms(f, describe):
+        mag = abs(c)
+        body = (text if mag == 1 else f"{mag}*{text}") if text else str(mag)
+        if pieces:
+            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+        else:
+            pieces.append(body if c > 0 else f"-{body}")
+    return " ".join(pieces) or "0"
 
 
 def format_polynomial(f: Polynomial) -> str:
     """Canonical text form, e.g. 'x1^2 - 2*x1*a1 + a1^2 - q1'."""
-    if not f.terms:
-        return "0"
-    pieces = []
-    for m, c in _sorted_terms(f):
-        factors = []
-        for fam, pairs in _family_pairs(m).items():
-            for idx, e in pairs:
-                factors.append(f"{fam}{idx}" + (f"^{e}" if e > 1 else ""))
-        mag = abs(c)
-        if factors and mag == 1:
-            body = "*".join(factors)
-        elif factors:
-            body = "*".join([str(mag)] + factors)
-        else:
-            body = str(mag)
-        if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(pieces)
+    return _format(f)
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([xaq])(\d+)|(\^)|(\*)|(\+)|(-)|(.))")
@@ -833,10 +863,10 @@ def parse_polynomial(text: str) -> Polynomial:
 def polynomial_to_json(f: Polynomial) -> list:
     """JSON-ready list of term objects; round-trips bit-exactly."""
     out = []
-    for m, c in _sorted_terms(f):
-        entry = {"c": str(c)}
-        for fam, pairs in _family_pairs(m).items():
-            entry[fam] = [[idx, e] for idx, e in pairs]
+    for _, m, c in _sorted_terms(f):
+        entry = {"c": str(c), **{fam: [] for fam in FAMILIES}}
+        for (fam, idx), e in _pairs(m):
+            entry[fam].append([idx, e])
         out.append(entry)
     return out
 

@@ -27,14 +27,15 @@ import itertools
 import json
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from operator import add, le, mul, sub
 from types import MappingProxyType
 
 from .poly import (
     Polynomial,
+    _describe,
+    _format,
     a,
-    format_polynomial,
     parse_polynomial,
     sum_of_products,
     x_order_key,
@@ -285,15 +286,14 @@ def bijection_check(w, ctx: ParabolicContext | None = None) -> bool:
     w, ctx = trim(w), ctx or _FULL_FLAG
     if not ctx.is_min_rep(w):
         return False
+    # Every v weak-below w is then in W^P too: a right descent s_j of v in
+    # W_P would be one of w, so `_bijection_row` may read v's move table.
     moved = _moves(w, ctx)[1]
     second = {(u, alpha) for alpha, z in moved.items() for u in _weak_order_ideal(z)}
     index = {alpha: compose(inverse(z), w) for alpha, z in moved.items()}
     image, pairs = set(), 0
     for v in _weak_order_ideal(w):
-        in_wp, row = _bijection_row(v, ctx)
-        if not in_wp:
-            return False
-        for alpha, u, coset in row:
+        for alpha, u, coset in _bijection_row(v, ctx):
             # a drop of v that is none of w has no pair in the second set
             if alpha not in index or coset != index[alpha]:
                 return False
@@ -306,12 +306,11 @@ def bijection_check(w, ctx: ParabolicContext | None = None) -> bool:
 # composition of 5 visit 7,998 (v, ctx) pairs, 660 of them distinct.
 @lru_cache(maxsize=2048)
 def _bijection_row(v: Permutation, ctx: ParabolicContext) -> tuple:
-    """(v in W^P, ((alpha, u, u^{-1} v), ...)) over the length drops alpha
-    of v, with u = pi_P(v s_alpha)."""
-    row = tuple(
+    """((alpha, u, u^{-1} v), ...) over the length drops alpha of v in W^P,
+    with u = pi_P(v s_alpha)."""
+    return tuple(
         (alpha, u, compose(inverse(u), v)) for alpha, u in _moves(v, ctx)[1].items()
     )
-    return ctx.is_min_rep(v), row
 
 
 # -- structure constants ---------------------------------------------------------
@@ -769,27 +768,35 @@ class StructureTable:
         return format_permutation(extend(w, self.n))
 
     def to_json(self) -> str:
+        """The text `json.dumps(blob, indent=2)` gives for the blob of n,
+        the parabolic label and the entries, written directly: with an
+        indent the json module encodes in pure Python.  Each monomial and
+        each permutation is formatted once per call."""
+        describe = cache(_describe)
+        order = cache(lambda w: (length(w), w))
+        label = cache(lambda w: json.dumps(self._format_perm(w)))
         entries = []
         for u in self.basis:
             for v in self.basis:
-                terms = [
-                    {"w": self._format_perm(z), "coeff": format_polynomial(c)}
+                terms = ",\n".join(
+                    '        {\n          "w": %s,\n          "coeff": %s\n        }'
+                    % (label(z), json.dumps(_format(c, describe)))
                     for z, c in sorted(
-                        self.entries[(u, v)].items(),
-                        key=lambda item: (length(item[0]), item[0]),
+                        self.entries[(u, v)].items(), key=lambda item: order(item[0])
                     )
-                ]
-                entries.append(
-                    {"u": self._format_perm(u), "v": self._format_perm(v), "terms": terms}
                 )
-        blob = {
-            "n": self.n,
-            "parabolic": ",".join(str(b) for b in self.ctx.composition)
-            if self.ctx is not None
-            else None,
-            "entries": entries,
-        }
-        return json.dumps(blob, indent=2)
+                entries.append(
+                    '    {\n      "u": %s,\n      "v": %s,\n      "terms": %s\n    }'
+                    % (label(u), label(v), f"[\n{terms}\n      ]" if terms else "[]")
+                )
+        parabolic = (
+            ",".join(str(b) for b in self.ctx.composition) if self.ctx is not None else None
+        )
+        return '{\n  "n": %s,\n  "parabolic": %s,\n  "entries": [\n%s\n  ]\n}' % (
+            json.dumps(self.n),
+            json.dumps(parabolic),
+            ",\n".join(entries),
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "StructureTable":

@@ -228,7 +228,7 @@ def test_out_file_holds_the_stdout_bytes(tmp_path, capsys):
 
 @pytest.mark.slow
 def test_sixty_element_table_is_byte_identical(capsys):
-    # About 30 s: run with `python -m pytest -m slow`.
+    # About 4 s on a shared 2-vCPU VM: run with `python -m pytest -m slow`.
     test_output_is_byte_identical(
         capsys,
         ["table", "--parabolic", "1,1,1,2"],

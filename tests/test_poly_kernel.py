@@ -223,11 +223,60 @@ def test_substitutions_match_reference(f, fam, i, j):
     assert to_ref(p.swap_indices(fam, i, j)) == ref_swap(f, fam, i, j)
 
 
+# Values of one term, applied by moving keys: ints (0 among them), signed
+# variables, and c*m; each drawn as (reference, value passed to specialize).
+single_values = st.one_of(
+    st.integers(-3, 3).map(lambda c: ({(): c} if c else {}, c)),
+    st.tuples(st.sampled_from([1, -1]), variables).map(
+        lambda t: ({((t[1], 1),): t[0]}, t[0] * Polynomial.var(*t[1]))
+    ),
+    st.tuples(st.integers(-3, 3).filter(bool), small_monomials).map(
+        lambda t: ({t[1]: t[0]}, Polynomial({t[1]: t[0]}))
+    ),
+)
+# Several variables at once, single-term values mixed with multi-term ones.
+mixed_values = st.one_of(single_values, small_refs.map(lambda f: (f, Polynomial(f))))
+
+
 @SETTINGS
 @given(refs, st.dictionaries(variables, small_refs, max_size=2))
 def test_specialize_matches_reference(f, assignment):
     got = Polynomial(f).specialize({v: Polynomial(g) for v, g in assignment.items()})
     assert to_ref(got) == ref_specialize(f, assignment)
+
+
+@SETTINGS
+@given(refs, st.dictionaries(variables, mixed_values, max_size=5))
+def test_specialize_by_moved_keys_matches_reference(f, assignment):
+    got = Polynomial(f).specialize({v: value for v, (_, value) in assignment.items()})
+    assert to_ref(got) == ref_specialize(f, {v: r for v, (r, _) in assignment.items()})
+
+
+def test_specialize_is_simultaneous():
+    # The a1 that x1 moves to is not substituted again, and the x1 of the
+    # multi-term value of a1 is not moved to a1.
+    f = x(1) ** 2 * a(1)
+    got = f.specialize({("x", 1): a(1), ("a", 1): 1 + x(1)})
+    assert got == a(1) ** 2 * (1 + x(1))
+    # A swap at the largest exponent never holds two exponents in one field.
+    top = MAX_EXPONENT - 1
+    swap = x(1) ** top * a(1) ** top * (x(1) - 2 * a(1))
+    got = swap.specialize({("x", 1): a(1), ("a", 1): x(1)})
+    assert got == x(1) ** top * a(1) ** top * (a(1) - 2 * x(1))
+
+
+def test_specialize_overflow_is_caught_before_it_carries():
+    # Three moves onto q1 sum to 381 = 256 + 125: one check at the end would
+    # see q1^125*q2 and no guard bit.
+    f = a(1) ** MAX_EXPONENT * a(2) ** MAX_EXPONENT * a(3) ** MAX_EXPONENT
+    with pytest.raises(ValueError, match="packed layout"):
+        f.specialize({("a", 1): q(1), ("a", 2): q(1), ("a", 3): q(1)})
+    # e times a value's exponent must fit in one field, too: 3 * 100 and
+    # 4 * 64 carry out of their fields with the guard bit clear.
+    with pytest.raises(ValueError, match="packed layout"):
+        (x(1) ** 3).specialize({("x", 1): 3 * a(1) ** 100})
+    with pytest.raises(ValueError, match="packed layout"):
+        (a(1) ** 4).specialize({("a", 1): x(1) * x(2) ** 64})
 
 
 @SETTINGS
