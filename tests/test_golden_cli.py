@@ -174,6 +174,11 @@ GOLDEN = [
         "fe8763d56f4fcca2cac2a807f5f006ccefc6661d16fcb430c1b75db68b70a641",
     ),
     (
+        ["table", "--parabolic", "2,2,1", "--format", "text"],
+        0,
+        "99679d80c7c550ded664b843e40592941913605b43f0589341b50f87002738c7",
+    ),
+    (
         ["table", "--parabolic", "3,2"],
         0,
         "3aee6e583f9170116c17bb68377e8e67e3c77925b263216cdf7dd43ea30561b2",
