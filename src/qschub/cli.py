@@ -10,6 +10,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -41,6 +42,18 @@ EXIT_CLOSED_PIPE = 141
 # the bound stays below 90.
 MAX_TABLE_BASIS = 60
 
+# The largest S_m whose members `expand` reads.  An expansion of f over a
+# basis reads members of S_m alone, m the larger of f's staircase and the
+# composition's n (`schubert._expand_by_leads`).  Measured like
+# MAX_TABLE_BASIS, under a 2 GB address-space cap, on the input whose lead is
+# the code of w_0: the quantum double basis at m = 5 in 0.2 s and 21 MB, at
+# m = 6 in 174 s and 598 MB (the double basis: 15 s, 146 MB), and at m = 7
+# MemoryError after 23 s, while the square of the (1,1,3) member of
+# [5,3,1,2,4], m = 9, passed 5 GB.  Some inputs at m = 7 are cheap (the
+# square of the (3,2) member of [2,4,5,1,3] took 0.25 s), but nothing
+# short of running one tells them apart.
+MAX_EXPAND_STAIRCASE = 6
+
 # The `selftest` check each suite runs, looked up by name when the suite runs.
 VERIFY_SUITES = {
     "chevalley": "check_chevalley",
@@ -50,11 +63,11 @@ VERIFY_SUITES = {
     "bijection": "check_bijections",
 }
 # The largest --max-n each suite runs, measured like MAX_TABLE_BASIS, in one
-# process under a 3 GB address-space cap: chevalley at n = 5 in 5.7 s and
-# 139 MB, at n = 6 MemoryError after 47 s; bijection at n = 7 in 89 s and
-# 76 MB; cauchy, quantization and stability at n = 6 in 30-37 s, 14-21 s
-# and 31-37 s at up to 986, 716 and 1,474 MB, while a quantum double member
-# of S_7 (w_0) alone reaches MemoryError.
+# process under a 3 GB address-space cap: chevalley at n = 5 in 2.2 s and
+# 137 MB, at n = 6 MemoryError after 47 s; bijection at n = 7 in 27 s and
+# 74 MB; cauchy at n = 6 in 21 s and 752 MB; quantization and stability at
+# n = 6 in 14-21 s and 31-37 s at up to 716 and 1,474 MB, while a quantum
+# double member of S_7 (w_0) alone reaches MemoryError.
 VERIFY_MAX_N = {
     "chevalley": 5,
     "cauchy": 6,
@@ -135,6 +148,12 @@ def _cmd_expand(args) -> int:
     except PolynomialParseError as exc:
         raise UsageError(str(exc)) from None
     ctx, family = _basis_flags(args)
+    staircase = max(f.staircase(), ctx.n if ctx is not None else 1)
+    if staircase > MAX_EXPAND_STAIRCASE:
+        raise UsageError(
+            f"the expansion reads members of S_{staircase}; "
+            f"at most S_{MAX_EXPAND_STAIRCASE} is expanded over"
+        )
     try:
         if ctx is not None:
             expansion = expand_in_parabolic_basis(f, ctx)
@@ -184,22 +203,6 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _format_table_text(table: StructureTable) -> str:
-    lines = []
-    for u in table.basis:
-        for v in table.basis:
-            terms = sorted(
-                table.entries[(u, v)].items(), key=lambda kv: (length(kv[0]), kv[0])
-            )
-            rhs = " + ".join(
-                f"({format_polynomial(c)})*{table._format_perm(w)}" for w, c in terms
-            )
-            lines.append(
-                f"{table._format_perm(u)} * {table._format_perm(v)} = {rhs or '0'}"
-            )
-    return "\n".join(lines)
-
-
 def _cmd_table(args) -> int:
     if (args.n is None) == (args.parabolic is None):
         raise UsageError("pass exactly one of --n or --parabolic")
@@ -217,7 +220,7 @@ def _cmd_table(args) -> int:
     if args.format == "json":
         _emit(args, table.to_json())
     else:
-        _emit(args, _format_table_text(table))
+        _emit(args, table.to_text())
     return 0
 
 
@@ -266,9 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: `parse_args` fills a fresh namespace on every
+# call, so nothing carries over from one `main` call to the next.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if getattr(args, "out", None):
             _check_out(args.out)

@@ -121,9 +121,16 @@ def _check_node(i: int, ctx: ParabolicContext | None):
 
 
 def _entry(w, ctx: ParabolicContext | None) -> tuple:
-    """(w, ctx) for the full flag if ctx is None, else w through
+    """(w, `_reading(ctx)`), w trimmed if ctx is None, else through
     `check_rep`: `_moves` holds on W^P only."""
-    return (trim(w), _FULL_FLAG) if ctx is None else (ctx.check_rep(w), ctx)
+    return (trim(w) if ctx is None else ctx.check_rep(w)), _reading(ctx)
+
+
+def _reading(ctx: ParabolicContext | None) -> ParabolicContext:
+    """The context whose move table serves ctx: the full flag for None and
+    for every (1, ..., 1), which has no block of size > 1 and so, past its
+    n as before it, the same moves, drops and eta_P as the full flag."""
+    return _FULL_FLAG if ctx is None or ctx.k == ctx.n else ctx
 
 
 def _root_sets(w: Permutation, ctx: ParabolicContext, i: int) -> tuple:
@@ -150,7 +157,7 @@ def b_root_set(w, ctx: ParabolicContext | None = None) -> frozenset:
 
 
 # Bounded like the member caches: two small mappings per (trimmed w, ctx),
-# and the bijection checks of S_5 and every composition of 5 ask for 660.
+# and the bijection checks of S_5 and every composition of 5 ask for 540.
 @lru_cache(maxsize=2048)
 def _moves(w: Permutation, ctx: ParabolicContext) -> tuple:
     """({alpha: w s_alpha} over the covers of w, {alpha: pi_P(w s_alpha)}
@@ -210,10 +217,19 @@ def weight_term(w, i: int) -> Polynomial:
     )
 
 
-def _member(flavor: str, w, ctx) -> Polynomial:
+def _members(flavor: str, w: Permutation, ctx):
+    """The member map of the identities of w.  The parabolic flavor reads
+    the chain of ctx.  The quantum double flavor reads the chain of
+    (1, ..., 1) of len(w), the full flag of the least S_n holding w, so at
+    a node i < len(w) its identity is the parabolic one of that composition,
+    member for member.  The other flavors read `schubert_polynomial`."""
     if flavor == "parabolic":
-        return _chain_member(ctx.composition, True, w)
-    return schubert_polynomial(w, flavor)
+        blocks = ctx.composition
+    elif flavor == "quantum_double":
+        blocks = (1,) * max(len(w), 1)
+    else:
+        return lambda z: schubert_polynomial(z, flavor)
+    return lambda z: _chain_member(blocks, True, z)
 
 
 def _chevalley_terms(i: int, w, flavor: str, ctx: ParabolicContext) -> dict:
@@ -236,6 +252,20 @@ def _chevalley_terms(i: int, w, flavor: str, ctx: ParabolicContext) -> dict:
     return {z: c for z, c in terms.items() if c}
 
 
+def _chevalley_identity(i: int, w, flavor: str, ctx: ParabolicContext | None) -> tuple:
+    """(w, rule row, member map) of the node-i identity of w, after the
+    checks of the flavor, the context and the node."""
+    if flavor not in CHEVALLEY_FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    if flavor != "parabolic":
+        ctx = None
+    elif ctx is None:
+        raise ValueError("parabolic flavor needs a composition context")
+    _check_node(i, ctx)
+    w, ring = _entry(w, ctx)
+    return w, _chevalley_terms(i, w, flavor, ring), _members(flavor, w, ctx)
+
+
 def chevalley_rhs(
     i: int, w, flavor: str, ctx: ParabolicContext | None = None
 ) -> Polynomial:
@@ -248,23 +278,23 @@ def chevalley_rhs(
     parabolic:       the quantum_double shape with minimal representatives,
                      q-monomials through the coroot projection, and ctx nodes.
     """
-    if flavor not in CHEVALLEY_FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    if flavor != "parabolic":
-        ctx = None
-    elif ctx is None:
-        raise ValueError("parabolic flavor needs a composition context")
-    _check_node(i, ctx)
-    w, ring = _entry(w, ctx)
-    terms = _chevalley_terms(i, w, flavor, ring)
-    return sum_of_products((coeff, _member(flavor, z, ctx)) for z, coeff in terms.items())
+    _, terms, member = _chevalley_identity(i, w, flavor, ctx)
+    return sum_of_products((coeff, member(z)) for z, coeff in terms.items())
 
 
 def verify_chevalley(i: int, w, flavor: str, ctx: ParabolicContext | None = None):
-    """Check the node-i rule for w; returns (holds, difference polynomial)."""
-    w = trim(w)
-    lhs = _member(flavor, simple(i), ctx) * _member(flavor, w, ctx)
-    diff = lhs - chevalley_rhs(i, w, flavor, ctx)
+    """Check the node-i rule for w; returns (holds, difference polynomial).
+
+    The difference, member of s_i times member of w minus the rule, is one
+    sum of products: the rule's term on w folds into the divisor, as
+    (member of s_i - that term) times the member of w, and every other term
+    enters with its coefficient negated.
+    """
+    w, terms, member = _chevalley_identity(i, w, flavor, ctx)
+    divisor = member(simple(i)) - terms.pop(w, _ZERO)
+    diff = sum_of_products(
+        [(divisor, member(w))] + [(-coeff, member(z)) for z, coeff in terms.items()]
+    )
     return (not diff.terms, diff)
 
 
@@ -279,11 +309,11 @@ def bijection_check(w, ctx: ParabolicContext | None = None) -> bool:
     identity the Cauchy coefficients rely on:
     v w^{-1} = pi_P(v s_alpha) pi_P(w s_alpha)^{-1}, checked in the
     equivalent form u^{-1} v = z^{-1} w for u = pi_P(v s_alpha) and
-    z = pi_P(w s_alpha).  No ctx means the full flag, the composition
-    (1, ..., 1): there pi_P is the identity, so the map is its own inverse
-    and the index identity holds for every pair.
+    z = pi_P(w s_alpha).  No ctx means the full flag, as does every
+    (1, ..., 1) (`_reading`): there pi_P is the identity, so the map is its
+    own inverse and the index identity holds for every pair.
     """
-    w, ctx = trim(w), ctx or _FULL_FLAG
+    w, ctx = trim(w), _reading(ctx)
     if not ctx.is_min_rep(w):
         return False
     # Every v weak-below w is then in W^P too: a right descent s_j of v in
@@ -303,7 +333,7 @@ def bijection_check(w, ctx: ParabolicContext | None = None) -> bool:
 
 
 # Bounded like the member caches: the bijection checks of S_5 and every
-# composition of 5 visit 7,998 (v, ctx) pairs, 660 of them distinct.
+# composition of 5 visit 6,099 (v, ctx) pairs, 540 of them distinct.
 @lru_cache(maxsize=2048)
 def _bijection_row(v: Permutation, ctx: ParabolicContext) -> tuple:
     """((alpha, u, u^{-1} v), ...) over the length drops alpha of v in W^P,
@@ -767,28 +797,45 @@ class StructureTable:
     def _format_perm(self, w) -> str:
         return format_permutation(extend(w, self.n))
 
+    def _sorted_rows(self):
+        """(u, v, terms) over the basis pairs, the terms in the order of
+        (length, one-line form), read through one cached key per element."""
+        order = cache(lambda w: (length(w), w))
+        for u in self.basis:
+            for v in self.basis:
+                terms = self.entries[(u, v)].items()
+                yield u, v, sorted(terms, key=lambda item: order(item[0]))
+
+    def to_text(self) -> str:
+        """One line `u * v = (c)*w + ...` per basis pair, in the order of
+        `to_json`.  Each monomial and each permutation is formatted once per
+        call."""
+        describe = cache(_describe)
+        label = cache(self._format_perm)
+        return "\n".join(
+            f"{label(u)} * {label(v)} = "
+            + (" + ".join(f"({_format(c, describe)})*{label(z)}" for z, c in terms) or "0")
+            for u, v, terms in self._sorted_rows()
+        )
+
     def to_json(self) -> str:
         """The text `json.dumps(blob, indent=2)` gives for the blob of n,
         the parabolic label and the entries, written directly: with an
         indent the json module encodes in pure Python.  Each monomial and
         each permutation is formatted once per call."""
         describe = cache(_describe)
-        order = cache(lambda w: (length(w), w))
         label = cache(lambda w: json.dumps(self._format_perm(w)))
         entries = []
-        for u in self.basis:
-            for v in self.basis:
-                terms = ",\n".join(
-                    '        {\n          "w": %s,\n          "coeff": %s\n        }'
-                    % (label(z), json.dumps(_format(c, describe)))
-                    for z, c in sorted(
-                        self.entries[(u, v)].items(), key=lambda item: order(item[0])
-                    )
-                )
-                entries.append(
-                    '    {\n      "u": %s,\n      "v": %s,\n      "terms": %s\n    }'
-                    % (label(u), label(v), f"[\n{terms}\n      ]" if terms else "[]")
-                )
+        for u, v, terms in self._sorted_rows():
+            terms = ",\n".join(
+                '        {\n          "w": %s,\n          "coeff": %s\n        }'
+                % (label(z), json.dumps(_format(c, describe)))
+                for z, c in terms
+            )
+            entries.append(
+                '    {\n      "u": %s,\n      "v": %s,\n      "terms": %s\n    }'
+                % (label(u), label(v), f"[\n{terms}\n      ]" if terms else "[]")
+            )
         parabolic = (
             ",".join(str(b) for b in self.ctx.composition) if self.ctx is not None else None
         )

@@ -204,7 +204,7 @@ def _chain_member(composition: tuple, quantum: bool, w: Permutation) -> Polynomi
 # does not pin every member it was ever asked for.  The double and quantum
 # double members are the chain's own entries; this one keeps the a -> 0 form
 # of the quantum member of any composition, which every quantum and
-# parabolic Cauchy sum multiplies: 565 entries after those of S_5 and of
+# parabolic Cauchy sum multiplies: 574 entries after those of S_5 and of
 # every composition of 5.  The full flag of S_n is the composition
 # (1, ..., 1) here too.
 @lru_cache(maxsize=2048)
@@ -283,10 +283,15 @@ def cauchy_rhs(w, quantum: bool) -> Polynomial:
     """Sum of Schub_{v w^{-1}}(-a) times the (quantum) Schubert of v over v below w.
 
     The sum runs over the left weak order ideal of w and reproduces the
-    double (or quantum double) member for w.
+    double (or quantum double) member for w.  The quantum sum reads every
+    v from the chain of S_len(w): it is `parabolic_cauchy_rhs` of the full
+    flag (1, ..., 1) of len(w), term for term.
     """
-    family = "quantum" if quantum else "classical"
-    return _cauchy_sum(trim(w), lambda v: schubert_polynomial(v, family))
+    w = trim(w)
+    if quantum:
+        full_flag = (1,) * max(len(w), 1)
+        return _cauchy_sum(w, lambda v: _a_free_member(full_flag, v))
+    return _cauchy_sum(w, lambda v: schubert_polynomial(v, "classical"))
 
 
 # -- expansion in a Schubert family -------------------------------------------
@@ -325,6 +330,16 @@ def _expand_by_leads(f: Polynomial, member) -> dict:
     coefficient (a polynomial in the non-x variables), and returns the basis
     element w whose code is vec together with its member; it raises
     ValueError when either lies outside the basis' span.
+
+    Every member read lies in S_m, m the staircase of f (`staircase`), or
+    the n of a composition if that is larger.  Let H_m be the span over
+    Z[a, q] of the x^b with b_i <= m - i.  The members of S_m lie in H_m
+    (Fomin, Gelfand and Postnikov, J. Amer. Math. Soc. 10 (1997), sect. 3;
+    the top product of a composition of m does too, since x_t occurs in the
+    factors of its N_j >= t, at most m - t of them, and divided differences
+    in the a's keep x-degrees), and lead at x^code(w).  So f - coeff * member
+    stays in H_m, and each lead, under the staircase, is the code of a w in
+    S_m.
     """
     result: dict = {}
     previous = None

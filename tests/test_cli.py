@@ -212,6 +212,26 @@ class TestTable:
         assert StructureTable.from_json(target.read_text()) == StructureTable.build(2)
 
 
+def test_successive_calls_share_one_parser_and_no_options(
+    capsys, monkeypatch, tmp_path
+):
+    flavors = []
+    monkeypatch.setattr(
+        selftest,
+        "check_chevalley",
+        lambda max_n, flavor: flavors.append(flavor) or (True, "planted"),
+    )
+    assert main(["verify", "chevalley", "--flavor", "quantum"]) == 0
+    assert main(["verify", "chevalley"]) == 0
+    assert flavors == ["quantum", None]
+    assert capsys.readouterr().out == "chevalley verified: planted\n" * 2
+    target = tmp_path / "table.json"
+    assert main(["table", "--n", "2", "--out", str(target)]) == 0
+    assert main(["table", "--n", "2"]) == 0
+    assert capsys.readouterr().out == target.read_text(encoding="utf-8")
+    assert cli._parser() is cli._parser()
+
+
 def test_usage_error_on_unknown_subcommand(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
@@ -337,6 +357,45 @@ class TestExitCodes:
         )
         exit_code, _, _ = run(capsys, "table", "--parabolic", "3,2,1")
         assert exit_code == 0 and asked[0].composition == (3, 2, 1)
+
+    @pytest.mark.parametrize(
+        "argv, m",
+        [
+            (["--poly", "x1^6", "--family", "quantum-double"], 7),
+            (["--poly", "x1^6*x2^5*x3^4*x4^3*x5^2*x6", "--family", "classical"], 7),
+            (["--poly", "x1*x3^7 + a1", "--family", "double"], 10),
+            (["--poly", "1", "--parabolic", "1,1,1,1,1,1,1"], 7),
+            (["--poly", "x1^2*x2^2*x3^2*x4^2*x5^4", "--parabolic", "1,1,3"], 9),
+        ],
+        ids=["quantum-double", "classical", "double", "composition", "parabolic"],
+    )
+    def test_expand_beyond_the_work_bound(self, capsys, monkeypatch, argv, m):
+        # Refused before the first round: expanding here is a crash (exit 3).
+        def expand(*args, **kwargs):
+            raise AssertionError("expanded past the work bound")
+
+        monkeypatch.setattr(cli, "expand_in_schubert_basis", expand)
+        monkeypatch.setattr(cli, "expand_in_parabolic_basis", expand)
+        err = self.assert_usage_error(capsys, "expand", *argv)
+        assert f"members of S_{m};" in err
+        assert f"at most S_{cli.MAX_EXPAND_STAIRCASE}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--poly", "x1^5", "--family", "quantum-double"],
+            ["--poly", "x1^2*x4^2 + q1", "--parabolic", "2,2,2"],
+        ],
+        ids=["family", "parabolic"],
+    )
+    def test_expand_at_the_work_bound_is_accepted(self, capsys, monkeypatch, argv):
+        asked = []
+        planted = lambda f, basis: asked.append(f) or {}  # noqa: E731
+        monkeypatch.setattr(cli, "expand_in_schubert_basis", planted)
+        monkeypatch.setattr(cli, "expand_in_parabolic_basis", planted)
+        assert cli.MAX_EXPAND_STAIRCASE == 6
+        assert run(capsys, "expand", *argv) == (0, "0", "")
+        assert len(asked) == 1
 
     @pytest.mark.parametrize("suite", sorted(VERIFY_SUITES))
     def test_verify_max_n_beyond_the_layout(self, capsys, suite):
