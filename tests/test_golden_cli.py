@@ -149,6 +149,11 @@ GOLDEN = [
         "e6e560a48431c43c1ab0804ae590f0bec27d7f328605232d4b577a4a63efca33",
     ),
     (
+        ["verify", "bijection", "--max-n", "6"],
+        0,
+        "d269798a5c2f10e5883f2166f07d474514603e25f164db89535c3899882bc251",
+    ),
+    (
         ["verify", "cauchy", "--max-n", "5"],
         0,
         "8985dfcbd41f1211509ecc5458a34734f8d0d5e40f9a7f5cdf3a86a0db15ab16",
@@ -239,4 +244,15 @@ def test_sixty_element_table_is_byte_identical(capsys):
         ["table", "--parabolic", "1,1,1,2"],
         0,
         "626cfe3693d53af1075057f2c8df1a9885661868330c702e46d0a4d76efbddc7",
+    )
+
+
+@pytest.mark.slow
+def test_chevalley_at_five_is_byte_identical(capsys):
+    # About 3 s on a shared 2-vCPU VM: run with `python -m pytest -m slow`.
+    test_output_is_byte_identical(
+        capsys,
+        ["verify", "chevalley", "--max-n", "5"],
+        0,
+        "deb14f1a0fead3480eb5828d4bc6fe11c43c170db66bd7ca3aa1528549f7555b",
     )
