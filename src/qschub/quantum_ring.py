@@ -137,7 +137,7 @@ def _root_sets(w: Permutation, ctx: ParabolicContext, i: int) -> tuple:
     """The maps of `_moves` on the roots with r <= i < s, for a node i of
     ctx; past len(w) the one cover crossing i is (i, i + 1)."""
     covers, drops = (
-        {alpha: z for alpha, z in moves.items() if alpha[0] <= i < alpha[1]}
+        {alpha: move for alpha, move in moves.items() if alpha[0] <= i < alpha[1]}
         for moves in _moves(w, ctx)
     )
     if i > len(w):
@@ -157,12 +157,14 @@ def b_root_set(w, ctx: ParabolicContext | None = None) -> frozenset:
 
 
 # Bounded like the member caches: two small mappings per (trimmed w, ctx),
-# and the bijection checks of S_5 and every composition of 5 ask for 540.
+# each drop with its coset, and the bijection checks of S_5 and every
+# composition of 5 ask for 540.
 @lru_cache(maxsize=2048)
 def _moves(w: Permutation, ctx: ParabolicContext) -> tuple:
-    """({alpha: w s_alpha} over the covers of w, {alpha: pi_P(w s_alpha)}
-    over its length drops) for w in W^P, in root order, read-only since the
-    cache shares them.  For alpha = (r, s), A = w(r) and B = w(s):
+    """({alpha: w s_alpha} over the covers of w, {alpha: (z, z^{-1} w)} with
+    z = pi_P(w s_alpha) over its length drops) for w in W^P, in root order,
+    read-only since the cache shares them.  For alpha = (r, s), A = w(r) and
+    B = w(s):
     - a cover has A < B, no w(t) between them for r < t < s, and r, s in
       different blocks; both blocks of w s_alpha then stay sorted;
     - a drop, l(pi_P(w s_alpha)) = l(w) + 1 - <alpha^vee, 2 rho - 2 rho_P>
@@ -202,7 +204,8 @@ def _moves(w: Permutation, ctx: ParabolicContext) -> tuple:
                 above = ws
             elif ws < below:
                 if above > m + 1 and line[block[s][1] - 1] < wr:
-                    drops[r, s] = ctx.min_rep(reflect(w, (r, s)))
+                    z = ctx.min_rep(reflect(w, (r, s)))
+                    drops[r, s] = z, compose(inverse(z), w)
                 below = ws
     return MappingProxyType(covers), MappingProxyType(drops)
 
@@ -245,7 +248,7 @@ def _chevalley_terms(i: int, w, flavor: str, ctx: ParabolicContext) -> dict:
     covers, drops = _root_sets(w, ctx, i)
     # Cover targets are distinct, and none is w or a drop target.
     terms = {w: weight_term(w, i)} | dict.fromkeys(covers.values(), _ONE)
-    for alpha, z in drops.items():
+    for alpha, (z, _) in drops.items():
         terms[z] = terms.get(z, _ZERO) + eta_p(alpha, ctx)
     for family in _ZEROED[flavor]:
         terms = {z: c.zero_out(family) for z, c in terms.items()}
@@ -317,30 +320,20 @@ def bijection_check(w, ctx: ParabolicContext | None = None) -> bool:
     if not ctx.is_min_rep(w):
         return False
     # Every v weak-below w is then in W^P too: a right descent s_j of v in
-    # W_P would be one of w, so `_bijection_row` may read v's move table.
+    # W_P would be one of w, so v's move table may be read.
     moved = _moves(w, ctx)[1]
-    second = {(u, alpha) for alpha, z in moved.items() for u in _weak_order_ideal(z)}
-    index = {alpha: compose(inverse(z), w) for alpha, z in moved.items()}
+    second = {
+        (u, alpha) for alpha, (z, _) in moved.items() for u in _weak_order_ideal(z)
+    }
     image, pairs = set(), 0
     for v in _weak_order_ideal(w):
-        for alpha, u, coset in _bijection_row(v, ctx):
+        for alpha, (u, coset) in _moves(v, ctx)[1].items():
             # a drop of v that is none of w has no pair in the second set
-            if alpha not in index or coset != index[alpha]:
+            if alpha not in moved or coset != moved[alpha][1]:
                 return False
             image.add((u, alpha))
             pairs += 1
     return image == second and len(image) == pairs
-
-
-# Bounded like the member caches: the bijection checks of S_5 and every
-# composition of 5 visit 6,099 (v, ctx) pairs, 540 of them distinct.
-@lru_cache(maxsize=2048)
-def _bijection_row(v: Permutation, ctx: ParabolicContext) -> tuple:
-    """((alpha, u, u^{-1} v), ...) over the length drops alpha of v in W^P,
-    with u = pi_P(v s_alpha)."""
-    return tuple(
-        (alpha, u, compose(inverse(u), v)) for alpha, u in _moves(v, ctx)[1].items()
-    )
 
 
 # -- structure constants ---------------------------------------------------------
@@ -351,10 +344,6 @@ def _basis_row(i: int, w, ring: ParabolicContext, reps) -> dict:
     return {
         z: c for z, c in _chevalley_terms(i, w, "parabolic", ring).items() if z in reps
     }
-
-
-def _zero_out(row: dict, family: str) -> dict:
-    return {z: c2 for z, c in row.items() if (c2 := c.zero_out(family))}
 
 
 def _ring(domain) -> ParabolicContext:
@@ -766,33 +755,17 @@ class StructureTable:
         right = self._expand_product(entries[(v, t)], lambda w: entries[(u, w)])
         return left == right
 
-    def _divisor_rows(self):
-        """(w, table row, rule row) at every node i and basis element w."""
-        reps = set(self.basis)
-        for i in self.ring.nodes:
-            si = simple(i)
-            for w in self.basis:
-                yield w, self.entries[(si, w)], _basis_row(i, w, self.ring, reps)
-
     def check_divisor_rows(self) -> bool:
-        """Rows at a simple reflection match the Chevalley-Monk rule exactly."""
-        return all(got == expected for _, got, expected in self._divisor_rows())
-
-    def _specialized_rows(self, family: str):
-        """(w, table row, rule row) at every divisor row, `family` set to 0."""
-        for w, got, expected in self._divisor_rows():
-            yield w, _zero_out(got, family), _zero_out(expected, family)
-
-    def check_quantum_specialization(self) -> bool:
-        """a -> 0 on divisor rows: covers plus q-corrections, no weight term."""
+        """Rows at a simple reflection match the Chevalley-Monk rule exactly.
+        Their a -> 0 and q -> 0 forms then match too, and w is never left in
+        its own row at a -> 0: the rule's term on w is the weight term, linear
+        in a, since every cover or drop target has another length."""
+        reps = set(self.basis)
         return all(
-            got == expected and w not in got
-            for w, got, expected in self._specialized_rows("a")
+            self.entries[(simple(i), w)] == _basis_row(i, w, self.ring, reps)
+            for i in self.ring.nodes
+            for w in self.basis
         )
-
-    def check_classical_specialization(self) -> bool:
-        """q -> 0 on divisor rows: weight term plus covers only."""
-        return all(got == expected for _, got, expected in self._specialized_rows("q"))
 
     def _format_perm(self, w) -> str:
         return format_permutation(extend(w, self.n))

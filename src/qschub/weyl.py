@@ -215,9 +215,9 @@ def is_cover(w: Permutation, alpha: Root) -> bool:
     return not any(wr < apply_to(w, t) < ws for t in range(r + 1, s))
 
 
-# Bruhat order is the paper's order on Schubert classes: the table builder
-# uses it for the support of q-free products, and the tests check covers and
-# product supports against it.
+# Bruhat order is the paper's order on Schubert classes.  Only the tests call
+# it: on Bruhat covers, and on the support of q-free products, which the
+# table builder reads off the reach masks of `quantum_ring._Solver`.
 def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     """Bruhat order by the rank-matrix (sorted prefix) criterion."""
     n = max(len(u), len(w))

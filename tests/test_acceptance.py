@@ -25,9 +25,7 @@ def test_criterion(index, name, check, capsys):
 
 @pytest.mark.parametrize("check", [check_full_flag_table, check_parabolic_tables])
 def test_table_criteria_run_the_same_checks(check, monkeypatch):
-    monkeypatch.setattr(
-        StructureTable, "check_classical_specialization", lambda table: False
-    )
+    monkeypatch.setattr(StructureTable, "check_divisor_rows", lambda table: False)
     ok, detail = check()
     assert not ok
-    assert detail.endswith("q -> 0 divisor row disagrees")
+    assert detail.endswith("a divisor row disagrees with the rule")

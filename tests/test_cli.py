@@ -76,6 +76,14 @@ class TestPoly:
         assert exit_code == 2
         assert "does not combine" in err
 
+    def test_unknown_family_is_refused_by_the_parser(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["poly", "--w", "[2,1]", "--family", "nope"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice: 'nope'" in captured.err
+
     def test_non_minimal_parabolic_input(self, capsys):
         exit_code, _, err = run(capsys, "poly", "--parabolic", "2,1", "--w", "[2,1,3]")
         assert exit_code == 2

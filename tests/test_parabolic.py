@@ -1,9 +1,12 @@
 """Parabolic members, quantization, Cauchy and stability."""
 
+import importlib
 import itertools
+import pkgutil
 
 import pytest
 
+import qschub
 from qschub.poly import Polynomial, a, graded_degree, q, x
 from qschub.parabolic import (
     G_polynomial,
@@ -348,9 +351,32 @@ class TestExpansion:
             expand_in_parabolic_basis(x(1), ParabolicContext((2, 1)))
 
 
+def package_caches() -> dict:
+    """{"module.name": cache} over the objects with `cache_info` in every
+    qschub module, each under the module that defines it."""
+    found = {}
+    for info in pkgutil.iter_modules(qschub.__path__):
+        module = importlib.import_module(f"qschub.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                found[f"{info.name}.{name}"] = obj
+    return found
+
+
+# The caches with a policy of their own, by maxsize: the solvers hold whole
+# tables; the rest are unbounded on purpose, as their comments say.
+OWN_POLICY = {
+    "quantum_ring._solver": 8,
+    "quantization.e_level": None,
+    "quantization._g_slice": None,
+    "schubert._d_char_coeffs": None,
+    "cli._parser": None,
+}
+
+
 class TestChainCache:
     def test_chain_caches_share_one_bounded_policy(self):
-        from qschub import parabolic, quantization, quantum_ring, schubert, selftest, weyl
+        from qschub import quantization, selftest
 
         for comp in compositions(4):
             ctx = ParabolicContext(comp)
@@ -361,24 +387,14 @@ class TestChainCache:
         assert selftest.check_bijections(4)[0] and selftest.check_cauchy(4)[0]
         assert selftest.check_chevalley(3, "parabolic")[0]
         quantization.theta(schubert_polynomial((2, 4, 1, 3), "double"))
-        for chain in (
-            parabolic._p_dd,
-            schubert._dd_from_top,
-            schubert._top_factors,
-            schubert._signed_chain,
-            schubert._a_free_member,
-            schubert._x_chain_member,
-            schubert._cauchy_left,
-            schubert._w0_p_inverse,
-            quantum_ring._moves,
-            quantum_ring._bijection_row,
-            weyl._weak_order_ideal,
-            weyl._ideal_cosets,
-            quantization._G_lam,
-        ):
+        caches = package_caches()
+        for name, maxsize in OWN_POLICY.items():
+            assert caches.pop(name).cache_info().maxsize == maxsize, name
+        assert len(caches) == 11
+        for name, chain in caches.items():
             info = chain.cache_info()
-            assert info.maxsize == 2048
-            assert 0 < info.currsize <= info.maxsize
+            assert info.maxsize == 2048, name
+            assert 0 < info.currsize <= info.maxsize, name
 
     def test_full_flag_members_reuse_the_parabolic_chain(self):
         from qschub import schubert
