@@ -37,9 +37,8 @@ EXIT_CLOSED_PIPE = 141
 # the JSON to a file, on one core of a shared 2-vCPU VM (Python 3.11): S_4
 # (24 elements) in 0.2 s and 22 MB, (2,2,1) (30) in 0.5 s and 28 MB,
 # (1,1,1,2) (60) in 3.8-5.1 s and 108 MB, (2,2,2) (90) in 17.5 s and
-# 602 MB, S_5 (120) in 47 s and 772 MB, and (3,1,1,1), also 120, in 162 s
-# and 1,543 MB (before the JSON text was written directly), which is why
-# the bound stays below 90.
+# 602 MB, S_5 (120) in 47 s and 772 MB, and (3,1,1,1), also 120, in 56-61 s
+# and 1,308 MB, which is why the bound stays below 90.
 MAX_TABLE_BASIS = 60
 
 # The largest S_m whose members `expand` reads.  An expansion of f over a
@@ -63,11 +62,12 @@ VERIFY_SUITES = {
     "bijection": "check_bijections",
 }
 # The largest --max-n each suite runs, measured like MAX_TABLE_BASIS, in one
-# process under a 3 GB address-space cap: chevalley at n = 5 in 2.2 s and
-# 137 MB, at n = 6 MemoryError after 47 s; bijection at n = 7 in 27 s and
-# 74 MB; cauchy at n = 6 in 21 s and 752 MB; quantization and stability at
-# n = 6 in 14-21 s and 31-37 s at up to 716 and 1,474 MB, while a quantum
-# double member of S_7 (w_0) alone reaches MemoryError.
+# process under a 3 GB address-space cap: chevalley at n = 5 in 2.5-3.6 s
+# and 141 MB, at n = 6 MemoryError after 47 s; bijection at n = 7 in 27 s
+# and 74 MB; at n = 6, cauchy in 21-29 s and 364 MB, quantization in 18 s
+# and 725 MB, and stability in 33-41 s and 1,026 MB (cauchy and stability
+# keep no member they read once), while a quantum double member of S_7
+# (w_0) alone reaches MemoryError.
 VERIFY_MAX_N = {
     "chevalley": 5,
     "cauchy": 6,

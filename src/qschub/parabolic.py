@@ -29,7 +29,6 @@ from .quantization import (
     partition_tuples,
 )
 from .schubert import (
-    _a_free_member,
     _cauchy_sum,
     _chain_member,
     _dd_from_top,
@@ -84,7 +83,7 @@ def theta_P(ctx: ParabolicContext, f: Polynomial) -> Polynomial:
 def parabolic_cauchy_rhs(ctx: ParabolicContext, w) -> Polynomial:
     """Sum of Schub_{v w^{-1}}(-a) times the a -> 0 member of v, over the left
     weak order ideal of w; equals the member attached to w."""
-    return _cauchy_sum(ctx.check_rep(w), lambda v: _a_free_member(ctx.composition, v))
+    return _cauchy_sum(ctx.composition, True, ctx.check_rep(w))
 
 
 # -- basis expansion --------------------------------------------------------------

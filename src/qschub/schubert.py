@@ -15,7 +15,8 @@ a_{i+1}.  So the chain keeps a partial result and the set of factors not yet
 used: before d_i it multiplies factors i and i+1 into the partial result, if
 they are still unused, and the factors left over, free of a_i and a_{i+1},
 pass through d_i untouched.  A member is its partial result times the
-factors left over.
+factors left over; a reader that needs it once takes it as a last product
+(f, g) and keeps nothing, and its a -> 0 form is read off the same state.
 
 The classical and quantum kinds are the a -> 0 specializations.  The
 classical family is computed by the equivalent x-side chain up from the
@@ -69,6 +70,7 @@ __all__ = [
 ]
 
 FAMILY_KINDS = ("classical", "double", "quantum", "quantum_double")
+_ONE = Polynomial.const(1)
 
 
 def divided_difference(i: int, f: Polynomial) -> Polynomial:
@@ -175,16 +177,36 @@ def _dd_from_top(composition: tuple, quantum: bool, v: Permutation) -> tuple:
     return divided_difference(i, partial), pending - {i, i + 1}
 
 
-# Bounded like the chain.  Without it every parabolic member multiplies its
-# pending factors again.
+def _last_product(composition: tuple, quantum: bool, v: Permutation) -> tuple:
+    """The signed chain for v as a last product: (f, g) with f * g the chain
+    for v times (-1)^l(v).  Every pending factor of the chain state but the
+    last is multiplied into `partial`, giving f, and g is that last factor
+    with the sign on it.  With no factor pending, f is the signed `partial`
+    and g is 1."""
+    partial, pending = _dd_from_top(composition, quantum, v)
+    odd = length(v) % 2
+    if not pending:
+        return (-partial if odd else partial), _ONE
+    factors = _top_factors(composition, quantum)
+    *first, last = sorted(pending)
+    for t in first:
+        partial = partial * factors[t]
+    return partial, (-factors[last] if odd else factors[last])
+
+
+# Bounded like the chain.  Filled by the readers that read a member more
+# than once: the Chevalley rule members, `_Solver._localize`, `expand` and
+# the public member functions.  `verify cauchy` and `verify stability` read
+# each member once, as its `_member_pair`, and the a-free members are read
+# off the chain state, so neither fills it.
 @lru_cache(maxsize=2048)
 def _signed_chain(composition: tuple, quantum: bool, v: Permutation) -> Polynomial:
     """The chain for v applied to the top product, times (-1)^l(v)."""
-    partial, pending = _dd_from_top(composition, quantum, v)
-    factors = _top_factors(composition, quantum)
-    for t in sorted(pending):
-        partial = partial * factors[t]
-    return partial if length(v) % 2 == 0 else -partial
+    f, g = _last_product(composition, quantum, v)
+    # With no factor pending, f is the cached chain state's `partial` or its
+    # negation, which shares its keys; f * 1 would copy every key (70 MB
+    # more at `verify chevalley --max-n 5`).
+    return f if g is _ONE else f * g
 
 
 # Bounded like the chain: one short permutation per composition asked for.
@@ -193,23 +215,46 @@ def _w0_p_inverse(composition: tuple) -> Permutation:
     return inverse(ParabolicContext(composition).w0_p())
 
 
-def _chain_member(composition: tuple, quantum: bool, w: Permutation) -> Polynomial:
-    """The signed chain for v = w (w_0^P)^{-1}, the composition followed by
-    as many singleton blocks as w needs past its n."""
+def _chain_index(composition: tuple, w: Permutation) -> tuple:
+    """(composition, v) of the chain that gives the member of w: the
+    composition followed by as many singleton blocks as w needs past its n,
+    and v = w (w_0^P)^{-1}."""
     composition += (1,) * (len(w) - sum(composition))
-    return _signed_chain(composition, quantum, compose(w, _w0_p_inverse(composition)))
+    return composition, compose(w, _w0_p_inverse(composition))
+
+
+def _chain_member(composition: tuple, quantum: bool, w: Permutation) -> Polynomial:
+    """The signed chain for v = w (w_0^P)^{-1} (`_chain_index`)."""
+    composition, v = _chain_index(composition, w)
+    return _signed_chain(composition, quantum, v)
+
+
+def _member_pair(composition: tuple, quantum: bool, w: Permutation) -> tuple:
+    """`_chain_member` as its `_last_product` (f, g), kept nowhere: for a
+    reader that reads the member once, in a sum of products."""
+    composition, v = _chain_index(composition, w)
+    return _last_product(composition, quantum, v)
 
 
 # The member caches are bounded like the chain, so a long-running process
 # does not pin every member it was ever asked for.  The double and quantum
 # double members are the chain's own entries; this one keeps the a -> 0 form
-# of the quantum member of any composition, which every quantum and
-# parabolic Cauchy sum multiplies: 574 entries after those of S_5 and of
-# every composition of 5.  The full flag of S_n is the composition
-# (1, ..., 1) here too.
+# of the quantum member of any composition, filled by `schubert_polynomial`
+# and by every quantum and parabolic Cauchy sum, whose right factors these
+# are: 574 entries after those of S_5 and of every composition of 5.  The
+# full flag of S_n is the composition (1, ..., 1) here too.
 @lru_cache(maxsize=2048)
 def _a_free_member(composition: tuple, w: Permutation) -> Polynomial:
-    return _chain_member(composition, True, w).zero_out("a")
+    """The quantum member of w at a = 0, read off its chain state without
+    the full member: a -> 0 preserves sums and products, so it is `partial`
+    at a = 0 times every pending factor at a = 0, with the chain's sign."""
+    composition, v = _chain_index(composition, w)
+    partial, pending = _dd_from_top(composition, True, v)
+    factors = _top_factors(composition, True)
+    member = partial.zero_out("a")
+    for t in sorted(pending):
+        member = member * factors[t].zero_out("a")
+    return -member if length(v) % 2 else member
 
 
 @lru_cache(maxsize=2048)
@@ -273,10 +318,28 @@ def _cauchy_left(u: Permutation) -> Polynomial:
     return x_to_minus_a(schubert_polynomial(u, "classical"))
 
 
-def _cauchy_sum(w: Permutation, right) -> Polynomial:
-    """Sum of Schub_{v w^{-1}}(-a) times right(v) over the left weak order
-    ideal of w."""
-    return sum_of_products((_cauchy_left(u), right(v)) for v, u in _ideal_cosets(w))
+def _cauchy_pairs(composition: tuple, quantum: bool, w: Permutation):
+    """(Schub_{v w^{-1}}(-a), member of v) over the left weak order ideal of
+    w: the a -> 0 member of v on the composition, or for the double sum
+    (quantum False) the classical member of v."""
+    for v, u in _ideal_cosets(w):
+        if quantum:
+            yield _cauchy_left(u), _a_free_member(composition, v)
+        else:
+            yield _cauchy_left(u), schubert_polynomial(v, "classical")
+
+
+def _cauchy_sum(composition: tuple, quantum: bool, w: Permutation) -> Polynomial:
+    """The Cauchy sum of w: the sum of `_cauchy_pairs`."""
+    return sum_of_products(_cauchy_pairs(composition, quantum, w))
+
+
+def _cauchy_difference(composition: tuple, quantum: bool, w: Permutation) -> Polynomial:
+    """The Cauchy sum of w minus the member of w on the composition, as one
+    sum of products: the member's `_member_pair` enters negated, so the
+    identity holds exactly when the difference is 0.  No member is kept."""
+    f, g = _member_pair(composition, quantum, w)
+    return sum_of_products([*_cauchy_pairs(composition, quantum, w), (f, -g)])
 
 
 def cauchy_rhs(w, quantum: bool) -> Polynomial:
@@ -288,10 +351,7 @@ def cauchy_rhs(w, quantum: bool) -> Polynomial:
     flag (1, ..., 1) of len(w), term for term.
     """
     w = trim(w)
-    if quantum:
-        full_flag = (1,) * max(len(w), 1)
-        return _cauchy_sum(w, lambda v: _a_free_member(full_flag, v))
-    return _cauchy_sum(w, lambda v: schubert_polynomial(v, "classical"))
+    return _cauchy_sum((1,) * max(len(w), 1), quantum, w)
 
 
 # -- expansion in a Schubert family -------------------------------------------

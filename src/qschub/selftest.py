@@ -11,8 +11,16 @@ import math
 import random
 import time
 
-from .parabolic import parabolic_cauchy_rhs, parabolic_q_double_schubert
-from .poly import Polynomial, a, elementary_symmetric, format_polynomial, q, x
+from .parabolic import parabolic_q_double_schubert
+from .poly import (
+    Polynomial,
+    a,
+    elementary_symmetric,
+    format_polynomial,
+    q,
+    sum_of_products,
+    x,
+)
 from .quantization import (
     E_relation_residual,
     e_relation_residual,
@@ -26,7 +34,8 @@ from .quantum_ring import (
 )
 from .schubert import (
     FAMILY_KINDS,
-    cauchy_rhs,
+    _cauchy_difference,
+    _member_pair,
     divided_difference,
     expand_in_schubert_basis,
     schubert_polynomial,
@@ -112,38 +121,42 @@ def check_quantization(max_n: int = 4) -> tuple:
 def check_cauchy(max_n: int = 4) -> tuple:
     """Interpolation sums over weak order ideals reproduce the members.
 
-    The quantum sum of a w of length max_n is the parabolic sum of the
-    composition (1, ..., 1) of max_n on the same members, so that
-    composition counts it without computing it again.
+    Each identity is one sum of products, the sum minus the member
+    (`_cauchy_difference`), so no member is kept.  The quantum sum of a w of
+    length max_n is the parabolic sum of the composition (1, ..., 1) of
+    max_n on the same members, so that composition counts it without
+    computing it again.
     """
     for w in all_perms(max_n):
-        if cauchy_rhs(w, quantum=False) != schubert_polynomial(w, "double"):
+        full_flag = (1,) * max(len(w), 1)
+        if _cauchy_difference(full_flag, False, w).terms:
             return False, f"double sum fails at {list(w)}"
-        if cauchy_rhs(w, quantum=True) != schubert_polynomial(w, "quantum_double"):
+        if _cauchy_difference(full_flag, True, w).terms:
             return False, f"quantum double sum fails at {list(w)}"
     cosets = 0
     for comp in compositions(max_n):
-        ctx = ParabolicContext(comp)
-        for w in ctx.minimal_reps():
+        for w in ParabolicContext(comp).minimal_reps():
             cosets += 1
             if len(comp) == len(w) == max_n:  # checked on the full flag above
                 continue
-            if parabolic_cauchy_rhs(ctx, w) != parabolic_q_double_schubert(ctx, w):
+            if _cauchy_difference(comp, True, w).terms:
                 return False, f"parabolic sum fails at {comp}, {list(w)}"
     return True, f"S_{max_n} plus {cosets} parabolic cases"
 
 
 def check_stability(max_n: int) -> tuple:
-    """Members are unchanged by appending a trailing singleton block."""
+    """Members are unchanged by appending a trailing singleton block.
+
+    Each identity is one sum of products, the wider member's pair minus the
+    member's own (`_member_pair`), so no member is kept.
+    """
     count = 0
     for n in range(2, max_n + 1):
         for comp in compositions(n):
-            ctx = ParabolicContext(comp)
-            wider = ctx.extend(1)
-            for w in ctx.minimal_reps():
-                if parabolic_q_double_schubert(
-                    wider, w
-                ) != parabolic_q_double_schubert(ctx, w):
+            for w in ParabolicContext(comp).minimal_reps():
+                f, g = _member_pair(comp + (1,), True, w)
+                h, k = _member_pair(comp, True, w)
+                if sum_of_products([(f, g), (h, -k)]).terms:
                     return False, f"extension changes the member at {comp}, {list(w)}"
                 count += 1
     return True, f"{count} members stable under extension"

@@ -16,6 +16,13 @@ from qschub.quantum_ring import StructureTable
 from qschub.schubert import schubert_polynomial
 
 
+def subprocess_env() -> dict:
+    """The environment with this checkout's `src` first on PYTHONPATH."""
+    src = str(Path(qschub.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def run(capsys, *argv):
     exit_code = main(list(argv))
     captured = capsys.readouterr()
@@ -177,6 +184,34 @@ class TestVerify:
         exit_code, out, _ = run(capsys, "verify", "quantization", "--max-n", "6")
         assert exit_code == 0
         assert out == "quantization verified: 720 permutations"
+
+    # Each cap is 1.25-1.35x the peak address space of the suite in its own
+    # process (shared 2-vCPU VM, Python 3.11): cauchy 373 MB and stability
+    # 1,037 MB.  While every member an identity read was kept, they peaked
+    # at 766 and 1,496 MB, over both caps.
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "suite, cap_mb, expected",
+        [
+            ("cauchy", 500, "cauchy verified: S_6 plus 4683 parabolic cases"),
+            ("stability", 1300, "stability verified: 5315 members stable under extension"),
+        ],
+    )
+    def test_n6_under_an_address_space_cap(self, suite, cap_mb, expected):
+        # About 20 s (cauchy) and 30 s (stability): run with `python -m pytest -m slow`.
+        capped = (
+            "import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({cap_mb << 20}, {cap_mb << 20}))\n"
+            "from qschub.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", capped, "verify", suite, "--max-n", "6"],
+            capture_output=True,
+            text=True,
+            env=subprocess_env(),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected + "\n", "")
 
     def test_flavor_flag(self, capsys):
         exit_code, out, _ = run(
@@ -449,14 +484,12 @@ class TestExitCodes:
     def test_closed_pipe_is_not_a_crash(self):
         # The JSON form of this member is about 200 KB, more than a pipe
         # holds, so the writer is still blocked when the reader goes away.
-        src = str(Path(qschub.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         argv = ["poly", "--w", "[5,4,3,2,1]", "--format", "json"]
         proc = subprocess.Popen(
             [sys.executable, "-m", "qschub.cli", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env={**os.environ, "PYTHONPATH": path},
+            env=subprocess_env(),
         )
         assert proc.stdout.read(64).startswith(b"[{")
         proc.stdout.close()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qschub import quantum_ring
 from qschub.cli import main
 from qschub.parabolic import expand_in_parabolic_basis, parabolic_q_double_schubert
-from qschub.poly import SLOTS, Polynomial, a, format_polynomial, parse_polynomial, q
+from qschub.poly import SLOTS, Polynomial, a, format_polynomial, parse_polynomial, q, x
 from qschub.quantum_ring import (
     StructureTable,
     b_root_set,
@@ -34,6 +34,7 @@ from qschub.weyl import (
     inverse,
     is_cover,
     length,
+    longest_element,
     pair_two_rho,
     q_coroot,
     reflect,
@@ -773,3 +774,81 @@ def test_ring_axioms_on_sampled_entries(table_221, uvt):
     u, v, t = uvt
     assert table_221.entries[(u, v)] == table_221.entries[(v, u)]
     assert table_221.associative_at(u, v, t)
+
+
+# Two theorems about the built tables that no step of the solver assumes.
+
+
+def not_positive_in_b(table) -> list:
+    """The (u, v, w) whose coefficient, after a_k -> b_1 + ... + b_{k-1}
+    with b_i = a_{i+1} - a_i written as x_i, is not a polynomial in the b's
+    with nonnegative integer coefficients."""
+    n = table.n
+    to_b = {
+        ("a", k): sum((x(i) for i in range(1, k)), Polynomial.zero())
+        for k in range(1, n + 1)
+    }
+    back = {("x", i): a(i + 1) - a(i) for i in range(1, n)}
+    failed = []
+    for (u, v), row in table.entries.items():
+        for w, coeff in row.items():
+            in_b = coeff.specialize(to_b)
+            # Mapping each b_i back to a_{i+1} - a_i gives coeff again exactly
+            # when coeff lies in Z[b, q].
+            if in_b.specialize(back) != coeff or any(c < 0 for c in in_b.terms.values()):
+                failed.append((u, v, w))
+    return failed
+
+
+def not_dual_at_a_zero(table) -> list:
+    """The full-flag (u, v, w) with c_{u,v}^{w,d} != c_{u, w0 w}^{w0 v, d}
+    at a = 0."""
+    w0 = longest_element(table.n)
+
+    def at_a_zero(u, v, w):
+        return table.product(u, v).get(w, Polynomial.zero()).zero_out("a")
+
+    return [
+        (u, v, w)
+        for u in table.basis
+        for v in table.basis
+        for w in table.basis
+        if at_a_zero(u, v, w) != at_a_zero(u, compose(w0, w), compose(w0, v))
+    ]
+
+
+def flip_one_sign(table):
+    """A copy of the table with its first coefficient that is nonzero at
+    a = 0 negated."""
+    entries = {key: dict(row) for key, row in table.entries.items()}
+    key, w = next(
+        (key, w)
+        for key, row in entries.items()
+        for w, coeff in row.items()
+        if coeff.zero_out("a")
+    )
+    entries[key][w] = -entries[key][w]
+    return StructureTable(table.ctx or table.n, entries)
+
+
+class TestIndependentTableChecks:
+    @pytest.mark.parametrize(
+        "domain", [4] + [ParabolicContext(c) for c in [(2, 2, 1), (1, 3, 1)]], ids=str
+    )
+    def test_graham_positivity(self, domain):
+        # Mihalcea (Amer. J. Math. 2006), after Graham (Duke 2001): every
+        # c_{u,v}^{w,d} is a polynomial in the b_i with nonnegative
+        # coefficients.
+        table = StructureTable.build(domain)
+        assert not_positive_in_b(table) == []
+        assert len(not_positive_in_b(flip_one_sign(table))) == 1
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_duality_at_a_zero(self, n):
+        # At a = 0 the constants are 3-point Gromov-Witten invariants,
+        # symmetric under u, v and the dual of w, which is w0 w on the full
+        # flag.
+        table = StructureTable.build(n)
+        assert not_dual_at_a_zero(table) == []
+        # A sign flip at a = 0 breaks the symmetry of its triples.
+        assert not_dual_at_a_zero(flip_one_sign(table))

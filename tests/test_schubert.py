@@ -205,6 +205,22 @@ def test_factored_chain_matches_plain_chain(quantum):
             u = compose(simple(reduced_word(u)[0]), u)
 
 
+def test_a_free_members_read_off_the_chain_state_are_the_full_ones_at_a_zero():
+    # The full member, then a -> 0: how `_a_free_member` read it before it
+    # was read off the chain state.  The member pair multiplies to the full
+    # member too.
+    cases = 0
+    for n in range(1, 6):
+        for comp in compositions(n):
+            for w in ParabolicContext(comp).minimal_reps():
+                full = schubert._chain_member(comp, True, w)
+                assert schubert._a_free_member(comp, w) == full.zero_out("a"), (comp, w)
+                f, g = schubert._member_pair(comp, True, w)
+                assert f * g == full, (comp, w)
+                cases += 1
+    assert cases == 1 + 3 + 13 + 75 + 541
+
+
 def test_worked_examples():
     assert schubert_polynomial((3, 1, 2), "classical") == x(1) ** 2
     expected = (x(1) - a(1)) * (x(1) - a(2)) - q(1)

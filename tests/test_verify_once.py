@@ -55,12 +55,22 @@ class Reads:
 
 @pytest.fixture
 def cauchy_reads(monkeypatch):
-    """Keys (w, compositions whose a-free members the sum read)."""
+    """Keys (w, compositions whose a-free members the sum read), of each
+    identity `check_cauchy` computes (`_cauchy_difference`) and of each sum
+    the public functions compute (`_cauchy_sum`)."""
     reads = Reads()
-    member = reads.reader(schubert._a_free_member, lambda args: args[0])
-    total = reads.spy(schubert._cauchy_sum, lambda args, read: (args[0], read))
+
+    def key(args, read):
+        return args[2], read
+
+    monkeypatch.setattr(
+        schubert, "_a_free_member", reads.reader(schubert._a_free_member, lambda args: args[0])
+    )
+    monkeypatch.setattr(
+        selftest, "_cauchy_difference", reads.spy(schubert._cauchy_difference, key)
+    )
+    total = reads.spy(schubert._cauchy_sum, key)
     for module in (schubert, parabolic):
-        monkeypatch.setattr(module, "_a_free_member", member)
         monkeypatch.setattr(module, "_cauchy_sum", total)
     return reads
 
@@ -185,19 +195,29 @@ class TestEachIdentityOnce:
 
 @pytest.fixture
 def corrupted_member(monkeypatch):
-    """The member of FULL_LENGTH on the chain of (1, 1, 1), plus a1.  The
-    a-free members, the right factors of the Cauchy sums, stay correct."""
-    real = schubert._chain_member
+    """The member of FULL_LENGTH on the chain of (1, 1, 1), made wrong:
+    plus a1 where `_chain_member` reads it for the Chevalley rule, and plus
+    a1 times g where the Cauchy and stability identities read it as the
+    pair (f, g) of `_member_pair` (g is never 0).  The a-free members, the
+    right factors of the Cauchy sums, stay correct."""
+    real_member, real_pair = schubert._chain_member, schubert._member_pair
 
-    def corrupted(composition, quantum, w):
-        member = real(composition, quantum, w)
+    def planted(composition, quantum, w):
         padded = composition + (1,) * (len(trim(w)) - sum(composition))
-        if quantum and trim(w) == FULL_LENGTH and padded == (1, 1, 1):
-            return member + a(1)
-        return member
+        return quantum and trim(w) == FULL_LENGTH and padded == (1, 1, 1)
+
+    def corrupted_member(composition, quantum, w):
+        member = real_member(composition, quantum, w)
+        return member + a(1) if planted(composition, quantum, w) else member
+
+    def corrupted_pair(composition, quantum, w):
+        f, g = real_pair(composition, quantum, w)
+        return (f + a(1), g) if planted(composition, quantum, w) else (f, g)
 
     for module in (schubert, parabolic, quantum_ring):
-        monkeypatch.setattr(module, "_chain_member", corrupted)
+        monkeypatch.setattr(module, "_chain_member", corrupted_member)
+    for module in (schubert, selftest):
+        monkeypatch.setattr(module, "_member_pair", corrupted_pair)
 
 
 @pytest.fixture
@@ -225,8 +245,8 @@ SUITE_IDS = ["chevalley", "chevalley-parabolic", "chevalley-quantum-double"]
 class TestPlantedFaultsStillFail:
     @pytest.mark.parametrize(
         "check, options",
-        SUITES + [(selftest.check_cauchy, {})],
-        ids=SUITE_IDS + ["cauchy"],
+        SUITES + [(selftest.check_cauchy, {}), (selftest.check_stability, {})],
+        ids=SUITE_IDS + ["cauchy", "stability"],
     )
     def test_corrupted_member(self, corrupted_member, check, options):
         ok, _ = check(max_n=MAX_N, **options)
