@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import json
 from collections import deque
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from operator import add, le, mul, sub
 from types import MappingProxyType
@@ -60,9 +59,6 @@ from .weyl import (
 )
 
 __all__ = [
-    "ChevalleyRootSets",
-    "chevalley_root_sets",
-    "b_root_set",
     "weight_term",
     "chevalley_rhs",
     "verify_chevalley",
@@ -89,41 +85,11 @@ _ZEROED = {
 }
 
 
-@dataclass(frozen=True)
-class ChevalleyRootSets:
-    """The roots alpha_{rs} with r <= i < s feeding the node-i Chevalley rule."""
-
-    dynkin_node: int
-    A: frozenset
-    B: frozenset
-
-
-def chevalley_root_sets(
-    w, i: int, ctx: ParabolicContext | None = None
-) -> ChevalleyRootSets:
-    """The A (cover) and B (length drop) roots at node i, exactly enumerated;
-    no ctx means the full flag, and a ctx admits W^P only.
-
-    >>> sets = chevalley_root_sets((2, 1), 1)
-    >>> sorted(sets.A), sorted(sets.B)
-    ([(1, 3)], [(1, 2)])
-    """
-    _check_node(i, ctx)
-    covers, drops = _root_sets(*_entry(w, ctx), i)
-    return ChevalleyRootSets(i, frozenset(covers), frozenset(drops))
-
-
 def _check_node(i: int, ctx: ParabolicContext | None):
     if i < 1:
         raise ValueError("node must be >= 1")
     if ctx is not None and i not in ctx.nodes:
         raise ValueError(f"{i} is not a node of the composition {ctx.composition}")
-
-
-def _entry(w, ctx: ParabolicContext | None) -> tuple:
-    """(w, `_reading(ctx)`), w trimmed if ctx is None, else through
-    `check_rep`: `_moves` holds on W^P only."""
-    return (trim(w) if ctx is None else ctx.check_rep(w)), _reading(ctx)
 
 
 def _reading(ctx: ParabolicContext | None) -> ParabolicContext:
@@ -143,17 +109,6 @@ def _root_sets(w: Permutation, ctx: ParabolicContext, i: int) -> tuple:
     if i > len(w):
         covers[i, i + 1] = reflect(w, (i, i + 1))
     return covers, drops
-
-
-def b_root_set(w, ctx: ParabolicContext | None = None) -> frozenset:
-    """All length-drop roots of w (no node filter); drives the bijection checks.
-    w may be any one-line sequence; no ctx means the full flag, and a ctx
-    admits W^P only.
-
-    >>> sorted(b_root_set([2, 1]))
-    [(1, 2)]
-    """
-    return frozenset(_moves(*_entry(w, ctx))[1])
 
 
 # Bounded like the member caches: two small mappings per (trimmed w, ctx),
@@ -265,8 +220,10 @@ def _chevalley_identity(i: int, w, flavor: str, ctx: ParabolicContext | None) ->
     elif ctx is None:
         raise ValueError("parabolic flavor needs a composition context")
     _check_node(i, ctx)
-    w, ring = _entry(w, ctx)
-    return w, _chevalley_terms(i, w, flavor, ring), _members(flavor, w, ctx)
+    # `_moves` holds on W^P only, so a context admits W^P only.
+    w = trim(w) if ctx is None else ctx.check_rep(w)
+    terms = _chevalley_terms(i, w, flavor, _reading(ctx))
+    return w, terms, _members(flavor, w, ctx)
 
 
 def chevalley_rhs(

@@ -62,7 +62,6 @@ __all__ = [
     "schubert_polynomial",
     "expand_in_schubert_basis",
     "cauchy_rhs",
-    "c_matrix",
     "d_matrix",
     "quantum_elementary",
     "x_to_minus_a",
@@ -79,6 +78,8 @@ def divided_difference(i: int, f: Polynomial) -> Polynomial:
     return _divided_difference_in("a", i, f)
 
 
+# perfbench's tracer times and counts the divided differences here
+# (`schubert.dd_calls`, `dd_terms_in`).
 def _divided_difference_in(fam: str, i: int, f: Polynomial) -> Polynomial:
     if i < 1:
         raise ValueError("divided difference index must be >= 1")
@@ -105,12 +106,6 @@ def d_matrix(ctx: ParabolicContext) -> SymbolicMatrix:
         sign = 1 if ctx.composition[j] % 2 else -1
         entries[(row, col)] = q(j) * sign
     return SymbolicMatrix(n, entries)
-
-
-def c_matrix(n: int) -> SymbolicMatrix:
-    """Tridiagonal C_n: diagonal x_i, superdiagonal -1, subdiagonal q_i; the
-    D matrix of the composition (1, ..., 1)."""
-    return d_matrix(ParabolicContext((1,) * n))
 
 
 # Unbounded, but small: one short coefficient tuple per composition asked
@@ -364,6 +359,8 @@ _FAMILY_VARS = {
 }
 
 
+# perfbench's tracer counts one expansion round per call of this name
+# (`schubert.expand_rounds`, `parabolic.expand_rounds`).
 def x_lead_vector(f: Polynomial) -> tuple | None:
     """Exponent vector of the x-leading monomial of f, or None for f = 0.
 

@@ -16,11 +16,10 @@ and the identity is the empty tuple.  Products compose as functions,
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .poly import Polynomial, q
+from .poly import Polynomial
 
 __all__ = [
     "Permutation",
@@ -41,13 +40,9 @@ __all__ = [
     "first_left_descent",
     "perm_from_word",
     "reflect",
-    "is_cover",
-    "bruhat_leq",
     "weak_order_ideal",
     "all_perms",
     "cycle",
-    "pair_two_rho",
-    "q_coroot",
     "eta_p",
     "parse_permutation",
     "format_permutation",
@@ -206,29 +201,8 @@ def reflect(w: Permutation, alpha: Root) -> Permutation:
     return trim(line)
 
 
-def is_cover(w: Permutation, alpha: Root) -> bool:
-    """True iff w*s_alpha covers w in Bruhat order (length goes up by 1)."""
-    r, s = alpha
-    wr, ws = apply_to(w, r), apply_to(w, s)
-    if wr > ws:
-        return False
-    return not any(wr < apply_to(w, t) < ws for t in range(r + 1, s))
-
-
-# Bruhat order is the paper's order on Schubert classes.  Only the tests call
-# it: on Bruhat covers, and on the support of q-free products, which the
-# table builder reads off the reach masks of `quantum_ring._Solver`.
-def bruhat_leq(u: Permutation, w: Permutation) -> bool:
-    """Bruhat order by the rank-matrix (sorted prefix) criterion."""
-    n = max(len(u), len(w))
-    uu, ww = extend(u, n), extend(w, n)
-    for i in range(1, n):
-        for us, vs in zip(sorted(uu[:i]), sorted(ww[:i])):
-            if us > vs:
-                return False
-    return True
-
-
+# The program reads `_weak_order_ideal`; perfbench counts calls of this
+# public form (`weyl.weak_order_ideal_calls`).
 def weak_order_ideal(w) -> list:
     """All v with v left-weak-below w (l(w v^-1) + l(v) = l(w)), sorted by
     (length, one-line form).  w may be any one-line sequence; the list
@@ -291,22 +265,6 @@ def cycle(i: int, p: int) -> Permutation:
     return perm_from_word(range(p + 1 - i, p + 1))
 
 
-# -- pairings and coroots -----------------------------------------------------
-
-
-def pair_two_rho(alpha: Root) -> int:
-    """<alpha_{rs}^vee, 2 rho> = 2(s - r) for rho = (0, -1, -2, ...)."""
-    r, s = alpha
-    return 2 * (s - r)
-
-
-def q_coroot(alpha: Root) -> Polynomial:
-    """q_{alpha^vee} = q_r q_{r+1} ... q_{s-1}, as alpha_{rs}^vee is the sum
-    of the simple coroots alpha_t^vee over r <= t < s."""
-    r, s = alpha
-    return math.prod((q(t) for t in range(r, s)), start=Polynomial.const(1))
-
-
 # -- parabolic contexts -------------------------------------------------------
 
 
@@ -319,10 +277,10 @@ class ParabolicContext:
     generated by the simple reflections inside blocks, and the Dynkin nodes
     {N_1, ..., N_{k-1}} at the block boundaries index the q variables.
     Every position past n is a block of its own, so a permutation of any
-    length has a coset: `min_rep`, `is_min_rep`, `two_rho_p`, `is_p_root`
-    and `eta_p` read it in S_oo, which is the reading under which members
-    are stable.  `nodes`, `blocks`, `minimal_reps` and the grading describe
-    the finite part in S_n, and `check_rep` admits only W^P inside S_n.
+    length has a coset: `min_rep`, `is_min_rep` and `eta_p` read it in S_oo,
+    which is the reading under which members are stable.  `nodes`,
+    `blocks`, `minimal_reps` and the grading describe the finite part in
+    S_n, and `check_rep` admits only W^P inside S_n.
 
     >>> ctx = ParabolicContext((2, 1, 3))
     >>> ctx.n, ctx.partial_sums, sorted(ctx.nodes)
@@ -366,16 +324,6 @@ class ParabolicContext:
             raise ValueError(f"q index out of range: {j}")
         return self.composition[j - 1] + self.composition[j]
 
-    def q_degrees(self) -> dict:
-        return {j: self.q_degree(j) for j in range(1, self.k)}
-
-    def block_of(self, t: int) -> int:
-        """1-based block index of position t <= n."""
-        for j, nj in enumerate(self.partial_sums, start=1):
-            if t <= nj:
-                return j
-        raise ValueError(f"position {t} beyond n={self.n}")
-
     def blocks(self) -> list:
         """Position ranges [(lo, hi), ...] of the blocks, inclusive."""
         starts = (0,) + self.partial_sums[:-1]
@@ -384,10 +332,6 @@ class ParabolicContext:
     def wp_generators(self) -> list:
         """Simple reflection indices generating W_P."""
         return [i for i in range(1, self.n) if i not in set(self.nodes)]
-
-    def extend(self, extra: int) -> "ParabolicContext":
-        """Append `extra` singleton blocks."""
-        return ParabolicContext(self.composition + (1,) * extra)
 
     def min_rep(self, w: Permutation) -> Permutation:
         """pi_P(w) = w^P: sort w's values ascending within each position
@@ -413,11 +357,6 @@ class ParabolicContext:
             raise ValueError(f"{list(extend(w, self.n))} is not minimal in its coset")
         return w
 
-    def decompose(self, w: Permutation):
-        """w = w^P * w_P with w^P minimal in its coset and lengths adding up."""
-        wp = self.min_rep(w)
-        return wp, compose(inverse(wp), trim(w))
-
     def minimal_reps(self) -> list:
         """All of W^P = W^P intersected with S_n, sorted by (length, one-line)."""
         reps = []
@@ -430,31 +369,6 @@ class ParabolicContext:
     def w0_p(self) -> Permutation:
         """Minimal coset representative of the longest element of S_n."""
         return self.min_rep(longest_element(self.n))
-
-    def two_rho_p(self, t: int) -> int:
-        """Coordinate t of 2 rho_P, the half sum of Levi positive roots doubled.
-
-        Within a block of size m the coordinates are (m-1, m-3, ..., 1-m);
-        positions past n sit in appended singleton blocks and give 0.  The
-        per-block centering matters: it makes <alpha^vee, 2(rho - rho_P)>
-        equal the q-degree sum over the nodes alpha crosses, so the length
-        condition selecting B roots matches the grading of the quantum ring.
-        """
-        if t > self.n:
-            return 0
-        j = self.block_of(t)
-        start = 0 if j == 1 else self.partial_sums[j - 2]
-        return self.composition[j - 1] - 1 - 2 * (t - 1 - start)
-
-    def pair_two_rho_p(self, alpha: Root) -> int:
-        """<alpha_{rs}^vee, 2 rho_P>."""
-        r, s = alpha
-        return self.two_rho_p(r) - self.two_rho_p(s)
-
-    def is_p_root(self, alpha: Root) -> bool:
-        """True iff alpha lies in Phi^+_P (both ends in one block)."""
-        r, s = alpha
-        return s <= self.n and self.block_of(r) == self.block_of(s)
 
 
 def _block_splits(values, sizes):

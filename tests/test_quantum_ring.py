@@ -6,16 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    bruhat_leq,
+    is_cover,
+    is_p_root,
+    pair_two_rho,
+    pair_two_rho_p,
+    q_coroot,
+)
 from qschub import quantum_ring
 from qschub.cli import main
 from qschub.parabolic import expand_in_parabolic_basis, parabolic_q_double_schubert
 from qschub.poly import SLOTS, Polynomial, a, format_polynomial, parse_polynomial, q, x
 from qschub.quantum_ring import (
     StructureTable,
-    b_root_set,
     bijection_check,
     chevalley_rhs,
-    chevalley_root_sets,
     structure_constants,
     verify_chevalley,
     weight_term,
@@ -29,14 +35,10 @@ from qschub.weyl import (
     ParabolicContext,
     all_perms,
     apply_to,
-    bruhat_leq,
     compose,
     inverse,
-    is_cover,
     length,
     longest_element,
-    pair_two_rho,
-    q_coroot,
     reflect,
     simple,
 )
@@ -59,46 +61,49 @@ def proper_contexts(n):
     return [ParabolicContext(c) for c in compositions(n) if len(c) >= 2]
 
 
+FULL_FLAG = quantum_ring._FULL_FLAG
+
+
+def root_sets(w, i, ctx):
+    """(A, B) at node i of `quantum_ring._root_sets`, as sets of roots."""
+    return tuple(set(roots) for roots in quantum_ring._root_sets(w, ctx, i))
+
+
 class TestRootSets:
     def test_simple_reflection_node_one(self):
-        sets = chevalley_root_sets((2, 1), 1)
-        assert sorted(sets.A) == [(1, 3)]
-        assert sorted(sets.B) == [(1, 2)]
+        assert root_sets((2, 1), 1, FULL_FLAG) == ({(1, 3)}, {(1, 2)})
 
     def test_identity_node_two(self):
-        sets = chevalley_root_sets((), 2)
-        assert sorted(sets.A) == [(2, 3)]
-        assert sets.B == frozenset()
+        assert root_sets((), 2, FULL_FLAG) == ({(2, 3)}, set())
 
     def test_node_filter_against_unfiltered_drops(self):
         for w in all_perms(4):
-            drops = b_root_set(w)
+            drops = quantum_ring._moves(w, FULL_FLAG)[1]
             for i in range(1, 5):
-                sets = chevalley_root_sets(w, i)
-                assert sets.B == {(r, s) for r, s in drops if r <= i < s}
+                _, node_drops = root_sets(w, i, FULL_FLAG)
+                assert node_drops == {(r, s) for r, s in drops if r <= i < s}
 
-    def test_root_set_takes_lists_and_shares_trimmed_entries(self):
+    def test_rule_takes_lists_and_shares_trimmed_entries(self):
         quantum_ring._moves.cache_clear()
-        drops = b_root_set((2, 1))
-        assert b_root_set([2, 1]) == drops == frozenset({(1, 2)})
-        assert b_root_set((2, 1, 3)) == drops
-        assert b_root_set([2, 1, 3, 4]) == drops
+        rhs = chevalley_rhs(1, (2, 1), "quantum")
+        for w in ([2, 1], (2, 1, 3), [2, 1, 3, 4]):
+            assert chevalley_rhs(1, w, "quantum") == rhs
         assert quantum_ring._moves.cache_info().currsize == 1
+        assert set(quantum_ring._moves((2, 1), FULL_FLAG)[1]) == {(1, 2)}
         ctx = ParabolicContext((1, 2))
-        assert b_root_set([3, 1, 2], ctx) == b_root_set((3, 1, 2), ctx)
+        as_list = chevalley_rhs(1, [3, 1, 2], "parabolic", ctx)
+        assert as_list == chevalley_rhs(1, (3, 1, 2), "parabolic", ctx)
 
     def test_enumeration_bounds_are_complete(self):
         for w in all_perms(4):
             for i in range(1, 5):
-                tight = chevalley_root_sets(w, i)
-                assert (tight.A, tight.B) == wide_root_sets(w, i, None, 4)
+                assert root_sets(w, i, FULL_FLAG) == wide_root_sets(w, i, None, 4)
 
     def test_parabolic_bounds_are_complete(self):
         for ctx in proper_contexts(4):
             for w in ctx.minimal_reps():
                 for i in ctx.nodes:
-                    tight = chevalley_root_sets(w, i, ctx)
-                    assert (tight.A, tight.B) == wide_root_sets(w, i, ctx, 4)
+                    assert root_sets(w, i, ctx) == wide_root_sets(w, i, ctx, 4)
 
     def test_parabolic_drops_satisfy_plain_length_identity(self):
         # every parabolic length-drop root also drops the plain length by
@@ -106,27 +111,27 @@ class TestRootSets:
         for n in (3, 4):
             for ctx in proper_contexts(n):
                 for w in ctx.minimal_reps():
-                    for alpha in b_root_set(w, ctx):
+                    for alpha in quantum_ring._moves(w, ctx)[1]:
                         drop = pair_two_rho(alpha)
                         assert length(reflect(w, alpha)) == length(w) + 1 - drop
 
     def test_rejects_non_node(self):
         ctx = ParabolicContext((2, 2))
-        with pytest.raises(ValueError):
-            chevalley_root_sets((1, 2, 4, 3), 1, ctx)
+        with pytest.raises(ValueError, match="not a node"):
+            verify_chevalley(1, (1, 2, 4, 3), "parabolic", ctx)
 
     def test_rejects_bad_node(self):
-        with pytest.raises(ValueError):
-            chevalley_root_sets((2, 1), 0)
+        with pytest.raises(ValueError, match="node must be >= 1"):
+            verify_chevalley(0, (2, 1), "quantum_double")
 
     def test_a_context_admits_minimal_representatives_only(self):
         # The one-line criterion of `_moves` holds on W^P only.
         ctx = ParabolicContext((1, 2))
         for w in ([2, 3, 1], [1, 3, 2], [1, 2, 4, 3]):
             with pytest.raises(ValueError):
-                b_root_set(w, ctx)
+                chevalley_rhs(1, w, "parabolic", ctx)
             with pytest.raises(ValueError):
-                chevalley_root_sets(w, 1, ctx)
+                verify_chevalley(1, w, "parabolic", ctx)
         assert not bijection_check([2, 3, 1], ctx)
         assert not bijection_check([1, 3, 2], ctx)
         assert bijection_check([3, 1, 2], ctx)
@@ -208,16 +213,17 @@ class TestBijection:
         warm = [bijection_check(w, ctx) for w, ctx in cases]
         assert cold == warm == [True] * len(cases)
         for w, ctx in cases:
-            assert b_root_set(w, ctx) == wide_b_roots(w, ctx, 2), (w, ctx)
+            drops = quantum_ring._moves(w, ctx or FULL_FLAG)[1]
+            assert set(drops) == wide_b_roots(w, ctx, 2), (w, ctx)
 
     def test_drop_targets_are_the_projections(self):
         cases = [(None, all_perms(4))]
         cases += [(ctx, ctx.minimal_reps()) for ctx in proper_contexts(4)]
         for given, reps in cases:
-            ctx = given or quantum_ring._FULL_FLAG
+            ctx = given or FULL_FLAG
             for w in reps:
                 covers, targets = quantum_ring._moves(w, ctx)
-                assert set(targets) == b_root_set(w, given)
+                assert set(targets) == wide_b_roots(w, given, 2)
                 for alpha, (z, coset) in targets.items():
                     assert z == ctx.min_rep(reflect(w, alpha)), (ctx, w, alpha)
                     assert coset == compose(inverse(z), w), (ctx, w, alpha)
@@ -253,7 +259,7 @@ class TestBijection:
 
 def wide_b_roots(w, ctx, window):
     """The length drops of w up to s = len(w) + window, `window` past the
-    bound `b_root_set` enumerates, found by the projection test of the
+    bound `_moves` enumerates, found by the projection test of the
     former rule."""
     top = len(w) + window
     return {
@@ -265,7 +271,7 @@ def wide_b_roots(w, ctx, window):
 
 
 def wide_root_sets(w, i, ctx, window):
-    """(A, B) at node i, each `window` past the bounds `chevalley_root_sets`
+    """(A, B) at node i, each `window` past the bounds `_root_sets`
     enumerates, found by the membership tests of the former rule."""
     top = max(len(w), i) + 1 + window
     A = {
@@ -286,26 +292,30 @@ def wide_root_sets(w, i, ctx, window):
 # each stable flavor builds its own row.
 
 
+def wide_context(ctx, w):
+    """ctx with singleton blocks appended up to the length of w."""
+    return ParabolicContext(ctx.composition + (1,) * max(len(w) - ctx.n, 0))
+
+
 def former_in_a_set(w, alpha, ctx):
     if not is_cover(w, alpha):
         return False
     if ctx is None:
         return True
-    if ctx.is_p_root(alpha):
+    if is_p_root(ctx, alpha):
         return False
     moved = reflect(w, alpha)
-    return ctx.extend(max(len(moved) - ctx.n, 0)).is_min_rep(moved)
+    return wide_context(ctx, moved).is_min_rep(moved)
 
 
 def former_in_b_set(w, alpha, ctx):
     if ctx is None:
         return length(reflect(w, alpha)) == length(w) + 1 - pair_two_rho(alpha)
-    if ctx.is_p_root(alpha):
+    if is_p_root(ctx, alpha):
         return False
     moved = reflect(w, alpha)
-    drop = pair_two_rho(alpha) - ctx.pair_two_rho_p(alpha)
-    wide = ctx.extend(max(len(moved) - ctx.n, 0))
-    return length(wide.min_rep(moved)) == length(w) + 1 - drop
+    drop = pair_two_rho(alpha) - pair_two_rho_p(ctx, alpha)
+    return length(wide_context(ctx, moved).min_rep(moved)) == length(w) + 1 - drop
 
 
 def former_root_sets(w, i, ctx=None):
@@ -352,24 +362,24 @@ class TestOneRuleAgainstTheFlavorLadder:
         full_flag = ParabolicContext((1,))
         for w in all_perms(4):
             for i in range(1, 6):
-                sets = chevalley_root_sets(w, i)
-                assert (sets.A, sets.B) == former_root_sets(w, i), (w, i)
+                assert root_sets(w, i, full_flag) == former_root_sets(w, i), (w, i)
                 for flavor in FAMILY_KINDS:
                     got = quantum_ring._chevalley_terms(i, w, flavor, full_flag)
                     assert got == flavor_ladder_terms(i, w, flavor), (flavor, w, i)
 
-    def test_b_root_set_on_s5(self):
+    def test_drops_on_s5(self):
         for w in all_perms(5):
-            assert b_root_set(w) == former_b_root_set(w), w
+            drops = quantum_ring._moves(w, FULL_FLAG)[1]
+            assert set(drops) == former_b_root_set(w), w
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_parabolic_root_sets_on_compositions(self, n):
         for ctx in proper_contexts(n):
             for w in ctx.minimal_reps():
-                assert b_root_set(w, ctx) == former_b_root_set(w, ctx), w
+                drops = quantum_ring._moves(w, ctx)[1]
+                assert set(drops) == former_b_root_set(w, ctx), w
                 for i in ctx.nodes:
-                    sets = chevalley_root_sets(w, i, ctx)
-                    assert (sets.A, sets.B) == former_root_sets(w, i, ctx), (w, i)
+                    assert root_sets(w, i, ctx) == former_root_sets(w, i, ctx), (w, i)
 
 
 class TestStructureConstants:
