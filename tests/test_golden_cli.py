@@ -3,7 +3,8 @@
 Any change to a member, an expansion, a verification report or a structure
 table changes a digest, so refactors are checked against these.  Re-record
 only for a change that is meant to alter output, and say so where the
-change is described.
+change is described.  The one table past the `table` bound that is
+pinned, (2,2,2), is pinned on its builder.
 """
 
 import hashlib
@@ -11,6 +12,8 @@ import hashlib
 import pytest
 
 from qschub.cli import main
+from qschub.quantum_ring import StructureTable
+from qschub.weyl import ParabolicContext
 
 GOLDEN = [
     (
@@ -255,4 +258,16 @@ def test_chevalley_at_five_is_byte_identical(capsys):
         ["verify", "chevalley", "--max-n", "5"],
         0,
         "deb14f1a0fead3480eb5828d4bc6fe11c43c170db66bd7ca3aa1528549f7555b",
+    )
+
+
+@pytest.mark.slow
+def test_ninety_element_table_is_byte_identical():
+    # Past the `table` bound, so pinned on the builder: three q's, and the
+    # probe of F(u, u, u, d) runs at every degree.  About 15-19 s and 600 MB
+    # on a shared 2-vCPU VM: run with `python -m pytest -m slow`.
+    text = StructureTable.build(ParabolicContext((2, 2, 2))).to_json()
+    assert (
+        hashlib.sha256(text.encode("utf-8")).hexdigest()
+        == "fa4b431a816845a8163dd357f2c2a2cefbbfe37aab9d70bc0f56bcfad18901ae"
     )
