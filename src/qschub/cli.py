@@ -36,8 +36,8 @@ EXIT_CLOSED_PIPE = 141
 # The largest table basis `table` builds.  Measured in one process writing
 # the JSON to a file, on one core of a shared 2-vCPU VM (Python 3.11): S_4
 # (24 elements) in 0.2 s and 22 MB, (2,2,1) (30) in 0.5 s and 28 MB,
-# (1,1,1,2) (60) in 3.8-5.1 s and 108 MB, (2,2,2) (90) in 17.5 s and
-# 602 MB, S_5 (120) in 47 s and 772 MB, and (3,1,1,1), also 120, in 56-61 s
+# (1,1,1,2) (60) in 4.1-5.1 s and 108 MB, (2,2,2) (90) in 18.2-21.2 s and
+# 593 MB, S_5 (120) in 47 s and 772 MB, and (3,1,1,1), also 120, in 56-61 s
 # and 1,308 MB, which is why the bound stays below 90.
 MAX_TABLE_BASIS = 60
 

@@ -7,24 +7,25 @@ that the tests re-derive against wider windows by the projection test.
 Structure constants come from the Chevalley rule alone, by the recursion of
 Mihalcea (Equivariant quantum Schubert calculus, Adv. Math. 203 (2006); for
 G/P, Duke Math. J. 140 (2007)): associativity of sigma_{s_i} sigma_u sigma_v
-fixes every coefficient once the q-free diagonal is known, and that is a
-q-free member of the ring at a fixed point (see `_Solver`).  No member is
-multiplied and nothing is expanded.  The Chevalley row of w in the finite
-ring is the rule's terms on the minimal coset representatives; no row
-carries q_k, q_{k+1}, ... or a_{n+1}, ..., which the tests check.  The
-full-flag ring of S_n is the ring of the composition (1, ..., 1), so an
-integer domain n means that composition and every table is built by the one
-parabolic route.  The rule itself treats the full flag the same way: root
-sets, rule rows and the bijection check take it as the composition (1,),
-whose context, like every context, reads each position past its n as a
-singleton block; the classical, quantum and double flavors are the one row
-with a, q or both set to 0.
+fixes every coefficient but c_{u,u}^u at q = 0, which is the product of the
+tangent weights at the fixed point u (see `_Solver`).  No member is built,
+multiplied or expanded.  The Chevalley row of w in the finite ring is the
+rule's terms on the minimal coset representatives; no row carries q_k,
+q_{k+1}, ... or a_{n+1}, ..., which the tests check.  The full-flag ring of
+S_n is the ring of the composition (1, ..., 1), so an integer domain n means
+that composition and every table is built by the one parabolic route.  The
+rule itself treats the full flag the same way: root sets, rule rows and the
+bijection check take it as the composition (1,), whose context, like every
+context, reads each position past its n as a singleton block; the
+classical, quantum and double flavors are the one row with a, q or both set
+to 0.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections import deque
 from functools import cache, lru_cache
 from operator import add, le, mul, sub
@@ -340,8 +341,23 @@ class _Solver:
     its exact quotient.  Every term on the right lowers deg q^d, or keeps
     it and lowers l(w) - l(u) - l(v), so the recursion ends in the base
     cases of `_settled`: F = 0 below degree 0; F(id, v, w, d) = 1 for
-    v = w and d = 0, else 0; F = 0 off the support below; and F(u, v, u, 0)
-    is the q-free member of v at x_j -> a_{u(j)}.
+    v = w and d = 0, else 0; F = 0 off the support below; and F(u, u, u, 0)
+    is the product of (a_{u(i)} - a_{u(j)}) over i < j with u(i) > u(j).
+
+    The q-free diagonal.  F(v, u, u, 0) for v != u comes from its own
+    equation, like every other key.  Some node has D != 0, since v != u.
+    Each up term is a cover z of v, giving F(z, u, u, 0) with z longer
+    than v (a term with a q takes d below 0).  Each down term is
+    F(v, u, z, 0) with z covered by u, which is 0 by the Bruhat test, as u
+    is not <= z.  So the recursion climbs the covers z <= u of v and ends at
+    F(u, u, u, 0).  At q = 0 the ring is the equivariant cohomology of G/P,
+    and F(u, v, u, 0) is sigma_v restricted to the fixed point u: restricting
+    sigma_u sigma_v = sum_w c_{u,v}^w sigma_w to u keeps w = u alone, as
+    sigma_w vanishes at u unless w <= u and c_{u,v}^w unless u <= w.  So
+    F(u, u, u, 0) is sigma_u at u, the product of the weights of the tangent
+    space at u of the Schubert variety of dimension l(u), one for each
+    inversion of u (Billey, Duke Math. J. 96 (1999)); in W^P each inversion
+    pairs two blocks.  Its sign is the members': on S_2, x_1 - a_1 at x_1 -> a_2.
 
     Support.  Let G be the graph on W^P with an edge z -> z' of weight e
     for every term m q^e of an off-diagonal C^i_{z,z'}, over all nodes i:
@@ -382,10 +398,17 @@ class _Solver:
     """
 
     def __init__(self, ring: ParabolicContext):
-        self.ring = ring
         self.basis = ring.minimal_reps()
         self.index = {w: t for t, w in enumerate(self.basis)}
         self.length = [length(w) for w in self.basis]
+        # F(u, u, u, 0), over the inversions of u.
+        self.diagonal = [
+            math.prod(
+                (a(s) - a(t) for s, t in itertools.combinations(w, 2) if s > t),
+                start=_ONE,
+            )
+            for w in self.basis
+        ]
         self.by_code = sorted(
             range(len(self.basis)),
             key=lambda t: x_order_key(code(self.basis[t])),
@@ -440,7 +463,6 @@ class _Solver:
         self.values = {}  # the nonzero F and H found by the recursion
         self.zeros = set()  # the keys where it found 0
         self._divisors = {}  # (u, w) -> (node position, D)
-        self._localized = {}  # (u, v) -> F(u, v, u, 0)
 
     def _support_masks(self) -> list:
         """reach[u][w] for the support test: the mask of the d that bound
@@ -559,8 +581,8 @@ class _Solver:
         reach = self.reach
         if not (reach[u][w] & reach[v][w]) >> d & 1:
             return _ZERO
-        if d == 0 and (w == u or w == v):
-            return self._localize(w, v if w == u else u)
+        if d == 0 and u == v == w:
+            return self.diagonal[u]
         if u == w or (v != w and (length[u], u) < (length[v], v)):
             u, v = v, u
         return self._solved((u, v, w, d))
@@ -593,7 +615,7 @@ class _Solver:
     def _probe_equation(self, x: int, u: int, d: int) -> tuple:
         """The equation of H(x) for the probe of F(u, u, u, d), x != u."""
         node, divisor = self._divisor(x, u)
-        xi, minus, reach = self._localize(u, u), self.minus[d], self.reach
+        xi, minus, reach = self.diagonal[u], self.minus[d], self.reach
         terms = []
         for z, e, m in self.up[node][x]:
             if e == 0 and reach[z][u] & 1:  # z <= u
@@ -615,25 +637,13 @@ class _Solver:
             self._divisors[u, w] = found
         return found
 
-    def _localize(self, u: int, v: int) -> Polynomial:
-        """F(u, v, u, 0): the q-free member of v at x_j -> a_{u(j)}."""
-        found = self._localized.get((u, v))
-        if found is None:
-            member = _chain_member(self.ring.composition, False, self.basis[v])
-            point = {
-                ("x", j): a(apply_to(self.basis[u], j))
-                for j in range(1, self.ring.n + 1)
-            }
-            found = self._localized[u, v] = member.specialize(point)
-        return found
-
 
 def _q_monomial(d: tuple) -> Polynomial:
     return Polynomial.from_terms([(tuple((("q", j), e) for j, e in enumerate(d, 1)), 1)])
 
 
 # Bounded: one solver per composition asked for, each holding every
-# coefficient it has solved (2.0 MB for the whole S_4 table, 3.0 MB for
+# coefficient it has solved (2.1 MB for the whole S_4 table, 3.2 MB for
 # (2,2,1), by tracemalloc across `_solver.cache_clear()`).
 @lru_cache(maxsize=8)
 def _solver(composition: tuple) -> _Solver:
@@ -672,11 +682,9 @@ class StructureTable:
 
     @classmethod
     def build(cls, domain) -> "StructureTable":
-        ring = _ring(domain)
-        basis = ring.minimal_reps()
-        entries = {
-            (u, v): structure_constants(ring, u, v) for u in basis for v in basis
-        }
+        solver = _solver(_ring(domain).composition)
+        basis = solver.basis
+        entries = {(u, v): solver.product(u, v) for u in basis for v in basis}
         return cls(domain, entries)
 
     def product(self, u, v) -> dict:

@@ -190,10 +190,10 @@ def _last_product(composition: tuple, quantum: bool, v: Permutation) -> tuple:
 
 
 # Bounded like the chain.  Filled by the readers that read a member more
-# than once: the Chevalley rule members, `_Solver._localize`, `expand` and
-# the public member functions.  `verify cauchy` and `verify stability` read
-# each member once, as its `_member_pair`, and the a-free members are read
-# off the chain state, so neither fills it.
+# than once: the Chevalley rule members, `expand` and the public member
+# functions.  `verify cauchy` and `verify stability` read each member once,
+# as its `_member_pair`, and the a-free members are read off the chain
+# state, so neither fills it.
 @lru_cache(maxsize=2048)
 def _signed_chain(composition: tuple, quantum: bool, v: Permutation) -> Polynomial:
     """The chain for v applied to the top product, times (-1)^l(v)."""

@@ -168,10 +168,11 @@ def check_chevalley(max_n: int = 4, flavor: str | None = None) -> tuple:
     The quantum double identity of w at a node i < len(w) is the parabolic
     one of the composition (1, ..., 1) of len(w), on the same row and
     members (`verify_chevalley`), so when both flavors run the parabolic
-    loop counts it without computing it again.
+    loop counts it without computing it again.  An unknown flavor raises
+    ValueError: it is the caller's error, not a falsified identity.
     """
     if flavor is not None and flavor not in CHEVALLEY_FLAVORS:
-        return False, f"unknown flavor {flavor!r}"
+        raise ValueError(f"unknown flavor {flavor!r}")
     checks = 0
     for kind in CHEVALLEY_FLAVORS:
         if flavor not in (None, kind):

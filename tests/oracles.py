@@ -4,13 +4,16 @@
 of w, and the table solver finds the support of q-free products from its
 reach masks.  The tests check both against the definitions below: Bruhat
 order by the rank-matrix criterion, covers as Bruhat covers, and length drops
-through the pairings with 2 rho and 2 rho_P.  A parabolic context is a
-`weyl.ParabolicContext`.
+through the pairings with 2 rho and 2 rho_P.  The table solver finds the
+q-free structure constants c_{u,v}^u from the Chevalley rule alone; the
+tests check them against the members of the ring at fixed points.  A
+parabolic context is a `weyl.ParabolicContext`.
 """
 
 import math
 
-from qschub.poly import Polynomial, q
+from qschub.poly import Polynomial, a, q
+from qschub.schubert import _chain_member
 from qschub.weyl import apply_to, extend
 
 
@@ -84,3 +87,10 @@ def is_p_root(ctx, alpha) -> bool:
     """True iff alpha lies in Phi^+_P (both ends in one block)."""
     r, s = alpha
     return s <= ctx.n and block_of(ctx, r) == block_of(ctx, s)
+
+
+def localization(ctx, u, v) -> Polynomial:
+    """The q = 0 member of v at the fixed point u, x_j -> a_{u(j)}: sigma_v
+    restricted to u, which is c_{u,v}^u at q = 0."""
+    member = _chain_member(ctx.composition, False, v)
+    return member.specialize({("x", j): a(apply_to(u, j)) for j in range(1, ctx.n + 1)})

@@ -299,6 +299,12 @@ class TestExitCodes:
     def test_verify_chevalley_max_n_zero_is_not_vacuous(self, capsys):
         self.assert_usage_error(capsys, "verify", "chevalley", "--max-n", "0")
 
+    @pytest.mark.parametrize("flavor", ["bogus", "quantum-double"])
+    def test_check_chevalley_refuses_an_unknown_flavor(self, flavor):
+        # A caller's bad argument, never a falsified identity.
+        with pytest.raises(ValueError, match="unknown flavor"):
+            selftest.check_chevalley(2, flavor)
+
     def test_verify_unknown_flavor(self, capsys):
         err = self.assert_usage_error(capsys, "verify", "chevalley", "--flavor", "bogus")
         assert "bogus" in err

@@ -11,6 +11,7 @@ import hashlib
 
 import pytest
 
+from qschub import quantum_ring, schubert
 from qschub.cli import main
 from qschub.quantum_ring import StructureTable
 from qschub.weyl import ParabolicContext
@@ -227,6 +228,28 @@ def test_output_is_byte_identical(capsys, argv, exit_code, digest):
     out = capsys.readouterr().out
     assert got == exit_code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--n", "4"],
+        ["table", "--parabolic", "2,2,1"],
+        ["table", "--parabolic", "3,2"],
+    ],
+    ids=" ".join,
+)
+def test_tables_build_no_member(capsys, monkeypatch, argv):
+    # Tables come from the Chevalley rule alone: with every member chain
+    # refused, and no member left cached, they keep their digests.
+    def refused(*args):
+        raise AssertionError("a table built a member")
+
+    monkeypatch.setattr(schubert, "_dd_from_top", refused)
+    schubert._signed_chain.cache_clear()
+    quantum_ring._solver.cache_clear()
+    digest = {tuple(g[0]): g[2] for g in GOLDEN}[tuple(argv)]
+    test_output_is_byte_identical(capsys, argv, 0, digest)
 
 
 def test_out_file_holds_the_stdout_bytes(tmp_path, capsys):

@@ -10,11 +10,12 @@ from oracles import (
     bruhat_leq,
     is_cover,
     is_p_root,
+    localization,
     pair_two_rho,
     pair_two_rho_p,
     q_coroot,
 )
-from qschub import quantum_ring
+from qschub import parabolic, quantum_ring, schubert
 from qschub.cli import main
 from qschub.parabolic import expand_in_parabolic_basis, parabolic_q_double_schubert
 from qschub.poly import SLOTS, Polynomial, a, format_polynomial, parse_polynomial, q, x
@@ -471,6 +472,54 @@ def fresh_solvers():
     quantum_ring._solver.cache_clear()
 
 
+class TestLocalization:
+    """The q-free diagonal c_{u,v}^u, solved from the Chevalley rule alone,
+    against the q-free members of the ring at fixed points."""
+
+    @pytest.mark.parametrize(
+        "composition", [c for n in range(1, 5) for c in compositions(n)], ids=str
+    )
+    def test_solved_diagonal(self, composition):
+        ctx = ParabolicContext(composition)
+        solver = quantum_ring._Solver(ctx)
+        for t, u in enumerate(solver.basis):
+            for s, v in enumerate(solver.basis):
+                assert solver.coefficient(t, s, t, 0) == localization(ctx, u, v), (u, v)
+
+    def test_product_of_tangent_weights(self):
+        checked = 0
+        for composition in [c for n in range(1, 6) for c in compositions(n)]:
+            ctx = ParabolicContext(composition)
+            solver = quantum_ring._Solver(ctx)
+            for u, product in zip(solver.basis, solver.diagonal):
+                assert product == localization(ctx, u, u), (composition, u)
+                checked += 1
+        assert checked == 633
+
+
+def test_a_planted_member_moves_the_oracle_and_not_the_table(
+    monkeypatch, fresh_solvers
+):
+    # The quantum and the q-free member of [1,3,2] on (1, 1, 1), plus a1:
+    # the table, solved from the rule rows alone, keeps every entry, while
+    # the product of members expanded over the basis moves.
+    basis = all_perms(3)
+    table = {(u, v): structure_constants(3, u, v) for u in basis for v in basis}
+    real = schubert._chain_member
+
+    def planted(composition, quantum, w):
+        member = real(composition, quantum, w)
+        if (composition, w) == ((1, 1, 1), (1, 3, 2)):
+            return member + a(1)
+        return member
+
+    for module in (schubert, parabolic, quantum_ring):
+        monkeypatch.setattr(module, "_chain_member", planted)
+    quantum_ring._solver.cache_clear()
+    assert {(u, v): structure_constants(3, u, v) for u, v in table} == table
+    assert any(product_expand_truncate(3, u, v) != c for (u, v), c in table.items())
+
+
 class TestSelfDiagonal:
     """A wrong q-part of c_{u,u}^u does not pass unnoticed."""
 
@@ -565,11 +614,18 @@ class TestSupport:
                 assert bool(solver.reach[u][w] & 1) == bruhat_leq(x, y), (x, y)
 
     def test_prunes_most_zero_keys_of_s4(self, fresh_solvers):
-        # 1,696 values; the Bruhat base case alone left 49,952 zero keys.
+        # The Bruhat base case alone left 49,952 zero keys.
         StructureTable.build(4)
         solver = quantum_ring._solver((1, 1, 1, 1))
-        assert len(solver.values) == 1696
-        assert len(solver.zeros) < 10_000
+        # The q-free diagonal F(v, u, u, 0), v != u, is solved like any key.
+        diagonal = [
+            key
+            for key in solver.values
+            if len(key) == 4 and key[0] != key[1] == key[2] and key[3] == 0
+        ]
+        assert len(diagonal) == 166
+        assert len(solver.values) - len(diagonal) == 1696
+        assert len(solver.zeros) == 5498
 
 
 class TestExactDivision:
