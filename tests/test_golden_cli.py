@@ -208,6 +208,16 @@ GOLDEN = [
         "e05ba6157837ef3899a9ca645a38c4ec513b48156ed5872de753f42f2b759c9d",
     ),
     (
+        ["expand", "--poly", "x1^4*x2^3*x3^2*x4", "--family", "double"],
+        0,
+        "ad788ee0ac047785decb7002fdd08a4d215ed46ce7e2d6f6f563fcf36061a5d5",
+    ),
+    (
+        ["verify", "chevalley", "--max-n", "4", "--flavor", "double"],
+        0,
+        "572b84804c348230f2144ea0022344300f566ba7b3e99224ee40c1dc8b32db86",
+    ),
+    (
         ["poly", "--w", "[1,2,4,3]", "--parabolic", "2,1"],
         2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -281,6 +291,17 @@ def test_chevalley_at_five_is_byte_identical(capsys):
         ["verify", "chevalley", "--max-n", "5"],
         0,
         "deb14f1a0fead3480eb5828d4bc6fe11c43c170db66bd7ca3aa1528549f7555b",
+    )
+
+
+@pytest.mark.slow
+def test_double_chevalley_at_five_is_byte_identical(capsys):
+    # About 1 s on a shared 2-vCPU VM: run with `python -m pytest -m slow`.
+    test_output_is_byte_identical(
+        capsys,
+        ["verify", "chevalley", "--max-n", "5", "--flavor", "double"],
+        0,
+        "41168cbafd6411b5f877d46f89716e0adfbe027c25291703176210d5d16375b6",
     )
 
 

@@ -22,10 +22,10 @@ from qschub.weyl import ParabolicContext, all_perms
 S6_MEMBERS = ((6, 5, 4, 1, 2, 3), (4, 3, 2, 5, 6, 1), (1, 3, 2, 6, 5, 4))
 
 
-def _family(family: str) -> str:
+def _family(family: str, n: int = 5) -> str:
     return "\n".join(
-        f"{list(w)}: {format_polynomial(schubert_polynomial(w, family, 5))}"
-        for w in all_perms(5)
+        f"{list(w)}: {format_polynomial(schubert_polynomial(w, family, n))}"
+        for w in all_perms(n)
     )
 
 
@@ -82,3 +82,14 @@ GOLDEN = [
 )
 def test_golden_members(build, expected):
     assert hashlib.sha256(build().encode()).hexdigest() == expected
+
+
+@pytest.mark.slow
+def test_every_s6_double_member():
+    # All 720 double members of S_6, read alone.  About 10 s on a shared
+    # 2-vCPU VM: run with `python -m pytest -m slow`.
+    text = _family("double", 6)
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "c83db7bb344ee2f1dfd7e856c257c96711090cd8bb034b357605af9c1e759e88"
+    )
