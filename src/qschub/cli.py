@@ -36,9 +36,9 @@ EXIT_CLOSED_PIPE = 141
 # The largest table basis `table` builds.  Measured in one process writing
 # the JSON to a file, on one core of a shared 2-vCPU VM (Python 3.11): S_4
 # (24 elements) in 0.2 s and 22 MB, (2,2,1) (30) in 0.5 s and 28 MB,
-# (1,1,1,2) (60) in 4.1-5.1 s and 108 MB, (2,2,2) (90) in 18.2-21.2 s and
-# 593 MB, S_5 (120) in 47 s and 772 MB, and (3,1,1,1), also 120, in 56-61 s
-# and 1,308 MB, which is why the bound stays below 90.
+# (1,1,1,2) (60) in 3.0-3.4 s and 92 MB, (2,2,2) (90) in 13-16 s and
+# 474 MB, S_5 (120) in 40 s and 646 MB, and (3,1,1,1), also 120, in 54 s
+# and 1,048 MB, which is why the bound stays below 90.
 MAX_TABLE_BASIS = 60
 
 # The largest S_m whose members `expand` reads.  An expansion of f over a
@@ -46,7 +46,8 @@ MAX_TABLE_BASIS = 60
 # composition's n (`schubert._expand_by_leads`).  Measured like
 # MAX_TABLE_BASIS, under a 2 GB address-space cap, on the input whose lead is
 # the code of w_0: the quantum double basis at m = 5 in 0.2 s and 21 MB, at
-# m = 6 in 174 s and 598 MB (the double basis: 15 s, 146 MB), and at m = 7
+# m = 6 in 174 s and 598 MB (the double basis: 10.5-13.7 s and 315 MB, as
+# its members are the quantum double chain read at q = 0), and at m = 7
 # MemoryError after 23 s, while the square of the (1,1,3) member of
 # [5,3,1,2,4], m = 9, passed 5 GB.  Some inputs at m = 7 are cheap (the
 # square of the (3,2) member of [2,4,5,1,3] took 0.25 s), but nothing
@@ -62,12 +63,13 @@ VERIFY_SUITES = {
     "bijection": "check_bijections",
 }
 # The largest --max-n each suite runs, measured like MAX_TABLE_BASIS, in one
-# process under a 3 GB address-space cap: chevalley at n = 5 in 2.5-3.6 s
-# and 141 MB, at n = 6 MemoryError after 47 s; bijection at n = 7 in 27 s
-# and 74 MB; at n = 6, cauchy in 21-29 s and 364 MB, quantization in 18 s
-# and 725 MB, and stability in 33-41 s and 1,026 MB (cauchy and stability
-# keep no member they read once), while a quantum double member of S_7
-# (w_0) alone reaches MemoryError.
+# process under a 3 GB address-space cap: chevalley at n = 5 in 2.6-3.0 s
+# and 125 MB (--flavor double alone 0.7-1.0 s and 65 MB, as its members are
+# the quantum double chain read at q = 0), at n = 6 MemoryError after 47 s;
+# bijection at n = 7 in 27 s and 74 MB; at n = 6, cauchy in 22-26 s and
+# 315 MB, quantization in 15 s and 662 MB, and stability in 36-42 s and
+# 1,022 MB (cauchy and stability keep no member they read once), while a
+# quantum double member of S_7 (w_0) alone reaches MemoryError.
 VERIFY_MAX_N = {
     "chevalley": 5,
     "cauchy": 6,

@@ -62,7 +62,7 @@ def parabolic_q_double_schubert(ctx: ParabolicContext, w) -> Polynomial:
     >>> print(parabolic_q_double_schubert(ctx, ()))
     1
     """
-    return _chain_member(ctx.composition, True, ctx.check_rep(w))
+    return _chain_member(ctx.composition, "", ctx.check_rep(w))
 
 
 def theta_P(ctx: ParabolicContext, f: Polynomial) -> Polynomial:
@@ -104,7 +104,7 @@ def expand_in_parabolic_basis(f: Polynomial, ctx: ParabolicContext) -> dict:
                 f"leading code {list(vec)} is not the code of a minimal "
                 f"representative; input outside the parabolic span"
             )
-        return w, _chain_member(ctx.composition, True, w)
+        return w, _chain_member(ctx.composition, "", w)
 
     return _expand_by_leads(f, member)
 

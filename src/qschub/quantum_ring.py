@@ -188,7 +188,7 @@ def _members(flavor: str, w: Permutation, ctx):
         blocks = (1,) * max(len(w), 1)
     else:
         return lambda z: schubert_polynomial(z, flavor)
-    return lambda z: _chain_member(blocks, True, z)
+    return lambda z: _chain_member(blocks, "", z)
 
 
 def _chevalley_terms(i: int, w, flavor: str, ctx: ParabolicContext) -> dict:
@@ -684,7 +684,13 @@ class StructureTable:
     def build(cls, domain) -> "StructureTable":
         solver = _solver(_ring(domain).composition)
         basis = solver.basis
-        entries = {(u, v): solver.product(u, v) for u in basis for v in basis}
+        # The solver keys F by the longer of u and v, so the rows (u, v) and
+        # (v, u) are equal: each unordered pair is assembled once and its
+        # row stored under both keys.
+        entries = {}
+        for t, u in enumerate(basis):
+            for v in basis[t:]:
+                entries[(u, v)] = entries[(v, u)] = solver.product(u, v)
         return cls(domain, entries)
 
     def product(self, u, v) -> dict:

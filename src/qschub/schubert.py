@@ -7,7 +7,7 @@ det(D_j - a_i Id) over the staircase of index windows, and the member attached
 to w is the signed divided-difference chain for w (w_0^P)^{-1} applied to it.
 The full flag is the composition (1, ..., 1): D is the tridiagonal C_n, the
 top product is prod_{i=1}^{n-1} det(C_i - a_{n-i} Id), and the chain gives the
-quantum double member (with q -> 0, the double one).
+quantum double member.
 
 The top product is never multiplied out.  Each a_i occurs in exactly one of
 its factors, and d_i commutes with multiplication by anything free of a_i and
@@ -16,9 +16,21 @@ used: before d_i it multiplies factors i and i+1 into the partial result, if
 they are still unused, and the factors left over, free of a_i and a_{i+1},
 pass through d_i untouched.  A member is its partial result times the
 factors left over; a reader that needs it once takes it as a last product
-(f, g) and keeps nothing, and its a -> 0 form is read off the same state.
+(f, g) and keeps nothing.
 
-The classical and quantum kinds are the a -> 0 specializations.  The
+There is one chain per composition, and every a-side member is a reading of
+its state: the quantum double member as it is, the double member with q set
+to 0 and the quantum member with a set to 0, each applied to the partial
+result and to every factor left over.  The readings are the members:
+
+- q -> 0 and a -> 0 are ring maps, so the partial result times the factors
+  left over, each read at 0, is the member read at 0;
+- the q's are constants for every d_i, which acts on the a's alone, so d_i
+  commutes with q -> 0.  The chain read at q = 0 is therefore the chain on
+  the top product at q = 0, whose factors are prod_{t <= N_j} (x_t - a_i):
+  the double top product, from which the double member is defined.
+
+The quantum member is the quantum double one at a = 0 by definition.  The
 classical family is computed by the equivalent x-side chain up from the
 staircase monomial, whose intermediates stay small.  All members are stable
 under adding fixed points, so each permutation is computed inside the
@@ -69,6 +81,8 @@ __all__ = [
 ]
 
 FAMILY_KINDS = ("classical", "double", "quantum", "quantum_double")
+# The variable family that each a-side member sets to 0 on the chain.
+_ZEROED = {"double": "q", "quantum": "a", "quantum_double": ""}
 _ONE = Polynomial.const(1)
 
 
@@ -129,75 +143,82 @@ def quantum_elementary(j: int, n: int) -> Polynomial:
     return _d_char_coeffs((1,) * n)[j]
 
 
-# Bounded like the chain: one entry per (composition, quantum) asked for,
-# each holding one factor per a-variable.
+# Bounded like the chain: one entry per composition asked for, each holding
+# one factor per a-variable.
 @lru_cache(maxsize=2048)
-def _top_factors(composition: tuple, quantum: bool) -> MappingProxyType:
+def _top_factors(composition: tuple) -> MappingProxyType:
     """{i: det(D_j - a_i*Id)} over the inner levels j and the staircase window
     n - N_{j+1} < i <= n - N_j, read-only since the cache shares it; the top
-    product is the product of the values.  With the q's zeroed out each
-    factor is prod_{t <= N_j} (x_t - a_i), a factor of the double top product."""
+    product is the product of the values."""
     ctx = ParabolicContext(composition)
     n = ctx.n
     factors = {}
     for j in range(1, ctx.k):
         coeffs = _d_char_coeffs(composition[:j])
-        if not quantum:
-            coeffs = [c.zero_out("q") for c in coeffs]
         for i in range(n - ctx.partial_sums[j] + 1, n - ctx.partial_sums[j - 1] + 1):
             factors[i] = char_poly_at(coeffs, a(i))
     return MappingProxyType(factors)
 
 
 # Bounded: a long-running process must not pin every chain it ever ran.
-# 2048 entries still hold two full families of S_6 chains with room to spare.
-# Measured state sizes: the largest `partial` over all 720 S_6 quantum double
-# chains has 46,026 terms (the S_6 top product has 113,416), and the longest
-# S_7 chain, v = w0, peaks at 279,654.  The full flag is the composition
-# (1, ..., 1), so its members share entries with the parabolic ones.
+# 2048 entries hold the S_6 chains, which serve every a-side family, with
+# room to spare.  Measured state sizes: the largest `partial` over all 720
+# S_6 chains has 46,026 terms (the S_6 top product has 113,416), and the
+# longest S_7 chain, v = w0, peaks at 279,654.  The full flag is the
+# composition (1, ..., 1), so its members share entries with the parabolic
+# ones.
 @lru_cache(maxsize=2048)
-def _dd_from_top(composition: tuple, quantum: bool, v: Permutation) -> tuple:
+def _dd_from_top(composition: tuple, v: Permutation) -> tuple:
     """The chain for v as a state (partial, pending): the divided differences
     applied to the top product equal partial times the product of the
     `_top_factors` indexed by the frozenset `pending`, and `partial` has no
     a_t for t in `pending`."""
     if v == identity:
-        return Polynomial.const(1), frozenset(_top_factors(composition, quantum))
+        return Polynomial.const(1), frozenset(_top_factors(composition))
     i = first_left_descent(v)
-    partial, pending = _dd_from_top(composition, quantum, compose(simple(i), v))
-    factors = _top_factors(composition, quantum)
+    partial, pending = _dd_from_top(composition, compose(simple(i), v))
+    factors = _top_factors(composition)
     for t in (i, i + 1):
         if t in pending:
             partial = partial * factors[t]
     return divided_difference(i, partial), pending - {i, i + 1}
 
 
-def _last_product(composition: tuple, quantum: bool, v: Permutation) -> tuple:
-    """The signed chain for v as a last product: (f, g) with f * g the chain
-    for v times (-1)^l(v).  Every pending factor of the chain state but the
-    last is multiplied into `partial`, giving f, and g is that last factor
-    with the sign on it.  With no factor pending, f is the signed `partial`
-    and g is 1."""
-    partial, pending = _dd_from_top(composition, quantum, v)
+def _last_product(composition: tuple, zero: str, v: Permutation) -> tuple:
+    """The signed chain for v as a last product, read with the variable
+    family `zero` ("q" or "a", or "" for none) set to 0: (f, g) with f * g
+    that reading of the chain for v times (-1)^l(v).  `partial` and every
+    pending factor of the chain state are read at 0; every such factor but
+    the last is multiplied into `partial`, giving f, and g is that last
+    factor with the sign on it.  With no factor pending, f is the signed
+    `partial` and g is 1."""
+    partial, pending = _dd_from_top(composition, v)
+    factors = [_top_factors(composition)[t] for t in sorted(pending)]
+    if zero:
+        partial = partial.zero_out(zero)
+        factors = [factor.zero_out(zero) for factor in factors]
     odd = length(v) % 2
-    if not pending:
+    if not factors:
         return (-partial if odd else partial), _ONE
-    factors = _top_factors(composition, quantum)
-    *first, last = sorted(pending)
-    for t in first:
-        partial = partial * factors[t]
-    return partial, (-factors[last] if odd else factors[last])
+    *first, last = factors
+    for factor in first:
+        partial = partial * factor
+    return partial, (-last if odd else last)
 
 
-# Bounded like the chain.  Filled by the readers that read a member more
-# than once: the Chevalley rule members, `expand` and the public member
-# functions.  `verify cauchy` and `verify stability` read each member once,
-# as its `_member_pair`, and the a-free members are read off the chain
-# state, so neither fills it.
+# Bounded like the chain, so a long-running process does not pin every
+# member it was ever asked for.  Filled by the readers that read a member
+# more than once: the Chevalley rule members, `expand`, the public member
+# functions, and the Cauchy sums, whose right factors are the a = 0
+# readings (574 of them for S_5 and every composition of 5).  `verify cauchy`
+# and `verify stability` read each left-hand member once, as its
+# `_member_pair`, and keep it nowhere.  The three readings of a chain share
+# its state, so a double member read alone pays for the quantum double chain.
 @lru_cache(maxsize=2048)
-def _signed_chain(composition: tuple, quantum: bool, v: Permutation) -> Polynomial:
-    """The chain for v applied to the top product, times (-1)^l(v)."""
-    f, g = _last_product(composition, quantum, v)
+def _signed_chain(composition: tuple, zero: str, v: Permutation) -> Polynomial:
+    """The chain for v applied to the top product, times (-1)^l(v), read
+    with the variable family `zero` set to 0 (`_last_product`)."""
+    f, g = _last_product(composition, zero, v)
     # With no factor pending, f is the cached chain state's `partial` or its
     # negation, which shares its keys; f * 1 would copy every key (70 MB
     # more at `verify chevalley --max-n 5`).
@@ -218,38 +239,19 @@ def _chain_index(composition: tuple, w: Permutation) -> tuple:
     return composition, compose(w, _w0_p_inverse(composition))
 
 
-def _chain_member(composition: tuple, quantum: bool, w: Permutation) -> Polynomial:
-    """The signed chain for v = w (w_0^P)^{-1} (`_chain_index`)."""
+def _chain_member(composition: tuple, zero: str, w: Permutation) -> Polynomial:
+    """The signed chain for v = w (w_0^P)^{-1} (`_chain_index`), with the
+    variable family `zero` set to 0: "" gives the member on the composition,
+    "q" its double and "a" its quantum member."""
     composition, v = _chain_index(composition, w)
-    return _signed_chain(composition, quantum, v)
+    return _signed_chain(composition, zero, v)
 
 
-def _member_pair(composition: tuple, quantum: bool, w: Permutation) -> tuple:
+def _member_pair(composition: tuple, zero: str, w: Permutation) -> tuple:
     """`_chain_member` as its `_last_product` (f, g), kept nowhere: for a
     reader that reads the member once, in a sum of products."""
     composition, v = _chain_index(composition, w)
-    return _last_product(composition, quantum, v)
-
-
-# The member caches are bounded like the chain, so a long-running process
-# does not pin every member it was ever asked for.  The double and quantum
-# double members are the chain's own entries; this one keeps the a -> 0 form
-# of the quantum member of any composition, filled by `schubert_polynomial`
-# and by every quantum and parabolic Cauchy sum, whose right factors these
-# are: 574 entries after those of S_5 and of every composition of 5.  The
-# full flag of S_n is the composition (1, ..., 1) here too.
-@lru_cache(maxsize=2048)
-def _a_free_member(composition: tuple, w: Permutation) -> Polynomial:
-    """The quantum member of w at a = 0, read off its chain state without
-    the full member: a -> 0 preserves sums and products, so it is `partial`
-    at a = 0 times every pending factor at a = 0, with the chain's sign."""
-    composition, v = _chain_index(composition, w)
-    partial, pending = _dd_from_top(composition, True, v)
-    factors = _top_factors(composition, True)
-    member = partial.zero_out("a")
-    for t in sorted(pending):
-        member = member * factors[t].zero_out("a")
-    return -member if length(v) % 2 else member
+    return _last_product(composition, zero, v)
 
 
 @lru_cache(maxsize=2048)
@@ -292,9 +294,7 @@ def schubert_polynomial(w, family: str, n: int | None = None) -> Polynomial:
     n = max(n, 1)
     if family == "classical":
         return _x_chain_member(w, n)
-    if family == "quantum":
-        return _a_free_member((1,) * n, w)
-    return _chain_member((1,) * n, family == "quantum_double", w)
+    return _chain_member((1,) * n, _ZEROED[family], w)
 
 
 def x_to_minus_a(f: Polynomial) -> Polynomial:
@@ -319,7 +319,7 @@ def _cauchy_pairs(composition: tuple, quantum: bool, w: Permutation):
     (quantum False) the classical member of v."""
     for v, u in _ideal_cosets(w):
         if quantum:
-            yield _cauchy_left(u), _a_free_member(composition, v)
+            yield _cauchy_left(u), _chain_member(composition, "a", v)
         else:
             yield _cauchy_left(u), schubert_polynomial(v, "classical")
 
@@ -332,8 +332,9 @@ def _cauchy_sum(composition: tuple, quantum: bool, w: Permutation) -> Polynomial
 def _cauchy_difference(composition: tuple, quantum: bool, w: Permutation) -> Polynomial:
     """The Cauchy sum of w minus the member of w on the composition, as one
     sum of products: the member's `_member_pair` enters negated, so the
-    identity holds exactly when the difference is 0.  No member is kept."""
-    f, g = _member_pair(composition, quantum, w)
+    identity holds exactly when the difference is 0.  No member is kept:
+    the double identity reads the member at q = 0."""
+    f, g = _member_pair(composition, "" if quantum else "q", w)
     return sum_of_products([*_cauchy_pairs(composition, quantum, w), (f, -g)])
 
 

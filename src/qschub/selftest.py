@@ -154,8 +154,8 @@ def check_stability(max_n: int) -> tuple:
     for n in range(2, max_n + 1):
         for comp in compositions(n):
             for w in ParabolicContext(comp).minimal_reps():
-                f, g = _member_pair(comp + (1,), True, w)
-                h, k = _member_pair(comp, True, w)
+                f, g = _member_pair(comp + (1,), "", w)
+                h, k = _member_pair(comp, "", w)
                 if sum_of_products([(f, g), (h, -k)]).terms:
                     return False, f"extension changes the member at {comp}, {list(w)}"
                 count += 1

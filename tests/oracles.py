@@ -93,4 +93,4 @@ def localization(ctx, u, v) -> Polynomial:
     """The q = 0 member of v at the fixed point u, x_j -> a_{u(j)}: sigma_v
     restricted to u, which is c_{u,v}^u at q = 0."""
     point = {("x", j): a(apply_to(u, j)) for j in range(1, ctx.n + 1)}
-    return _chain_member(ctx.composition, False, v).specialize(point)
+    return _chain_member(ctx.composition, "q", v).specialize(point)

@@ -308,7 +308,7 @@ def test_double_chevalley_at_five_is_byte_identical(capsys):
 @pytest.mark.slow
 def test_ninety_element_table_is_byte_identical():
     # Past the `table` bound, so pinned on the builder: three q's, and the
-    # probe of F(u, u, u, d) runs at every degree.  About 15-19 s and 600 MB
+    # probe of F(u, u, u, d) runs at every degree.  About 13-16 s and 474 MB
     # on a shared 2-vCPU VM: run with `python -m pytest -m slow`.
     text = StructureTable.build(ParabolicContext((2, 2, 2))).to_json()
     assert (

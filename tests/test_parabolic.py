@@ -385,7 +385,7 @@ class TestChainCache:
         caches = package_caches()
         for name, maxsize in OWN_POLICY.items():
             assert caches.pop(name).cache_info().maxsize == maxsize, name
-        assert len(caches) == 11
+        assert len(caches) == 10
         for name, chain in caches.items():
             info = chain.cache_info()
             assert info.maxsize == 2048, name
@@ -394,7 +394,7 @@ class TestChainCache:
     def test_full_flag_members_reuse_the_parabolic_chain(self):
         from qschub import schubert
 
-        schubert._a_free_member.cache_clear()
+        schubert._signed_chain.cache_clear()
         schubert._dd_from_top.cache_clear()
         ones = ParabolicContext((1, 1, 1, 1))
         for w in ones.minimal_reps():
@@ -402,4 +402,17 @@ class TestChainCache:
         misses = schubert._dd_from_top.cache_info().misses
         for w in all_perms(4):
             schubert_polynomial(w, "quantum_double", 4)
+        assert schubert._dd_from_top.cache_info().misses == misses
+
+    def test_double_and_quantum_members_reuse_the_quantum_double_chain(self):
+        from qschub import schubert
+
+        schubert._signed_chain.cache_clear()
+        schubert._dd_from_top.cache_clear()
+        for w in all_perms(4):
+            schubert_polynomial(w, "quantum_double", 4)
+        misses = schubert._dd_from_top.cache_info().misses
+        for w in all_perms(4):
+            schubert_polynomial(w, "double", 4)
+            schubert_polynomial(w, "quantum", 4)
         assert schubert._dd_from_top.cache_info().misses == misses

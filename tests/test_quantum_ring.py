@@ -500,15 +500,15 @@ class TestLocalization:
 def test_a_planted_member_moves_the_oracle_and_not_the_table(
     monkeypatch, fresh_solvers
 ):
-    # The quantum and the q-free member of [1,3,2] on (1, 1, 1), plus a1:
-    # the table, solved from the rule rows alone, keeps every entry, while
-    # the product of members expanded over the basis moves.
+    # Every reading of the member of [1,3,2] on (1, 1, 1), plus a1: the
+    # table, solved from the rule rows alone, keeps every entry, while the
+    # product of members expanded over the basis moves.
     basis = all_perms(3)
     table = {(u, v): structure_constants(3, u, v) for u in basis for v in basis}
     real = schubert._chain_member
 
-    def planted(composition, quantum, w):
-        member = real(composition, quantum, w)
+    def planted(composition, zero, w):
+        member = real(composition, zero, w)
         if (composition, w) == ((1, 1, 1), (1, 3, 2)):
             return member + a(1)
         return member
@@ -518,6 +518,21 @@ def test_a_planted_member_moves_the_oracle_and_not_the_table(
     quantum_ring._solver.cache_clear()
     assert {(u, v): structure_constants(3, u, v) for u, v in table} == table
     assert any(product_expand_truncate(3, u, v) != c for (u, v), c in table.items())
+
+
+def test_build_assembles_each_unordered_pair_once(monkeypatch, fresh_solvers):
+    pairs = []
+    real = quantum_ring._Solver.product
+
+    def counted(self, u, v):
+        pairs.append(frozenset((u, v)))
+        return real(self, u, v)
+
+    monkeypatch.setattr(quantum_ring._Solver, "product", counted)
+    table = StructureTable.build(ParabolicContext((2, 1, 1)))
+    size = len(table.basis)
+    assert len(pairs) == len(set(pairs)) == size * (size + 1) // 2
+    assert set(table.entries) == {(u, v) for u in table.basis for v in table.basis}
 
 
 class TestSelfDiagonal:

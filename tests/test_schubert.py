@@ -166,11 +166,12 @@ def test_reflection_formula_of_s6():
     assert check_reflection_formulas(6) == (True, "i <= 6")
 
 
-def _plain_chain(composition, quantum, v):
-    """The signed chain for v on the multiplied-out top product."""
+def _plain_chain(composition, zero, v):
+    """The signed chain for v on the multiplied-out top product, with the
+    variable family `zero` set to 0 in each factor before the chain."""
     top = Polynomial.const(1)
-    for factor in schubert._top_factors(composition, quantum).values():
-        top = top * factor
+    for factor in schubert._top_factors(composition).values():
+        top = top * (factor.zero_out(zero) if zero else factor)
     chain = _apply_word(reduced_word(v), top)
     return chain if length(v) % 2 == 0 else -chain
 
@@ -187,17 +188,19 @@ def _chain_cases():
     return cases
 
 
-@pytest.mark.parametrize("quantum", [True, False])
-def test_factored_chain_matches_plain_chain(quantum):
+@pytest.mark.parametrize("zero", ["", "q"])
+def test_factored_chain_matches_plain_chain(zero):
+    # At q = 0 the plain chain runs on the double top product, the q-free
+    # factors prod (x_t - a_i): the route the q = 0 reading replaced.
     for comp, v in _chain_cases():
-        assert schubert._signed_chain(comp, quantum, v) == _plain_chain(
-            comp, quantum, v
+        assert schubert._signed_chain(comp, zero, v) == _plain_chain(
+            comp, zero, v
         ), (comp, v)
         # Every state the chain for v caches keeps its pending factors'
         # variables out of the partial result.
         u = v
         while True:
-            partial, pending = schubert._dd_from_top(comp, quantum, u)
+            partial, pending = schubert._dd_from_top(comp, u)
             for t in pending:
                 assert partial.specialize({("a", t): 0}) == partial, (comp, u, t)
             if u == identity:
@@ -205,18 +208,22 @@ def test_factored_chain_matches_plain_chain(quantum):
             u = compose(simple(reduced_word(u)[0]), u)
 
 
-def test_a_free_members_read_off_the_chain_state_are_the_full_ones_at_a_zero():
-    # The full member, then a -> 0: how `_a_free_member` read it before it
-    # was read off the chain state.  The member pair multiplies to the full
-    # member too.
+def test_readings_of_the_chain_state_are_the_full_member_at_zero():
+    # The full member, then q -> 0 or a -> 0: each reading of the chain state
+    # sets the family to 0 in its partial result and pending factors instead.
+    # Each member pair multiplies to its reading too.
     cases = 0
     for n in range(1, 6):
         for comp in compositions(n):
             for w in ParabolicContext(comp).minimal_reps():
-                full = schubert._chain_member(comp, True, w)
-                assert schubert._a_free_member(comp, w) == full.zero_out("a"), (comp, w)
-                f, g = schubert._member_pair(comp, True, w)
+                full = schubert._chain_member(comp, "", w)
+                f, g = schubert._member_pair(comp, "", w)
                 assert f * g == full, (comp, w)
+                for zero in "qa":
+                    reading = schubert._chain_member(comp, zero, w)
+                    assert reading == full.zero_out(zero), (comp, w, zero)
+                    f, g = schubert._member_pair(comp, zero, w)
+                    assert f * g == reading, (comp, w, zero)
                 cases += 1
     assert cases == 1 + 3 + 13 + 75 + 541
 

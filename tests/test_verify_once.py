@@ -55,16 +55,17 @@ class Reads:
 
 @pytest.fixture
 def cauchy_reads(monkeypatch):
-    """Keys (w, compositions whose a-free members the sum read), of each
-    identity `check_cauchy` computes (`_cauchy_difference`) and of each sum
-    the public functions compute (`_cauchy_sum`)."""
+    """Keys (w, (composition, family set to 0) of each member the sum read
+    as a right factor), of each identity `check_cauchy` computes
+    (`_cauchy_difference`) and of each sum the public functions compute
+    (`_cauchy_sum`)."""
     reads = Reads()
 
     def key(args, read):
         return args[2], read
 
     monkeypatch.setattr(
-        schubert, "_a_free_member", reads.reader(schubert._a_free_member, lambda args: args[0])
+        schubert, "_chain_member", reads.reader(schubert._chain_member, lambda args: args[:2])
     )
     monkeypatch.setattr(
         selftest, "_cauchy_difference", reads.spy(schubert._cauchy_difference, key)
@@ -195,24 +196,25 @@ class TestEachIdentityOnce:
 
 @pytest.fixture
 def corrupted_member(monkeypatch):
-    """The member of FULL_LENGTH on the chain of (1, 1, 1), made wrong:
-    plus a1 where `_chain_member` reads it for the Chevalley rule, and plus
-    a1 times g where the Cauchy and stability identities read it as the
-    pair (f, g) of `_member_pair` (g is never 0).  The a-free members, the
-    right factors of the Cauchy sums, stay correct."""
+    """The quantum double member of FULL_LENGTH on the chain of (1, 1, 1),
+    made wrong: plus a1 where `_chain_member` reads it for the Chevalley
+    rule, and plus a1 times g where the Cauchy and stability identities read
+    it as the pair (f, g) of `_member_pair` (g is never 0).  Its readings at
+    q = 0 and at a = 0, the double members and the right factors of the
+    Cauchy sums, stay correct."""
     real_member, real_pair = schubert._chain_member, schubert._member_pair
 
-    def planted(composition, quantum, w):
+    def planted(composition, zero, w):
         padded = composition + (1,) * (len(trim(w)) - sum(composition))
-        return quantum and trim(w) == FULL_LENGTH and padded == (1, 1, 1)
+        return not zero and trim(w) == FULL_LENGTH and padded == (1, 1, 1)
 
-    def corrupted_member(composition, quantum, w):
-        member = real_member(composition, quantum, w)
-        return member + a(1) if planted(composition, quantum, w) else member
+    def corrupted_member(composition, zero, w):
+        member = real_member(composition, zero, w)
+        return member + a(1) if planted(composition, zero, w) else member
 
-    def corrupted_pair(composition, quantum, w):
-        f, g = real_pair(composition, quantum, w)
-        return (f + a(1), g) if planted(composition, quantum, w) else (f, g)
+    def corrupted_pair(composition, zero, w):
+        f, g = real_pair(composition, zero, w)
+        return (f + a(1), g) if planted(composition, zero, w) else (f, g)
 
     for module in (schubert, parabolic, quantum_ring):
         monkeypatch.setattr(module, "_chain_member", corrupted_member)
@@ -280,7 +282,7 @@ def former_difference(i, w, flavor, ctx=None):
 
     def member(z):
         if flavor == "parabolic":
-            return schubert._chain_member(ctx.composition, True, z)
+            return schubert._chain_member(ctx.composition, "", z)
         return schubert_polynomial(z, flavor)
 
     ring = ctx if flavor == "parabolic" else quantum_ring._FULL_FLAG
