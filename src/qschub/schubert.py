@@ -219,9 +219,9 @@ def _signed_chain(composition: tuple, zero: str, v: Permutation) -> Polynomial:
     """The chain for v applied to the top product, times (-1)^l(v), read
     with the variable family `zero` set to 0 (`_last_product`)."""
     f, g = _last_product(composition, zero, v)
-    # With no factor pending, f is the cached chain state's `partial` or its
-    # negation, which shares its keys; f * 1 would copy every key (70 MB
-    # more at `verify chevalley --max-n 5`).
+    # With no factor pending, f is the signed `partial` of the cached chain
+    # state, sharing its keys when nothing is set to 0; f * 1 would copy
+    # every key (70 MB more at `verify chevalley --max-n 5`).
     return f if g is _ONE else f * g
 
 
