@@ -1,8 +1,8 @@
 """Golden members: SHA-256 of the text of fixed sets of members.
 
 The digests pin every S_5 member of the three a- or q-carrying families,
-every parabolic member for compositions of n <= 5, and six long S_6
-members.  Any change to how members are built must leave these texts
+every parabolic member for compositions of n <= 5, six long S_6 members,
+and the coefficients of det(D - t Id) for every composition of n <= 8.  Any change to how members are built must leave these texts
 byte-identical.  Re-record only for a change that is meant to alter output,
 and say so where the change is described.
 """
@@ -13,7 +13,7 @@ import pytest
 
 from qschub.parabolic import parabolic_q_double_schubert
 from qschub.poly import format_polynomial
-from qschub.schubert import schubert_polynomial
+from qschub.schubert import _d_char_coeffs, schubert_polynomial
 from qschub.selftest import compositions
 from qschub.weyl import ParabolicContext, all_perms
 
@@ -48,6 +48,14 @@ def _s6_members() -> str:
     )
 
 
+def _d_coefficients() -> str:
+    return "\n".join(
+        f"{list(comp)}: " + " | ".join(map(format_polynomial, _d_char_coeffs(comp)))
+        for n in range(1, 9)
+        for comp in compositions(n)
+    )
+
+
 GOLDEN = [
     (
         "quantum_double-S5",
@@ -73,6 +81,11 @@ GOLDEN = [
         "S6-long",
         _s6_members,
         "ef22351277b29985512b926d11411be17e5f620e70d58e6cc31392302a8ca266",
+    ),
+    (
+        "D-coefficients-n<=8",
+        _d_coefficients,
+        "3016fb3443cb1a6d22262e13fa0e2ecee4f3582304c814aab529468895d90690",
     ),
 ]
 
