@@ -2,9 +2,7 @@
 
 from .poly import (
     Polynomial,
-    SymbolicMatrix,
     a,
-    char_poly_coeffs,
     elementary_symmetric,
     format_polynomial,
     graded_degree,
@@ -18,9 +16,7 @@ from .poly import (
 
 __all__ = [
     "Polynomial",
-    "SymbolicMatrix",
     "a",
-    "char_poly_coeffs",
     "elementary_symmetric",
     "format_polynomial",
     "graded_degree",

@@ -40,13 +40,11 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
 __all__ = [
     "Polynomial",
-    "SymbolicMatrix",
     "Variable",
     "Monomial",
     "x",
@@ -54,8 +52,6 @@ __all__ = [
     "q",
     "variable",
     "elementary_symmetric",
-    "char_poly_coeffs",
-    "char_poly_at",
     "graded_degree",
     "parse_polynomial",
     "format_polynomial",
@@ -650,66 +646,6 @@ def graded_degree(f: Polynomial, q_degrees=None):
     if len(degs) > 1:
         return None
     return degs.pop()
-
-
-# -- determinants of small symbolic matrices ---------------------------------
-
-
-@dataclass(frozen=True)
-class SymbolicMatrix:
-    """Square matrix with Polynomial entries, 1-based sparse storage."""
-
-    size: int
-    entries: dict  # (row, col) -> Polynomial, missing means zero
-
-    def entry(self, r: int, c: int) -> Polynomial:
-        return self.entries.get((r, c), Polynomial.zero())
-
-
-def char_poly_coeffs(m: SymbolicMatrix) -> list:
-    """Coefficients [E_0, ..., E_n] with det(m - t*Id) = sum_j (-t)^(n-j) E_j.
-
-    m must be lower Hessenberg (no nonzero entry above the superdiagonal),
-    which C_n and D are; anything else raises ValueError.  With s = -t,
-    p_k = det of the leading k x k corner of m + s*Id satisfies
-
-        p_k = (m_kk + s) p_{k-1}
-              + sum_{i<k} (-1)^(k-i) m_ki (m_{i,i+1} ... m_{k-1,k}) p_{i-1},
-
-    and E_j is the s^(n-j) coefficient of p_n.  Entries stay in Z[x,a,q].
-    """
-    n = m.size
-    for (r, c), entry in m.entries.items():
-        if c > r + 1 and entry:
-            raise ValueError(f"entry ({r}, {c}) lies above the superdiagonal")
-    zero = Polynomial.zero()
-    # p[k] is a polynomial in s: a list of Polynomial coefficients, low first.
-    p = [[Polynomial.const(1)]]
-    for k in range(1, n + 1):
-        pk = [zero] + p[k - 1]
-        for d, c in enumerate(p[k - 1]):
-            pk[d] = pk[d] + m.entry(k, k) * c
-        chain = Polynomial.const(1)  # m_{i,i+1} ... m_{k-1,k}
-        for i in range(k - 1, 0, -1):
-            chain = chain * m.entry(i, i + 1)
-            factor = m.entry(k, i) * chain
-            if not factor:
-                continue
-            if (k - i) % 2:
-                factor = -factor
-            for d, c in enumerate(p[i - 1]):
-                pk[d] = pk[d] + factor * c
-        p.append(pk)
-    return [p[n][n - j] for j in range(n + 1)]
-
-
-def char_poly_at(coeffs: list, value: Polynomial) -> Polynomial:
-    """det(m - value*Id) from coeffs = char_poly_coeffs(m), by Horner's rule
-    in -value."""
-    total = Polynomial.zero()
-    for c in coeffs:
-        total = total * -value + c
-    return total
 
 
 # -- canonical text form ------------------------------------------------------

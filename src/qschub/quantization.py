@@ -5,8 +5,8 @@ partition tuples lam = (lam^(1), lam^(2), ...) with lam^(j) inside the
 n_{j+1} x N_j box: g_lam = prod_j prod_i e_{lam^(j)_i}(x_1..x_{N_j}), and
 G_lam replaces each factor by G^j_{lam^(j)_i}, a coefficient of
 det(D_j - t*Id).  The quantization map sends g_lam to G_lam, extended over
-the a and q variables: one loop, `_quantize`, serves the full flag (`theta`)
-and the parabolic case (`parabolic.theta_P`).
+the a and q variables: one loop, `_quantized_pairs`, serves the full flag
+(`theta`) and the parabolic case (`parabolic.theta_P`).
 
 On the composition (1, ..., 1) every box is 1 x r, so level r holds (i_r),
 or () when i_r = 0.  The standard index I = (i_1, i_2, ...), 0 <= i_r <= r,
@@ -40,11 +40,12 @@ leading monomial downward, each new row is reduced against the rows already
 placed, and the surviving lead becomes its pivot.  Rows are built lazily and
 cached per (composition, degree) slice.
 
-The loop works per basis element, not per term: `_quantize` gathers the
-coordinates of all the x parts into one a/q coefficient per G_lam and makes
-one `sum_of_products` call, each G_lam built once in a bounded cache.  On
-the full flag a slice decomposes each x-monomial once and keeps its
-coordinates; `_invariant_decompose` says why a parabolic slice cannot.
+The loop works per basis element, not per term: `_quantized_pairs` gathers
+the coordinates of all the x parts into one a/q coefficient per G_lam, whose
+products with the G_lam make one `sum_of_products` call, each G_lam built
+once in a bounded cache.  On the full flag a slice decomposes each x-monomial
+once and keeps its coordinates; `_invariant_decompose` says why a parabolic
+slice cannot.
 """
 
 from __future__ import annotations
@@ -422,8 +423,10 @@ def _padded(composition: tuple, f: Polynomial) -> tuple:
     return composition + (1,) * max(0, f.staircase() - sum(composition))
 
 
-def _quantize(f: Polynomial, composition: tuple) -> Polynomial:
-    """g_lam -> G_lam, Z[a, q]-linearly.
+def _quantized_pairs(f: Polynomial, composition: tuple) -> list:
+    """g_lam -> G_lam, Z[a, q]-linearly, as the (G_lam, coefficient) pairs
+    whose products sum to the image of f: a reader can add more pairs to
+    the same `sum_of_products`.
 
     Each a/q monomial's x part is decomposed over the g_lam of `composition`
     padded to that part's staircase, and the coordinates are gathered per
@@ -438,9 +441,9 @@ def _quantize(f: Polynomial, composition: tuple) -> Polynomial:
         for tup, c in _invariant_decompose(padded, x_part).items():
             coefficients.setdefault(tup, {})[aq_key] = c
     blocks = composition + (1,) * max(map(len, coefficients), default=0)
-    return sum_of_products(
+    return [
         (_G_lam(blocks[: len(tup)], tup), _poly(c)) for tup, c in coefficients.items()
-    )
+    ]
 
 
 def standard_decompose(f: Polynomial) -> dict:
@@ -472,7 +475,7 @@ def theta(f: Polynomial) -> Polynomial:
     >>> print(theta(x1 * x1))
     x1^2 - q1
     """
-    return _quantize(f, ())
+    return sum_of_products(_quantized_pairs(f, ()))
 
 
 def decompose_in_E(f: Polynomial) -> dict:

@@ -40,7 +40,7 @@ from .poly import (
     sum_of_products,
     x_order_key,
 )
-from .schubert import _chain_member, schubert_polynomial
+from .schubert import _ZEROED as _FAMILY_ZEROED, _chain_member, schubert_polynomial
 from .weyl import (
     ParabolicContext,
     Permutation,
@@ -76,14 +76,9 @@ _FULL_FLAG = ParabolicContext((1,))
 _ZERO = Polynomial.zero()
 _ONE = Polynomial.const(1)
 _MINUS_ONE = Polynomial.const(-1)
-# The families each flavor sets to 0 in the one rule row of `_chevalley_terms`.
-_ZEROED = {
-    "classical": "aq",
-    "quantum": "a",
-    "double": "q",
-    "quantum_double": "",
-    "parabolic": "",
-}
+# The families each flavor sets to 0 in the one rule row of `_chevalley_terms`:
+# those of its Schubert family, and none for the parabolic flavor.
+_ZEROED = _FAMILY_ZEROED | {"parabolic": ""}
 
 
 def _check_node(i: int, ctx: ParabolicContext | None):
@@ -705,6 +700,9 @@ class StructureTable:
         return {z: c for z, zs in pairs.items() if (c := sum_of_products(zs))}
 
     def check_commutative(self) -> bool:
+        """True iff the rows (u, v) and (v, u) are equal for every pair.
+        `build` stores one row object under both keys, so on a built table
+        this cannot fail; it has force on a table read by `from_json`."""
         return all(
             self.entries[(u, v)] == self.entries[(v, u)]
             for u in self.basis

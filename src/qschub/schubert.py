@@ -2,9 +2,11 @@
 
 A composition (n_1, ..., n_k) of n fixes the block matrix D: x_i diagonal, -1
 superdiagonal and one q_j entry per inner block boundary; D_j is its
-upper-left N_j x N_j corner.  The top product is the product of
-det(D_j - a_i Id) over the staircase of index windows, and the member attached
-to w is the signed divided-difference chain for w (w_0^P)^{-1} applied to it.
+upper-left N_j x N_j corner.  The coefficients of det(D_j - t Id) come from a
+recursion over the rows of D (`_d_char_coeffs`); no matrix is built.  The top
+product is the product of det(D_j - a_i Id) over the staircase of index
+windows, and the member attached to w is the signed divided-difference chain
+for w (w_0^P)^{-1} applied to it.
 The full flag is the composition (1, ..., 1): D is the tridiagonal C_n, the
 top product is prod_{i=1}^{n-1} det(C_i - a_{n-i} Id), and the chain gives the
 quantum double member.
@@ -40,14 +42,12 @@ smallest symmetric group that contains it.
 from __future__ import annotations
 
 from functools import cache, lru_cache
+from itertools import accumulate
 from types import MappingProxyType
 
 from .poly import (
     Polynomial,
-    SymbolicMatrix,
     a,
-    char_poly_at,
-    char_poly_coeffs,
     q,
     sum_of_products,
     x,
@@ -74,15 +74,15 @@ __all__ = [
     "schubert_polynomial",
     "expand_in_schubert_basis",
     "cauchy_rhs",
-    "d_matrix",
     "quantum_elementary",
     "x_to_minus_a",
     "x_lead_vector",
 ]
 
 FAMILY_KINDS = ("classical", "double", "quantum", "quantum_double")
-# The variable family that each a-side member sets to 0 on the chain.
-_ZEROED = {"double": "q", "quantum": "a", "quantum_double": ""}
+# The variable families that each family's members are free of: the a-side
+# members set them to 0 on the chain, and expansions reject them.
+_ZEROED = {"classical": "aq", "double": "q", "quantum": "a", "quantum_double": ""}
 _ONE = Polynomial.const(1)
 
 
@@ -100,36 +100,44 @@ def _divided_difference_in(fam: str, i: int, f: Polynomial) -> Polynomial:
     return f.divided_difference(fam, i)
 
 
-def d_matrix(ctx: ParabolicContext) -> SymbolicMatrix:
-    """The n x n matrix with x_i diagonal, -1 superdiagonal, and entry
-    (N_{j+1}, N_{j-1}+1) equal to -(-1)^(n_{j+1}) q_j for each inner node.
-
-    >>> m = d_matrix(ParabolicContext((1, 1, 1)))
-    >>> m.entries[(2, 1)] == q(1) and m.entries[(3, 2)] == q(2)
-    True
-    """
-    n = ctx.n
-    entries = {}
-    for i in range(1, n + 1):
-        entries[(i, i)] = x(i)
-    for i in range(1, n):
-        entries[(i, i + 1)] = Polynomial.const(-1)
-    for j in range(1, ctx.k):
-        row = ctx.partial_sums[j]
-        col = (ctx.partial_sums[j - 2] if j >= 2 else 0) + 1
-        sign = 1 if ctx.composition[j] % 2 else -1
-        entries[(row, col)] = q(j) * sign
-    return SymbolicMatrix(n, entries)
-
-
 # Unbounded, but small: one short coefficient tuple per composition asked
 # for, and compositions are capped by the 16-slot layout.
 @cache
 def _d_char_coeffs(blocks: tuple) -> tuple:
-    """Coefficients of det(D - t*Id) for the composition `blocks`.  The
-    upper-left N_j x N_j corner D_j of a longer composition's D is the D of
-    its first j blocks, so D_j's coefficients are _d_char_coeffs(comp[:j])."""
-    return tuple(char_poly_coeffs(d_matrix(ParabolicContext(blocks))))
+    """Coefficients (E_0, ..., E_n) of det(D - t*Id) = sum_j (-t)^(n-j) E_j
+    for the composition `blocks`, by a recursion over the rows of D; no
+    matrix is built.  With D_k the upper-left k x k corner of D and
+    p_k = det(D_k - t*Id),
+
+        p_0 = 1,
+        p_k = (x_k - t) p_{k-1} + sigma_j q_j p_{N_{j-1}}   if k = N_{j+1},
+        p_k = (x_k - t) p_{k-1}                              otherwise,
+
+    where sigma_j q_j is the entry of D at (N_{j+1}, N_{j-1} + 1): sigma_j is
+    +1 for n_{j+1} odd and -1 otherwise.  Proof: expand det(D_k - t*Id)
+    along row k.  D is lower Hessenberg with -1 on the superdiagonal, so the
+    minor at (k, i) is p_{i-1} times a triangular block whose diagonal is
+    -1s, that is p_{i-1} (-1)^(k-i), and the cofactor sign (-1)^(k+i)
+    cancels that factor.  Row k has one entry off the diagonal: the q_j
+    entry, when k = N_{j+1}.
+
+    The upper-left N_j x N_j corner D_j of a longer composition's D is the D
+    of its first j blocks, so D_j's coefficients are _d_char_coeffs(comp[:j]).
+    """
+    ends = list(accumulate(blocks, initial=0))  # N_0 = 0, N_1, ..., N_k
+    # p[k] as its coefficients in s = -t, lowest first.
+    p = [[_ONE]]
+    for j, size in enumerate(blocks):
+        for k in range(ends[j] + 1, ends[j + 1] + 1):
+            pk = [Polynomial.zero(), *p[k - 1]]
+            for d, c in enumerate(p[k - 1]):
+                pk[d] = pk[d] + x(k) * c
+            p.append(pk)
+        if j:  # the q_j entry sits in row N_{j+1}, the last of block j + 1
+            entry, last = (q(j) if size % 2 else -q(j)), p[-1]
+            for d, c in enumerate(p[ends[j - 1]]):
+                last[d] = last[d] + entry * c
+    return tuple(reversed(p[-1]))
 
 
 def quantum_elementary(j: int, n: int) -> Polynomial:
@@ -156,7 +164,10 @@ def _top_factors(composition: tuple) -> MappingProxyType:
     for j in range(1, ctx.k):
         coeffs = _d_char_coeffs(composition[:j])
         for i in range(n - ctx.partial_sums[j] + 1, n - ctx.partial_sums[j - 1] + 1):
-            factors[i] = char_poly_at(coeffs, a(i))
+            value = Polynomial.zero()  # det(D_j - a_i*Id), by Horner's rule in -a_i
+            for c in coeffs:
+                value = value * -a(i) + c
+            factors[i] = value
     return MappingProxyType(factors)
 
 
@@ -352,13 +363,6 @@ def cauchy_rhs(w, quantum: bool) -> Polynomial:
 
 # -- expansion in a Schubert family -------------------------------------------
 
-_FAMILY_VARS = {
-    "classical": "x",
-    "double": "xa",
-    "quantum": "xq",
-    "quantum_double": "xaq",
-}
-
 
 # perfbench's tracer counts one expansion round per call of this name
 # (`schubert.expand_rounds`, `parabolic.expand_rounds`).
@@ -372,9 +376,8 @@ def x_lead_vector(f: Polynomial) -> tuple | None:
 
 
 def _check_ring(f: Polynomial, family: str, what: str):
-    allowed = _FAMILY_VARS[family]
-    for fam in "aq":
-        if fam not in allowed and f.max_index(fam):
+    for fam in _ZEROED[family]:
+        if f.max_index(fam):
             raise ValueError(
                 f"{what} contains {fam}-variables, not allowed for the "
                 f"{family} family"

@@ -6,13 +6,16 @@ reach masks.  The tests check both against the definitions below: Bruhat
 order by the rank-matrix criterion, covers as Bruhat covers, and length drops
 through the pairings with 2 rho and 2 rho_P.  The table solver finds the
 q-free structure constants c_{u,v}^u from the Chevalley rule alone; the
-tests check them against the members of the ring at fixed points.  A
-parabolic context is a `weyl.ParabolicContext`.
+tests check them against the members of the ring at fixed points.
+`schubert._d_char_coeffs` finds det(D - t Id) by a recursion over the rows
+of D; the tests check it against the matrix D below and the Leibniz
+formula.  A parabolic context is a `weyl.ParabolicContext`.
 """
 
+import itertools
 import math
 
-from qschub.poly import Polynomial, a, q
+from qschub.poly import Polynomial, a, q, x
 from qschub.schubert import _chain_member
 from qschub.weyl import apply_to, extend
 
@@ -87,6 +90,38 @@ def is_p_root(ctx, alpha) -> bool:
     """True iff alpha lies in Phi^+_P (both ends in one block)."""
     r, s = alpha
     return s <= ctx.n and block_of(ctx, r) == block_of(ctx, s)
+
+
+def d_matrix(ctx) -> dict:
+    """The n x n matrix D as {(row, col): entry}, a missing entry being 0:
+    x_i diagonal, -1 superdiagonal, and entry (N_{j+1}, N_{j-1}+1) equal to
+    -(-1)^(n_{j+1}) q_j for each inner node."""
+    n = ctx.n
+    entries = {}
+    for i in range(1, n + 1):
+        entries[(i, i)] = x(i)
+    for i in range(1, n):
+        entries[(i, i + 1)] = Polynomial.const(-1)
+    for j in range(1, ctx.k):
+        row = ctx.partial_sums[j]
+        col = (ctx.partial_sums[j - 2] if j >= 2 else 0) + 1
+        sign = 1 if ctx.composition[j] % 2 else -1
+        entries[(row, col)] = q(j) * sign
+    return entries
+
+
+def leibniz_det(size, entry) -> Polynomial:
+    """sum over permutations of sign * product, straight from the definition."""
+    total = Polynomial.zero()
+    for sigma in itertools.permutations(range(1, size + 1)):
+        inversions = sum(
+            1 for i in range(size) for j in range(i + 1, size) if sigma[i] > sigma[j]
+        )
+        term = Polynomial.const(-1 if inversions % 2 else 1)
+        for r, c in enumerate(sigma, start=1):
+            term = term * entry(r, c)
+        total = total + term
+    return total
 
 
 def localization(ctx, u, v) -> Polynomial:

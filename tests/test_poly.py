@@ -1,6 +1,5 @@
-"""Ring arithmetic, symbolic determinants and the canonical text/JSON forms."""
+"""Ring arithmetic and the canonical text/JSON forms."""
 
-import itertools
 import json
 import random
 
@@ -9,10 +8,7 @@ import pytest
 from qschub.poly import (
     Polynomial,
     PolynomialParseError,
-    SymbolicMatrix,
     a,
-    char_poly_at,
-    char_poly_coeffs,
     elementary_symmetric,
     format_polynomial,
     graded_degree,
@@ -121,92 +117,6 @@ def test_elementary_symmetric():
     assert elementary_symmetric(3, vs) == x(1) * x(2) * x(3)
     assert elementary_symmetric(4, vs) == 0
     assert elementary_symmetric(-1, vs) == 0
-
-
-def c_matrix(n):
-    entries = {}
-    for i in range(1, n + 1):
-        entries[(i, i)] = x(i)
-        if i < n:
-            entries[(i, i + 1)] = Polynomial.const(-1)
-            entries[(i + 1, i)] = q(i)
-    return SymbolicMatrix(n, entries)
-
-
-def test_char_poly_coeffs_c1():
-    assert char_poly_coeffs(c_matrix(1)) == [Polynomial.const(1), x(1)]
-
-
-def test_char_poly_coeffs_c2():
-    e0, e1, e2 = char_poly_coeffs(c_matrix(2))
-    assert e0 == 1
-    assert e1 == x(1) + x(2)
-    assert e2 == x(1) * x(2) + q(1)
-
-
-def test_char_poly_reduces_to_elementary_at_q_zero():
-    for n in range(1, 7):
-        coeffs = char_poly_coeffs(c_matrix(n))
-        vs = [("x", i) for i in range(1, n + 1)]
-        for j, c in enumerate(coeffs):
-            assert c.zero_out("q") == elementary_symmetric(j, vs)
-            # Each coefficient is homogeneous for deg q_i = 2.
-            assert graded_degree(c) == j
-
-
-def test_char_poly_matches_direct_determinant():
-    # Polynomial entries beyond the tridiagonal shape, checked against the
-    # 2x2 determinant written out by hand.
-    m = SymbolicMatrix(
-        2,
-        {
-            (1, 1): x(1) + a(1),
-            (1, 2): q(2),
-            (2, 1): Polynomial.const(3),
-            (2, 2): x(2) ** 2,
-        },
-    )
-    e0, e1, e2 = char_poly_coeffs(m)
-    assert e0 == 1
-    assert e1 == x(1) + a(1) + x(2) ** 2
-    assert e2 == (x(1) + a(1)) * x(2) ** 2 - 3 * q(2)
-
-
-def leibniz_det(size, entry):
-    """sum over permutations of sign * product, straight from the definition."""
-    total = Polynomial.zero()
-    for sigma in itertools.permutations(range(1, size + 1)):
-        inversions = sum(
-            1 for i in range(size) for j in range(i + 1, size) if sigma[i] > sigma[j]
-        )
-        term = Polynomial.const(-1 if inversions % 2 else 1)
-        for r, c in enumerate(sigma, start=1):
-            term = term * entry(r, c)
-        total = total + term
-    return total
-
-
-def test_char_poly_of_random_lower_hessenberg_matches_leibniz():
-    rng = random.Random(20261018)
-    t = a(9)  # a variable no entry uses, so det(m - t*Id) pins every E_j
-    for _ in range(40):
-        size = rng.randint(1, 4)
-        entries = {
-            (r, c): random_polynomial(rng, max_terms=2, max_vars=4, max_exp=2)
-            for r in range(1, size + 1)
-            for c in range(1, min(r + 1, size) + 1)
-        }
-        m = SymbolicMatrix(size, entries)
-        coeffs = char_poly_coeffs(m)
-        assert len(coeffs) == size + 1 and coeffs[0] == 1
-        expected = leibniz_det(size, lambda r, c: m.entry(r, c) - (t if r == c else 0))
-        assert char_poly_at(coeffs, t) == expected
-
-
-def test_char_poly_rejects_entries_above_the_superdiagonal():
-    m = SymbolicMatrix(3, {(1, 1): x(1), (1, 3): q(1)})
-    with pytest.raises(ValueError, match="superdiagonal"):
-        char_poly_coeffs(m)
 
 
 def test_format_examples():

@@ -750,6 +750,15 @@ class TestFullFlagTable:
     def test_commutative(self, table):
         assert table.check_commutative()
 
+    def test_commutativity_check_catches_a_planted_asymmetric_row(self, table):
+        # A built table shares one row object between (u, v) and (v, u); a
+        # table read from JSON holds the two rows apart.
+        assert StructureTable.from_json(table.to_json()).check_commutative()
+        blob = json.loads(table.to_json())
+        item = next(e for e in blob["entries"] if e["u"] != e["v"] and e["terms"])
+        item["terms"][0]["coeff"] += " + q1"
+        assert not StructureTable.from_json(json.dumps(blob)).check_commutative()
+
     def test_associative(self, table):
         assert table.check_associative()
 

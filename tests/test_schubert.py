@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oracles import bruhat_leq
+from oracles import bruhat_leq, d_matrix, leibniz_det
 from qschub import schubert
 from qschub.poly import Polynomial, a, elementary_symmetric, graded_degree, q, x
 from qschub.schubert import (
@@ -364,6 +364,41 @@ def test_quantum_elementary():
     assert quantum_elementary(0, 3) == 1
     assert quantum_elementary(4, 3) == 0
     assert quantum_elementary(-1, 3) == 0
+
+
+def test_quantum_elementary_c1_and_c2():
+    assert [quantum_elementary(j, 1) for j in range(2)] == [1, x(1)]
+    assert quantum_elementary(1, 2) == x(1) + x(2)
+    assert quantum_elementary(2, 2) == x(1) * x(2) + q(1)
+
+
+def test_quantum_elementary_reduces_to_elementary_at_q_zero():
+    for n in range(1, 7):
+        vs = [("x", i) for i in range(1, n + 1)]
+        for j in range(n + 1):
+            e = quantum_elementary(j, n)
+            assert e.zero_out("q") == elementary_symmetric(j, vs)
+            # Each coefficient is homogeneous for deg q_i = 2.
+            assert graded_degree(e) == j
+
+
+def test_d_coefficients_match_the_leibniz_determinant():
+    # a9 occurs in no entry of D, so det(D - a9*Id) pins every coefficient.
+    t = a(9)
+    for n in range(1, 6):
+        for comp in compositions(n):
+            entries = d_matrix(ParabolicContext(comp))
+            coeffs = schubert._d_char_coeffs(comp)
+            assert len(coeffs) == n + 1 and coeffs[0] == 1
+            value = Polynomial.zero()
+            for c in coeffs:
+                value = value * -t + c
+            expected = leibniz_det(
+                n,
+                lambda r, c: entries.get((r, c), Polynomial.zero())
+                - (t if r == c else 0),
+            )
+            assert value == expected, comp
 
 
 def test_x_to_minus_a():
