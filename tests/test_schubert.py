@@ -366,8 +366,12 @@ def test_quantum_elementary():
     assert quantum_elementary(-1, 3) == 0
 
 
-def test_quantum_elementary_c1_and_c2():
+def test_quantum_elementary_c1():
     assert [quantum_elementary(j, 1) for j in range(2)] == [1, x(1)]
+
+
+def test_quantum_elementary_c2():
+    assert quantum_elementary(0, 2) == 1
     assert quantum_elementary(1, 2) == x(1) + x(2)
     assert quantum_elementary(2, 2) == x(1) * x(2) + q(1)
 
@@ -399,6 +403,17 @@ def test_d_coefficients_match_the_leibniz_determinant():
                 - (t if r == c else 0),
             )
             assert value == expected, comp
+
+
+def test_d_coefficients_of_two_block_compositions_by_hand():
+    # D for (2, 1) and (1, 2) is [[x1, -1, 0], [0, x2, -1], [s q1, 0, x3]],
+    # with s = +1 for n_2 = 1 odd and s = -1 for n_2 = 2 even; expanding
+    # along the last row, det D = x1 x2 x3 + s q1.
+    e1 = x(1) + x(2) + x(3)
+    e2 = x(1) * x(2) + x(1) * x(3) + x(2) * x(3)
+    e3 = x(1) * x(2) * x(3)
+    assert schubert._d_char_coeffs((2, 1)) == (1, e1, e2, e3 + q(1))
+    assert schubert._d_char_coeffs((1, 2)) == (1, e1, e2, e3 - q(1))
 
 
 def test_x_to_minus_a():
