@@ -2,9 +2,10 @@
 
 The digests pin every S_5 member of the three a- or q-carrying families,
 every parabolic member for compositions of n <= 5, six long S_6 members,
-and the coefficients of det(D - t Id) for every composition of n <= 8.  Any change to how members are built must leave these texts
-byte-identical.  Re-record only for a change that is meant to alter output,
-and say so where the change is described.
+the coefficients of det(D - t Id) for every composition of n <= 8, and
+two sets of substitutions.  Any change to how members are built must leave
+these texts byte-identical.  Re-record only for a change that is meant to
+alter output, and say so where the change is described.
 """
 
 import hashlib
@@ -12,8 +13,8 @@ import hashlib
 import pytest
 
 from qschub.parabolic import parabolic_q_double_schubert
-from qschub.poly import format_polynomial
-from qschub.schubert import _d_char_coeffs, schubert_polynomial
+from qschub.poly import a, format_polynomial, q, x
+from qschub.schubert import _d_char_coeffs, schubert_polynomial, x_to_minus_a
 from qschub.selftest import compositions
 from qschub.weyl import ParabolicContext, all_perms
 
@@ -56,6 +57,31 @@ def _d_coefficients() -> str:
     )
 
 
+# One value of each kind: one term, the int 0, a nonzero int, several
+# terms, and the swap of x1 and a1.
+ASSIGNMENT = {
+    ("x", 1): a(1),
+    ("a", 1): x(1),
+    ("x", 2): -3 * a(4) * q(1),
+    ("q", 2): 0,
+    ("a", 3): 2,
+    ("x", 3): x(1) + a(2) - q(1),
+}
+
+
+def _substitutions() -> str:
+    """x_to_minus_a of every S_5 classical member, then every S_4 quantum
+    double member under ASSIGNMENT."""
+    pairs = [
+        (w, x_to_minus_a(schubert_polynomial(w, "classical", 5))) for w in all_perms(5)
+    ]
+    pairs += [
+        (w, schubert_polynomial(w, "quantum_double", 4).specialize(ASSIGNMENT))
+        for w in all_perms(4)
+    ]
+    return "\n".join(f"{list(w)}: {format_polynomial(f)}" for w, f in pairs)
+
+
 GOLDEN = [
     (
         "quantum_double-S5",
@@ -86,6 +112,11 @@ GOLDEN = [
         "D-coefficients-n<=8",
         _d_coefficients,
         "3016fb3443cb1a6d22262e13fa0e2ecee4f3582304c814aab529468895d90690",
+    ),
+    (
+        "specialize",
+        _substitutions,
+        "a07907b9bd0d027c616809e30aee2f1141f7dcbecef8e2b0ab56d7379e1c8ad2",
     ),
 ]
 
