@@ -41,17 +41,20 @@ EXIT_CLOSED_PIPE = 141
 # and 1,048 MB, which is why the bound stays below 90.
 MAX_TABLE_BASIS = 60
 
-# The largest S_m whose members `expand` reads.  An expansion of f over a
-# basis reads members of S_m alone, m the larger of f's staircase and the
-# composition's n (`schubert._expand_by_leads`).  Measured like
-# MAX_TABLE_BASIS, under a 2 GB address-space cap, on the input whose lead is
-# the code of w_0: the quantum double basis at m = 5 in 0.2 s and 21 MB, at
-# m = 6 in 174 s and 598 MB (the double basis: 10.5-13.7 s and 315 MB, as
-# its members are the quantum double chain read at q = 0), and at m = 7
-# MemoryError after 23 s, while the square of the (1,1,3) member of
-# [5,3,1,2,4], m = 9, passed 5 GB.  Some inputs at m = 7 are cheap (the
-# square of the (3,2) member of [2,4,5,1,3] took 0.25 s), but nothing
-# short of running one tells them apart.
+# The largest S_m whose members `expand` reads, and whose members `poly`
+# builds outside the classical family.  An expansion of f over a basis reads
+# members of S_m alone, m the larger of f's staircase and the composition's n
+# (`schubert._expand_by_leads`).  Measured like MAX_TABLE_BASIS, under a 2 GB
+# address-space cap, on the input whose lead is the code of w_0: the quantum
+# double basis at m = 5 in 0.2 s and 21 MB, at m = 6 in 174 s and 598 MB (the
+# double basis: 10.5-13.7 s and 315 MB, as its members are the quantum double
+# chain read at q = 0), and at m = 7 MemoryError after 23 s, while the square
+# of the (1,1,3) member of [5,3,1,2,4], m = 9, passed 5 GB.  Some inputs at
+# m = 7 are cheap (the square of the (3,2) member of [2,4,5,1,3] took 0.25 s),
+# but nothing short of running one tells them apart.  `poly` pays for the
+# chain of its whole composition: w_0 of S_6 took 1.9 s and 93 MB, the member
+# 1 on (15,1) 23 s and 1,741 MB, and w_0 of S_7 met MemoryError under 2 GB.
+# Classical members stay cheap (all 5,040 of S_7 in 0.22 s): no bound.
 MAX_EXPAND_STAIRCASE = 6
 
 # The `selftest` check each suite runs, looked up by name when the suite runs.
@@ -127,6 +130,12 @@ def _basis_flags(args) -> tuple:
 def _cmd_poly(args) -> int:
     w = _parse_perm(args.w)
     ctx, family = _basis_flags(args)
+    n = max(ctx.n if ctx is not None else 1, len(w))
+    if family != "classical" and n > MAX_EXPAND_STAIRCASE:
+        raise UsageError(
+            f"the member lies in S_{n}; members of at most S_{MAX_EXPAND_STAIRCASE} "
+            f"are built, except in the classical family"
+        )
     try:
         if ctx is not None:
             f = parabolic_q_double_schubert(ctx, w)

@@ -139,16 +139,12 @@ def _unit(v) -> int:
     return unit
 
 
-def _overflow(what: str):
-    raise ValueError(
-        f"{what} has an exponent or x-degree above {MAX_EXPONENT}, beyond the "
-        f"packed layout"
-    )
-
-
 def _check_guard(key: int, what: str):
     if key & _GUARD:
-        _overflow(what)
+        raise ValueError(
+            f"{what} has an exponent or x-degree above {MAX_EXPONENT}, beyond "
+            f"the packed layout"
+        )
 
 
 def _pack(mono) -> int:
@@ -368,9 +364,7 @@ class Polynomial:
         >>> print(parts[((("x", 1), 1),)])
         a1 + 2
         """
-        mask = 0
-        for fam in families:
-            mask |= _FAMILY_MASK[fam]
+        mask = reduce(or_, (_FAMILY_MASK[fam] for fam in families), 0)
         acc: dict = {}
         for m, c in self.terms.items():
             inside = m & mask
@@ -404,11 +398,12 @@ class Polynomial:
         """Substitute variables; `assignment` maps Variable to Polynomial or int.
 
         One simultaneous pass over the terms: every substituted exponent is
-        taken off a term's key first.  A value of one term d*k then moves
-        the key by e*k and scales the coefficient by d^e, a value 0 drops
-        the term, and only values of several terms are multiplied in.  The
-        guard bits are checked after each move, so no exponent sum can
-        carry past them into a neighbouring field.
+        taken off a term's key first.  Each power p^e of a value is formed
+        once per call by the guarded product.  A power of one term d*k then
+        moves the key by k and scales the coefficient by d, a zero power
+        scales it by 0, and only powers of several terms are multiplied in.
+        Two valid keys add without a carry, so checking the guard bits after
+        each move is the whole overflow rule.
 
         >>> f = (x(1) - a(1)) ** 2
         >>> print(f.specialize({("a", 1): 0}))
@@ -416,53 +411,44 @@ class Polynomial:
         >>> print((x(1) - a(1)).specialize({("x", 1): a(1), ("a", 1): 1 + x(1)}))
         -x1 + a1 - 1
         """
-        fixed, dead = [], 0
+        # Each value with its unit, its field, and its powers formed so far;
+        # a power of at most one term is kept as its move, (key, coefficient).
+        values = []
         for v, p in assignment.items():
-            unit, shift = _unit(v), _shift(*v)
-            terms = p.terms if isinstance(p, Polynomial) else {0: p} if p else {}
-            if not terms:
-                dead |= _EXP << shift
-            elif len(terms) > 1:
-                fixed.append((unit, shift, p))
-            else:
-                ((key, coeff),) = terms.items()
-                top = max([key >> _DEG_SHIFT] + [e for _, e in _pairs(key)])
-                fixed.append((unit, shift, (key, coeff, top)))
+            p = p if isinstance(p, Polynomial) else Polynomial.const(p)
+            values.append((_unit(v), _shift(*v), p, {}))
         acc: dict = {}
         get = acc.get
         for m, c in self.terms.items():
-            if m & dead:
-                continue
-            rest, found = m, []
-            for unit, shift, value in fixed:
+            moves, factors = [], []
+            for unit, shift, p, formed in values:
                 e = (m >> shift) & _EXP
                 if e:
-                    rest -= e * unit
-                    found.append((e, value))
-            factors = []
-            for e, value in found:
-                if isinstance(value, Polynomial):
-                    factors.append(value**e)
-                    continue
-                key, coeff, top = value
-                if e * top > MAX_EXPONENT:
-                    _overflow("substitution")
-                rest += e * key
-                _check_guard(rest, "substitution")
-                c *= coeff**e
+                    m -= e * unit
+                    power = formed.get(e)
+                    if power is None:
+                        power = p**e
+                        if len(power.terms) < 2:
+                            power = next(iter(power.terms.items()), (0, 0))
+                        formed[e] = power
+                    (factors if isinstance(power, Polynomial) else moves).append(power)
+            for key, coeff in moves:
+                m += key
+                _check_guard(m, "substitution")
+                c *= coeff
             if factors:
-                term = _poly({rest: c})
+                term = _poly({m: c})
                 for p in factors:
                     term = term * p
                 for k, v in term.terms.items():
                     acc[k] = get(k, 0) + v
             else:
-                acc[rest] = get(rest, 0) + c
+                acc[m] = get(m, 0) + c
         return _poly({m: c for m, c in acc.items() if c})
 
-    def zero_out(self, family: str) -> "Polynomial":
-        """Set every variable of `family` to zero."""
-        mask = _BLOCK_MASK[family]
+    def zero_out(self, families: str) -> "Polynomial":
+        """Set every variable of the given families, such as "aq", to zero."""
+        mask = reduce(or_, (_BLOCK_MASK[fam] for fam in families), 0)
         return _poly({m: c for m, c in self.terms.items() if not m & mask})
 
     def swap_indices(self, family: str, i: int, j: int) -> "Polynomial":

@@ -201,8 +201,7 @@ def _chevalley_terms(i: int, w, flavor: str, ctx: ParabolicContext) -> dict:
     terms = {w: weight_term(w, i)} | dict.fromkeys(covers.values(), _ONE)
     for alpha, (z, _) in drops.items():
         terms[z] = terms.get(z, _ZERO) + eta_p(alpha, ctx)
-    for family in _ZEROED[flavor]:
-        terms = {z: c.zero_out(family) for z, c in terms.items()}
+    terms = {z: c.zero_out(_ZEROED[flavor]) for z, c in terms.items()}
     return {z: c for z, c in terms.items() if c}
 
 
@@ -507,8 +506,11 @@ class _Solver:
 
     def product(self, u: Permutation, v: Permutation) -> dict:
         """{w: c_{u,v}^w} over the basis, zero coefficients left out, in the
-        x-leading order of the codes of w, highest first (the order in which
-        a leading-term expansion meets them)."""
+        x-leading order of the codes of w, highest first.  Tables write
+        their rows sorted, so the package reads no order here; this one is
+        kept because perfbench's `test_bench._corrupt` flips the first term
+        of the dict `structure_constants` returns, and must flip one that
+        its second route catches."""
         u, v = self.index[u], self.index[v]
         length, reach_u, reach_v = self.length, self.reach[u], self.reach[v]
         out = {}
@@ -700,9 +702,9 @@ class StructureTable:
         return {z: c for z, zs in pairs.items() if (c := sum_of_products(zs))}
 
     def check_commutative(self) -> bool:
-        """True iff the rows (u, v) and (v, u) are equal for every pair.
-        `build` stores one row object under both keys, so on a built table
-        this cannot fail; it has force on a table read by `from_json`."""
+        """True iff the rows (u, v) and (v, u) are equal for every pair: a
+        check of a table read by `from_json`.  `build` stores one row object
+        under both keys, so on a built table this cannot fail."""
         return all(
             self.entries[(u, v)] == self.entries[(v, u)]
             for u in self.basis

@@ -234,9 +234,10 @@ def check_leading_terms(max_n: int = 5) -> tuple:
 
 
 def _failed_table_check(table: StructureTable) -> str | None:
-    """The first ring-axiom or divisor-row check that fails, shared by every table."""
+    """The first ring-axiom or divisor-row check that fails, shared by every
+    table.  Commutativity is not among them: `build` stores one row under
+    (u, v) and (v, u), so only a table read by `from_json` can break it."""
     checks = (
-        (table.check_commutative, "table is not commutative"),
         (table.check_associative, "an associativity triple fails"),
         (table.check_divisor_rows, "a divisor row disagrees with the rule"),
     )

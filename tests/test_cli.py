@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import qschub
-from qschub import cli, selftest
+from qschub import cli, schubert, selftest
 from qschub.cli import VERIFY_SUITES, main
 from qschub.poly import polynomial_from_json
 from qschub.quantum_ring import StructureTable
@@ -445,6 +445,42 @@ class TestExitCodes:
         assert cli.MAX_EXPAND_STAIRCASE == 6
         assert run(capsys, "expand", *argv) == (0, "0", "")
         assert len(asked) == 1
+
+    @pytest.mark.parametrize(
+        "argv, n",
+        [
+            (["--w", "[7,6,5,4,3,2,1]"], 7),
+            (["--w", "[2,1,3,4,5,6,7,9,8]", "--family", "double"], 9),
+            (["--w", "[1,2,3,4,5,7,6]", "--family", "quantum"], 7),
+            (["--w", "[]", "--parabolic", "15,1"], 16),
+            (["--w", "[2,1]", "--parabolic", "5,5,1"], 11),
+            (["--w", "[1,2,3,4,5,6,8,7]", "--parabolic", "2,1"], 8),
+        ],
+        ids=["quantum-double", "double", "quantum", "member-1", "parabolic", "long-w"],
+    )
+    def test_poly_beyond_the_work_bound(self, capsys, monkeypatch, argv, n):
+        # Refused before the chain: building the member here is a crash
+        # (exit 3), and unrefused these inputs run out of memory.
+        def refused(*args):
+            raise AssertionError("built a member past the work bound")
+
+        monkeypatch.setattr(schubert, "_dd_from_top", refused)
+        schubert._signed_chain.cache_clear()
+        err = self.assert_usage_error(capsys, "poly", *argv)
+        assert f"lies in S_{n};" in err
+        assert f"at most S_{cli.MAX_EXPAND_STAIRCASE}" in err
+
+    def test_classical_poly_has_no_work_bound(self, capsys):
+        exit_code, out, _ = run(
+            capsys, "poly", "--w", "[7,6,5,4,3,2,1]", "--family", "classical"
+        )
+        assert (exit_code, out) == (0, "x1^6*x2^5*x3^4*x4^3*x5^2*x6")
+
+    def test_poly_at_the_work_bound_is_accepted(self, capsys):
+        exit_code, out, _ = run(
+            capsys, "poly", "--w", "[2,1,3,4,5,6]", "--parabolic", "1,1,1,1,1,1"
+        )
+        assert (exit_code, out) == (0, "x1 - a1")
 
     @pytest.mark.parametrize("suite", sorted(VERIFY_SUITES))
     def test_verify_max_n_beyond_the_layout(self, capsys, suite):

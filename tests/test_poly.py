@@ -80,6 +80,7 @@ def test_specialize_examples():
     assert f.specialize({("a", 1): 0, ("a", 2): 0}) == x(1) ** 2 - q(1)
     assert f.zero_out("a") == x(1) ** 2 - q(1)
     assert f.zero_out("a").zero_out("q") == x(1) ** 2
+    assert f.zero_out("aq") == f.zero_out("a").zero_out("q")
     g = x(1).specialize({("x", 1): -a(1)})
     assert g == -a(1)
 
