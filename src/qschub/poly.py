@@ -364,7 +364,9 @@ class Polynomial:
         >>> print(parts[((("x", 1), 1),)])
         a1 + 2
         """
-        mask = reduce(or_, (_FAMILY_MASK[fam] for fam in families), 0)
+        mask = 0
+        for fam in families:
+            mask |= _FAMILY_MASK[fam]
         acc: dict = {}
         for m, c in self.terms.items():
             inside = m & mask
@@ -447,8 +449,13 @@ class Polynomial:
         return _poly({m: c for m, c in acc.items() if c})
 
     def zero_out(self, families: str) -> "Polynomial":
-        """Set every variable of the given families, such as "aq", to zero."""
-        mask = reduce(or_, (_BLOCK_MASK[fam] for fam in families), 0)
+        """Set every variable of the given families, such as "aq", to zero;
+        f itself for no family."""
+        mask = 0
+        for fam in families:
+            mask |= _BLOCK_MASK[fam]
+        if not mask:
+            return self
         return _poly({m: c for m, c in self.terms.items() if not m & mask})
 
     def swap_indices(self, family: str, i: int, j: int) -> "Polynomial":

@@ -205,9 +205,8 @@ def _last_product(composition: tuple, zero: str, v: Permutation) -> tuple:
     `partial` and g is 1."""
     partial, pending = _dd_from_top(composition, v)
     factors = [_top_factors(composition)[t] for t in sorted(pending)]
-    if zero:
-        partial = partial.zero_out(zero)
-        factors = [factor.zero_out(zero) for factor in factors]
+    partial = partial.zero_out(zero)
+    factors = [factor.zero_out(zero) for factor in factors]
     odd = length(v) % 2
     if not factors:
         return (-partial if odd else partial), _ONE
