@@ -459,8 +459,8 @@ class TestExitCodes:
         ids=["quantum-double", "double", "quantum", "member-1", "parabolic", "long-w"],
     )
     def test_poly_beyond_the_work_bound(self, capsys, monkeypatch, argv, n):
-        # Refused before the chain: building the member here is a crash
-        # (exit 3), and unrefused these inputs run out of memory.
+        # Refused before the chain, which crashes (exit 3) if reached here;
+        # unrefused, members this large take minutes or run out of memory.
         def refused(*args):
             raise AssertionError("built a member past the work bound")
 
