@@ -18,7 +18,9 @@ used: before d_i it multiplies factors i and i+1 into the partial result, if
 they are still unused, and the factors left over, free of a_i and a_{i+1},
 pass through d_i untouched.  A member is its partial result times the
 factors left over; a reader that needs it once takes it as a last product
-(f, g) and keeps nothing.
+(f, g) and keeps nothing, and a reader of every member of a composition
+walks the chain states depth first (`_chain_walk`), holding only those on
+its path.
 
 There is one chain per composition, and every a-side member is a reading of
 its state: the quantum double member as it is, the double member with q set
@@ -41,7 +43,7 @@ smallest symmetric group that contains it.
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from itertools import accumulate
 from types import MappingProxyType
 
@@ -57,6 +59,7 @@ from .weyl import (
     ParabolicContext,
     Permutation,
     _ideal_cosets,
+    _left_descents,
     compose,
     extend,
     first_left_descent,
@@ -171,23 +174,17 @@ def _top_factors(composition: tuple) -> MappingProxyType:
     return MappingProxyType(factors)
 
 
-# Bounded: a long-running process must not pin every chain it ever ran.
-# 2048 entries hold the S_6 chains, which serve every a-side family, with
-# room to spare.  Measured state sizes: the largest `partial` over all 720
-# S_6 chains has 46,026 terms (the S_6 top product has 113,416), and the
-# longest S_7 chain, v = w0, peaks at 279,654.  The full flag is the
-# composition (1, ..., 1), so its members share entries with the parabolic
-# ones.
-@lru_cache(maxsize=2048)
-def _dd_from_top(composition: tuple, v: Permutation) -> tuple:
-    """The chain for v as a state (partial, pending): the divided differences
-    applied to the top product equal partial times the product of the
-    `_top_factors` indexed by the frozenset `pending`, and `partial` has no
-    a_t for t in `pending`."""
-    if v == identity:
-        return Polynomial.const(1), frozenset(_top_factors(composition))
-    i = first_left_descent(v)
-    partial, pending = _dd_from_top(composition, compose(simple(i), v))
+def _top_state(composition: tuple) -> tuple:
+    """The chain state of the identity: the top product, all factors pending."""
+    return Polynomial.const(1), frozenset(_top_factors(composition))
+
+
+def _chain_step(composition: tuple, i: int, state: tuple) -> tuple:
+    """The chain state of s_i v from the state (partial, pending) of v, for
+    l(s_i v) = l(v) + 1: factors i and i + 1, if still pending, are
+    multiplied into `partial`, and d_i is applied.  Every factor left
+    pending is free of a_i and a_{i+1}, so it passes through d_i."""
+    partial, pending = state
     factors = _top_factors(composition)
     for t in (i, i + 1):
         if t in pending:
@@ -195,15 +192,96 @@ def _dd_from_top(composition: tuple, v: Permutation) -> tuple:
     return divided_difference(i, partial), pending - {i, i + 1}
 
 
-def _last_product(composition: tuple, zero: str, v: Permutation) -> tuple:
-    """The signed chain for v as a last product, read with the variable
-    family `zero` ("q" or "a", or "" for none) set to 0: (f, g) with f * g
-    that reading of the chain for v times (-1)^l(v).  `partial` and every
-    pending factor of the chain state are read at 0; every such factor but
-    the last is multiplied into `partial`, giving f, and g is that last
+# Bounded: a long-running process must not pin every chain it ever ran.
+# 2048 entries hold the S_6 chains, which serve every a-side family, with
+# room to spare.  Measured state sizes: the largest `partial` over all 720
+# S_6 chains has 46,026 terms (the S_6 top product has 113,416), and the
+# longest S_7 chain, v = w0, peaks at 279,654.  The full flag is the
+# composition (1, ..., 1), so its members share entries with the parabolic
+# ones.  Filled by the readers of single members; the suites that read every
+# member of a composition once (`verify cauchy`, `verify quantization`)
+# take their states from `_chain_walk` and leave it untouched.
+@lru_cache(maxsize=2048)
+def _dd_from_top(composition: tuple, v: Permutation) -> tuple:
+    """The chain for v as a state (partial, pending): the divided differences
+    applied to the top product equal partial times the product of the
+    `_top_factors` indexed by the frozenset `pending`, and `partial` has no
+    a_t for t in `pending`.  The state of v is built from that of s_i v, i
+    the first left descent of v."""
+    if v == identity:
+        return _top_state(composition)
+    i = first_left_descent(v)
+    return _chain_step(composition, i, _dd_from_top(composition, compose(simple(i), v)))
+
+
+def _chain_walk(composition: tuple):
+    """(w, v, state) for every w in W^P of the composition, with
+    v = w (w_0^P)^{-1} and `state` the chain state of v that `_dd_from_top`
+    gives, in the post-order of a depth-first search of the left weak order
+    down from w_0^P, where v is the identity and the state the top product.
+    The search steps from w to s_i w for each left descent i of w not yet
+    reached, that is from v to s_i v one longer, and builds that state from
+    the state of v by `_chain_step`.  It holds only the states on its path
+    and reads or fills no member or chain cache.
+
+    The search reaches all of W^P, and nothing else.  For w in W^P,
+    l(w w_{0,P}) = l(w) + l(w_{0,P}), so
+    l(w_0^P w^{-1}) = l(w_0 (w w_{0,P})^{-1}) = l(w_0^P) - l(w): every w lies
+    below w_0^P in the left weak order, and peeling a reduced word of
+    w_0^P w^{-1} off the left of w_0^P reaches w by left descents.  W^P is
+    an order ideal of that order: a right descent s_j of s_i w inside W_P
+    would be one of w.
+
+    1. A state can come from any left descent, so the state of v does not
+       depend on which parent the search built it from.  Along any reduced
+       word of v the steps keep partial times the pending factors equal to
+       the divided differences of the word applied to the top product, since
+       factor t is the only one holding a_t; by the braid relations that
+       value depends on v alone.  `pending` is the top factors less the
+       union of {i, i + 1} over the letters of the word, and every reduced
+       word of v has the same letters, since any two are joined by braid
+       moves (Matsumoto, Tits), which keep them.  So `pending` is the same
+       for every word, and `partial` is the value divided by the pending
+       factors, which is unique in a ring with no zero divisors.  The state
+       is therefore the one `_dd_from_top` builds along its first left
+       descents.
+    2. Each ideal comes before its w.  The post-order of a depth-first
+       search of a directed acyclic graph finishes every vertex reachable
+       from u before u: along an edge u -> t, t is finished already or is
+       reached from u and finished first, and it is never on the path, which
+       would close a cycle.  The vertices reachable from w are its left weak
+       order ideal {u <=_L w}.  If w = y u with lengths adding, then
+       u (w_0^P)^{-1} = y^{-1} v with l(y^{-1} v) = l(v) + l(y), so the
+       ideal of w maps to {v' >=_L v}, and every right factor a Cauchy sum
+       of w reads (`_cauchy_pairs`) was yielded before w.
+    """
+    top = ParabolicContext(composition).w0_p()
+    reached = {top}
+    path = [(top, identity, _top_state(composition), iter(_left_descents(top)))]
+    while path:
+        w, v, state, descents = path[-1]
+        for i in descents:
+            below = compose(simple(i), w)
+            if below not in reached:
+                reached.add(below)
+                step = _chain_step(composition, i, state)
+                descents_below = iter(_left_descents(below))
+                path.append((below, compose(simple(i), v), step, descents_below))
+                break
+        else:
+            path.pop()
+            yield w, v, state
+
+
+def _last_product(composition: tuple, zero: str, v: Permutation, state: tuple) -> tuple:
+    """The chain state `state` of v as a last product, read with the
+    variable family `zero` ("q" or "a", or "" for none) set to 0: (f, g)
+    with f * g that reading of the chain for v times (-1)^l(v).  `partial`
+    and every pending factor of the state are read at 0; every such factor
+    but the last is multiplied into `partial`, giving f, and g is that last
     factor with the sign on it.  With no factor pending, f is the signed
     `partial` and g is 1."""
-    partial, pending = _dd_from_top(composition, v)
+    partial, pending = state
     factors = [_top_factors(composition)[t] for t in sorted(pending)]
     partial = partial.zero_out(zero)
     factors = [factor.zero_out(zero) for factor in factors]
@@ -216,23 +294,28 @@ def _last_product(composition: tuple, zero: str, v: Permutation) -> tuple:
     return partial, (-last if odd else last)
 
 
+def _reading(composition: tuple, zero: str, v: Permutation, state: tuple) -> Polynomial:
+    """`_last_product` multiplied out: the signed chain for v with the
+    family `zero` set to 0."""
+    f, g = _last_product(composition, zero, v, state)
+    # With no factor pending, f is the signed `partial` of the chain state,
+    # sharing its keys when nothing is set to 0; f * 1 would copy every key
+    # (70 MB more at `verify chevalley --max-n 5`).
+    return f if g is _ONE else f * g
+
+
 # Bounded like the chain, so a long-running process does not pin every
 # member it was ever asked for.  Filled by the readers that read a member
-# more than once: the Chevalley rule members, `expand`, the public member
-# functions, and the Cauchy sums, whose right factors are the a = 0
-# readings (574 of them for S_5 and every composition of 5).  `verify cauchy`
-# and `verify stability` read each left-hand member once, as its
-# `_member_pair`, and keep it nowhere.  The three readings of a chain share
-# its state, so a double member read alone pays for the quantum double chain.
+# more than once: the Chevalley rule members, `expand` and the public member
+# functions, the Cauchy sums among them.  The suites that read each member
+# once (`verify cauchy`, `verify quantization`, `verify stability`) keep it
+# nowhere.  The three readings of a chain share its state, so a double
+# member read alone pays for the quantum double chain.
 @lru_cache(maxsize=2048)
 def _signed_chain(composition: tuple, zero: str, v: Permutation) -> Polynomial:
     """The chain for v applied to the top product, times (-1)^l(v), read
     with the variable family `zero` set to 0 (`_last_product`)."""
-    f, g = _last_product(composition, zero, v)
-    # With no factor pending, f is the signed `partial` of the cached chain
-    # state, sharing its keys when nothing is set to 0; f * 1 would copy
-    # every key (70 MB more at `verify chevalley --max-n 5`).
-    return f if g is _ONE else f * g
+    return _reading(composition, zero, v, _dd_from_top(composition, v))
 
 
 # Bounded like the chain: one short permutation per composition asked for.
@@ -261,7 +344,7 @@ def _member_pair(composition: tuple, zero: str, w: Permutation) -> tuple:
     """`_chain_member` as its `_last_product` (f, g), kept nowhere: for a
     reader that reads the member once, in a sum of products."""
     composition, v = _chain_index(composition, w)
-    return _last_product(composition, zero, v)
+    return _last_product(composition, zero, v, _dd_from_top(composition, v))
 
 
 @lru_cache(maxsize=2048)
@@ -323,29 +406,25 @@ def _cauchy_left(u: Permutation) -> Polynomial:
     return x_to_minus_a(schubert_polynomial(u, "classical"))
 
 
-def _cauchy_pairs(composition: tuple, quantum: bool, w: Permutation):
-    """(Schub_{v w^{-1}}(-a), member of v) over the left weak order ideal of
-    w: the a -> 0 member of v on the composition, or for the double sum
-    (quantum False) the classical member of v."""
-    for v, u in _ideal_cosets(w):
-        if quantum:
-            yield _cauchy_left(u), _chain_member(composition, "a", v)
-        else:
-            yield _cauchy_left(u), schubert_polynomial(v, "classical")
+def _cauchy_pairs(w: Permutation, right):
+    """(Schub_{v w^{-1}}(-a), right(v)) over the left weak order ideal of w,
+    whose products sum to the Cauchy sum of w.  `right(v)` is the member of
+    v the sum runs over: for the quantum double sum on a composition, the
+    a -> 0 member of v there; for the double sum, the classical member."""
+    return ((_cauchy_left(u), right(v)) for v, u in _ideal_cosets(w))
+
+
+def _classical_member(v: Permutation) -> Polynomial:
+    """The right factor of the double Cauchy sum."""
+    return schubert_polynomial(v, "classical")
 
 
 def _cauchy_sum(composition: tuple, quantum: bool, w: Permutation) -> Polynomial:
-    """The Cauchy sum of w: the sum of `_cauchy_pairs`."""
-    return sum_of_products(_cauchy_pairs(composition, quantum, w))
-
-
-def _cauchy_difference(composition: tuple, quantum: bool, w: Permutation) -> Polynomial:
-    """The Cauchy sum of w minus the member of w on the composition, as one
-    sum of products: the member's `_member_pair` enters negated, so the
-    identity holds exactly when the difference is 0.  No member is kept:
-    the double identity reads the member at q = 0."""
-    f, g = _member_pair(composition, "" if quantum else "q", w)
-    return sum_of_products([*_cauchy_pairs(composition, quantum, w), (f, -g)])
+    """The Cauchy sum of w (`_cauchy_pairs`) over the cached a -> 0 members
+    on the composition, or for the double sum (quantum False) over the
+    classical members."""
+    right = partial(_chain_member, composition, "a") if quantum else _classical_member
+    return sum_of_products(_cauchy_pairs(w, right))
 
 
 def cauchy_rhs(w, quantum: bool) -> Polynomial:

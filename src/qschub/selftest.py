@@ -34,8 +34,12 @@ from .quantum_ring import (
 )
 from .schubert import (
     FAMILY_KINDS,
-    _cauchy_difference,
+    _cauchy_pairs,
+    _chain_walk,
+    _classical_member,
+    _last_product,
     _member_pair,
+    _reading,
     divided_difference,
     expand_in_schubert_basis,
     schubert_polynomial,
@@ -104,29 +108,35 @@ def check_reflection_formulas(max_i: int = 5) -> tuple:
     return True, f"i <= {max_i}"
 
 
-def _theta_misses(f: Polynomial, w, zero: str) -> bool:
-    """True iff theta(f) differs from the member of w read with the family
-    `zero` set to 0, found as one sum of products: the pairs of theta(f)
-    (`_quantized_pairs`) and the member's `_member_pair`, negated, so
-    neither side is kept."""
-    pairs = _quantized_pairs(f, ())
-    g, h = _member_pair((1,) * max(len(w), 1), zero, w)
-    return bool(sum_of_products([*pairs, (g, -h)]).terms)
+def _differs(pairs, member: tuple) -> bool:
+    """True iff the sum of the products `pairs` differs from the member given
+    as its last product (f, g), found as one sum of products with (f, -g)
+    added, so the member is never multiplied out or kept."""
+    f, g = member
+    return bool(sum_of_products([*pairs, (f, -g)]).terms)
 
 
 def check_quantization(max_n: int = 4) -> tuple:
     """theta carries both classical families onto their quantum versions.
 
-    Every member is read once, as its `_member_pair`: the double member
-    theta maps is built from its pair and dropped, and the quantum members
-    enter `_theta_misses`, so no member is kept.
+    The members are read off one walk of the chain of the full flag
+    (1, ..., 1) of max_n (`_chain_walk`), which holds only the chain states
+    on its path; each w's members there equal those of S_len(w) by
+    stability.  Each member is read once, as its `_last_product`: the
+    double member theta maps is multiplied out and dropped, and the quantum
+    members enter `_differs`, so no member is kept.  On a falsified run the
+    w reported is the first failure in walk order.
     """
+    full_flag = (1,) * max_n
     count = 0
-    for w in all_perms(max_n):
-        if _theta_misses(schubert_polynomial(w, "classical"), w, "a"):
+    for w, v, state in _chain_walk(full_flag):
+        classical = schubert_polynomial(w, "classical")
+        quantum_member = _last_product(full_flag, "a", v, state)
+        if _differs(_quantized_pairs(classical, ()), quantum_member):
             return False, f"theta misses the quantum member of {list(w)}"
-        f, g = _member_pair((1,) * max(len(w), 1), "q", w)
-        if _theta_misses(f * g, w, ""):
+        f, g = _last_product(full_flag, "q", v, state)
+        member = _last_product(full_flag, "", v, state)
+        if _differs(_quantized_pairs(f * g, ()), member):
             return False, f"theta misses the quantum double member of {list(w)}"
         count += 1
     return True, f"{count} permutations"
@@ -135,25 +145,33 @@ def check_quantization(max_n: int = 4) -> tuple:
 def check_cauchy(max_n: int = 4) -> tuple:
     """Interpolation sums over weak order ideals reproduce the members.
 
-    Each identity is one sum of products, the sum minus the member
-    (`_cauchy_difference`), so no member is kept.  The quantum sum of a w of
-    length max_n is the parabolic sum of the composition (1, ..., 1) of
-    max_n on the same members, so that composition counts it without
-    computing it again.
+    Each composition of max_n is walked once (`_chain_walk`), and each w is
+    checked as it is yielded: the quantum double sum, parabolic unless the
+    composition is the full flag (1, ..., 1), and on the full flag the
+    double sum too.  The walk yields w's whole weak order ideal before w,
+    so the sum's right factors, the a = 0 members of the composition, are
+    kept from the walk in a dict for that composition alone, and no chain
+    or member cache is read.  Each identity is one sum of products, the sum
+    minus the member read as its `_last_product` (`_differs`), so no member
+    of the left side is kept.  The members of S_max_n on the full flag
+    equal those of S_len(w) by stability.  On a falsified run the w
+    reported is the first failure in walk order.
     """
-    for w in all_perms(max_n):
-        full_flag = (1,) * max(len(w), 1)
-        if _cauchy_difference(full_flag, False, w).terms:
-            return False, f"double sum fails at {list(w)}"
-        if _cauchy_difference(full_flag, True, w).terms:
-            return False, f"quantum double sum fails at {list(w)}"
     cosets = 0
     for comp in compositions(max_n):
-        for w in ParabolicContext(comp).minimal_reps():
+        full_flag = len(comp) == max_n
+        at_zero = {}  # w -> the a = 0 member of w on comp
+        for w, v, state in _chain_walk(comp):
             cosets += 1
-            if len(comp) == len(w) == max_n:  # checked on the full flag above
-                continue
-            if _cauchy_difference(comp, True, w).terms:
+            at_zero[w] = _reading(comp, "a", v, state)
+            if full_flag:
+                double = _last_product(comp, "q", v, state)
+                if _differs(_cauchy_pairs(w, _classical_member), double):
+                    return False, f"double sum fails at {list(w)}"
+            member = _last_product(comp, "", v, state)
+            if _differs(_cauchy_pairs(w, at_zero.__getitem__), member):
+                if full_flag:
+                    return False, f"quantum double sum fails at {list(w)}"
                 return False, f"parabolic sum fails at {comp}, {list(w)}"
     return True, f"S_{max_n} plus {cosets} parabolic cases"
 

@@ -180,8 +180,14 @@ def first_left_descent(w: Permutation) -> int:
     >>> first_left_descent((3, 1, 2))
     2
     """
+    return _left_descents(w)[0]
+
+
+def _left_descents(w: Permutation) -> list:
+    """Every i with l(s_i w) < l(w), ascending: i+1 stands to the left of i
+    in the one-line form of the trimmed w."""
     where = inverse(w)
-    return next(i for i in range(1, len(w)) if where[i - 1] > where[i])
+    return [i for i in range(1, len(w)) if where[i - 1] > where[i]]
 
 
 def perm_from_word(word) -> Permutation:

@@ -178,27 +178,13 @@ class TestVerify:
         assert exit_code == 0
         assert "verified" in out
 
-    @pytest.mark.slow
-    def test_quantization_at_n6(self, capsys):
-        # The n = 6 target: run with `python -m pytest -m slow`.
-        exit_code, out, _ = run(capsys, "verify", "quantization", "--max-n", "6")
-        assert exit_code == 0
-        assert out == "quantization verified: 720 permutations"
-
     # Each cap is 1.25-1.35x the peak address space of the suite in its own
-    # process (shared 2-vCPU VM, Python 3.11): cauchy 373 MB and stability
-    # 1,037 MB.  While every member an identity read was kept, they peaked
-    # at 766 and 1,496 MB, over both caps.
-    @pytest.mark.slow
-    @pytest.mark.parametrize(
-        "suite, cap_mb, expected",
-        [
-            ("cauchy", 500, "cauchy verified: S_6 plus 4683 parabolic cases"),
-            ("stability", 1300, "stability verified: 5315 members stable under extension"),
-        ],
-    )
-    def test_n6_under_an_address_space_cap(self, suite, cap_mb, expected):
-        # About 20 s (cauchy) and 30 s (stability): run with `python -m pytest -m slow`.
+    # process (shared 2-vCPU VM, Python 3.11): cauchy 75 MB, quantization
+    # 71 MB and stability 1,037 MB.  Before cauchy and quantization read their
+    # members off one walk of each chain, keeping only its path, they peaked
+    # at 321 and 298 MB, over both caps.
+    @staticmethod
+    def run_capped(suite, cap_mb):
         capped = (
             "import resource, sys\n"
             f"resource.setrlimit(resource.RLIMIT_AS, ({cap_mb << 20}, {cap_mb << 20}))\n"
@@ -211,7 +197,25 @@ class TestVerify:
             text=True,
             env=subprocess_env(),
         )
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected + "\n", "")
+        return proc.returncode, proc.stdout, proc.stderr
+
+    @pytest.mark.slow
+    def test_quantization_at_n6(self):
+        # The n = 6 target, about 16 s: run with `python -m pytest -m slow`.
+        expected = "quantization verified: 720 permutations\n"
+        assert self.run_capped("quantization", 95) == (0, expected, "")
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "suite, cap_mb, expected",
+        [
+            ("cauchy", 100, "cauchy verified: S_6 plus 4683 parabolic cases"),
+            ("stability", 1300, "stability verified: 5315 members stable under extension"),
+        ],
+    )
+    def test_n6_under_an_address_space_cap(self, suite, cap_mb, expected):
+        # About 20 s (cauchy) and 30 s (stability): run with `python -m pytest -m slow`.
+        assert self.run_capped(suite, cap_mb) == (0, expected + "\n", "")
 
     def test_flavor_flag(self, capsys):
         exit_code, out, _ = run(

@@ -17,7 +17,12 @@ from qschub.schubert import (
     x_lead_vector,
     x_to_minus_a,
 )
-from qschub.selftest import check_reflection_formulas, compositions
+from qschub.selftest import (
+    check_cauchy,
+    check_quantization,
+    check_reflection_formulas,
+    compositions,
+)
 from qschub.weyl import (
     ParabolicContext,
     all_perms,
@@ -30,6 +35,7 @@ from qschub.weyl import (
     perm_from_word,
     reduced_word,
     simple,
+    weak_order_ideal,
 )
 
 
@@ -226,6 +232,48 @@ def test_readings_of_the_chain_state_are_the_full_member_at_zero():
                     assert f * g == reading, (comp, w, zero)
                 cases += 1
     assert cases == 1 + 3 + 13 + 75 + 541
+
+
+def _walks():
+    """(composition, its minimal representatives, the walk's yields as a
+    list) for every composition of n <= 5."""
+    for n in range(1, 6):
+        for comp in compositions(n):
+            reps = ParabolicContext(comp).minimal_reps()
+            yield comp, reps, list(schubert._chain_walk(comp))
+
+
+def test_chain_walk_yields_each_v_of_the_quotient_once():
+    for comp, reps, walk in _walks():
+        w0_inverse = inverse(ParabolicContext(comp).w0_p())
+        vs = [v for _, v, _ in walk]
+        assert len(vs) == len(set(vs)) == len(reps), comp
+        assert sorted(w for w, _, _ in walk) == sorted(reps), comp
+        assert all(v == compose(w, w0_inverse) for w, v, _ in walk), comp
+
+
+def test_chain_walk_states_are_the_cached_chain_states():
+    for comp, _, walk in _walks():
+        for w, v, (partial, pending) in walk:
+            cached_partial, cached_pending = schubert._dd_from_top(comp, v)
+            assert partial == cached_partial, (comp, w)
+            assert pending == cached_pending, (comp, w)
+
+
+def test_chain_walk_yields_each_ideal_before_its_w():
+    for comp, _, walk in _walks():
+        yielded = set()
+        for w, _, _ in walk:
+            assert set(weak_order_ideal(w)) - {w} <= yielded, (comp, w)
+            yielded.add(w)
+
+
+def test_walked_suites_fill_no_chain_cache():
+    schubert._dd_from_top.cache_clear()
+    schubert._signed_chain.cache_clear()
+    assert check_cauchy(4)[0] and check_quantization(4)[0]
+    assert schubert._dd_from_top.cache_info().misses == 0
+    assert schubert._signed_chain.cache_info().misses == 0
 
 
 def test_worked_examples():

@@ -14,7 +14,7 @@ from qschub import parabolic, quantum_ring, schubert, selftest
 from qschub.poly import a, q, sum_of_products
 from qschub.quantum_ring import CHEVALLEY_FLAVORS
 from qschub.schubert import schubert_polynomial
-from qschub.weyl import ParabolicContext, all_perms, simple, trim
+from qschub.weyl import ParabolicContext, all_perms, compose, simple, trim
 
 # Small enough for every suite to run in well under a second.
 MAX_N = 3
@@ -55,22 +55,55 @@ class Reads:
 
 @pytest.fixture
 def cauchy_reads(monkeypatch):
-    """Keys (w, (composition, family set to 0) of each member the sum read
-    as a right factor), of each identity `check_cauchy` computes
-    (`_cauchy_difference`) and of each sum the public functions compute
-    (`_cauchy_sum`)."""
+    """Keys of each identity `check_cauchy` computes (`_differs` over
+    `_cauchy_pairs`): (w, (composition, family set to 0) of each right
+    factor the sum read, (composition, family set to 0) of the member it is
+    checked against), and keys (w, right factors read) of each sum the
+    public functions compute (`_cauchy_sum`).  Each reading and each sum's
+    pairs are tagged by id when they are made and looked up while they are
+    alive, so an id never names an object made earlier."""
     reads = Reads()
+    made = {}  # id of a reading -> (composition, family set to 0)
 
-    def key(args, read):
-        return args[2], read
+    def tagged(real):
+        def read(composition, zero, v, state):
+            out = real(composition, zero, v, state)
+            made[id(out)] = composition, zero
+            return out
 
+        return read
+
+    real_pairs, real_differs = schubert._cauchy_pairs, selftest._differs
+    sums = {}  # id of a sum's pairs -> (w, right factors read)
+
+    def pairs(w, right):
+        read = set()
+
+        def tracked(v):
+            out = right(v)
+            if right is not schubert._classical_member:
+                read.add(made[id(out)])
+            return out
+
+        out = real_pairs(w, tracked)
+        sums[id(out)] = w, read
+        return out
+
+    def differs(pairs, member):
+        try:
+            return real_differs(pairs, member)
+        finally:
+            w, read = sums[id(pairs)]
+            reads.keys.append((w, frozenset(read), made[id(member)]))
+
+    monkeypatch.setattr(selftest, "_last_product", tagged(schubert._last_product))
+    monkeypatch.setattr(selftest, "_reading", tagged(schubert._reading))
+    monkeypatch.setattr(selftest, "_cauchy_pairs", pairs)
+    monkeypatch.setattr(selftest, "_differs", differs)
     monkeypatch.setattr(
         schubert, "_chain_member", reads.reader(schubert._chain_member, lambda args: args[:2])
     )
-    monkeypatch.setattr(
-        selftest, "_cauchy_difference", reads.spy(schubert._cauchy_difference, key)
-    )
-    total = reads.spy(schubert._cauchy_sum, key)
+    total = reads.spy(schubert._cauchy_sum, lambda args, read: (args[2], read))
     for module in (schubert, parabolic):
         monkeypatch.setattr(module, "_cauchy_sum", total)
     return reads
@@ -143,16 +176,22 @@ class TestEachIdentityOnce:
             for w in ctx.minimal_reps()
         ]
         assert ok and detail == f"S_{MAX_N} plus {len(cases)} parabolic cases"
+        # The double sum of each w of S_MAX_N reads classical right factors
+        # and the member at q = 0 on the full flag; the quantum double sum of
+        # each case reads the a = 0 members of its composition and the member.
+        full_flag = (1,) * MAX_N
+        expected = [(w, frozenset(), (full_flag, "q")) for w in perms] + [
+            (w, frozenset({(ctx.composition, "a")}), (ctx.composition, ""))
+            for ctx, w in cases
+        ]
+        assert_once(computed, expected, len(perms) + len(cases))
+        # The public sums read the same right factors, from the cached chain.
         counted = keys_of(
             cauchy_reads,
             [lambda w=w: schubert.cauchy_rhs(w, quantum=False) for w in perms]
-            + [lambda w=w: schubert.cauchy_rhs(w, quantum=True) for w in perms]
             + [lambda c=c: parabolic.parabolic_cauchy_rhs(*c) for c in cases],
         )
-        assert_once(computed, counted, 2 * len(perms) + len(cases))
-        # The full-length w of (1, ..., 1) are the cases counted, not computed.
-        skipped = [w for w in perms if len(w) == MAX_N]
-        assert len(computed) == 2 * len(perms) + len(cases) - len(skipped)
+        assert_once([key[:2] for key in computed], counted, len(perms) + len(cases))
 
     @pytest.mark.parametrize("flavor", [None, "parabolic", "quantum_double"])
     def test_chevalley(self, chevalley_reads, flavor):
@@ -198,11 +237,13 @@ class TestEachIdentityOnce:
 def corrupted_member(monkeypatch):
     """The quantum double member of FULL_LENGTH on the chain of (1, 1, 1),
     made wrong: plus a1 where `_chain_member` reads it for the Chevalley
-    rule, and plus a1 times g where the Cauchy and stability identities read
-    it as the pair (f, g) of `_member_pair` (g is never 0).  Its readings at
+    rule, and plus a1 times g where the Cauchy and quantization suites read
+    it off the walk as the pair (f, g) of `_last_product` and the stability
+    identities as that of `_member_pair` (g is never 0).  Its readings at
     q = 0 and at a = 0, the double members and the right factors of the
     Cauchy sums, stay correct."""
     real_member, real_pair = schubert._chain_member, schubert._member_pair
+    real_last = schubert._last_product
 
     def planted(composition, zero, w):
         padded = composition + (1,) * (len(trim(w)) - sum(composition))
@@ -216,10 +257,16 @@ def corrupted_member(monkeypatch):
         f, g = real_pair(composition, zero, w)
         return (f + a(1), g) if planted(composition, zero, w) else (f, g)
 
+    def corrupted_last(composition, zero, v, state):
+        f, g = real_last(composition, zero, v, state)
+        w = compose(v, ParabolicContext(composition).w0_p())
+        return (f + a(1), g) if planted(composition, zero, w) else (f, g)
+
     for module in (schubert, parabolic, quantum_ring):
         monkeypatch.setattr(module, "_chain_member", corrupted_member)
     for module in (schubert, selftest):
         monkeypatch.setattr(module, "_member_pair", corrupted_pair)
+    monkeypatch.setattr(selftest, "_last_product", corrupted_last)
 
 
 @pytest.fixture
@@ -247,8 +294,13 @@ SUITE_IDS = ["chevalley", "chevalley-parabolic", "chevalley-quantum-double"]
 class TestPlantedFaultsStillFail:
     @pytest.mark.parametrize(
         "check, options",
-        SUITES + [(selftest.check_cauchy, {}), (selftest.check_stability, {})],
-        ids=SUITE_IDS + ["cauchy", "stability"],
+        SUITES
+        + [
+            (selftest.check_cauchy, {}),
+            (selftest.check_quantization, {}),
+            (selftest.check_stability, {}),
+        ],
+        ids=SUITE_IDS + ["cauchy", "quantization", "stability"],
     )
     def test_corrupted_member(self, corrupted_member, check, options):
         ok, _ = check(max_n=MAX_N, **options)
