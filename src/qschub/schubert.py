@@ -306,11 +306,13 @@ def _reading(composition: tuple, zero: str, v: Permutation, state: tuple) -> Pol
 
 # Bounded like the chain, so a long-running process does not pin every
 # member it was ever asked for.  Filled by the readers that read a member
-# more than once: the Chevalley rule members, `expand` and the public member
-# functions, the Cauchy sums among them.  The suites that read each member
-# once (`verify cauchy`, `verify quantization`, `verify stability`) keep it
-# nowhere.  The three readings of a chain share its state, so a double
-# member read alone pays for the quantum double chain.
+# more than once: the Chevalley rule members, `expand`, the public member
+# functions and the public Cauchy sums (`cauchy_rhs`,
+# `parabolic_cauchy_rhs`), whose right factors are a = 0 readings.  The
+# suites that read each member once keep it nowhere: `verify stability`
+# reads pairs, and `verify cauchy` and `verify quantization` read the walk
+# and leave it untouched.  The three readings of a chain share its state,
+# so a double member read alone pays for the quantum double chain.
 @lru_cache(maxsize=2048)
 def _signed_chain(composition: tuple, zero: str, v: Permutation) -> Polynomial:
     """The chain for v applied to the top product, times (-1)^l(v), read

@@ -251,7 +251,7 @@ def _weak_order_ideal(w: Permutation) -> tuple:
 
 
 # Bounded like the ideals: the Cauchy sums of S_5 and of every composition
-# of 5 ask for 120 entries, one per w, against 781 sums.
+# of 5 ask for 120 entries, one per w, against 661 sums.
 @lru_cache(maxsize=2048)
 def _ideal_cosets(w: Permutation) -> tuple:
     """((v, v w^{-1}), ...) over the ideal of a trimmed w, in its order."""

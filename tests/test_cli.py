@@ -180,7 +180,7 @@ class TestVerify:
 
     # Each cap is 1.25-1.35x the peak address space of the suite in its own
     # process (shared 2-vCPU VM, Python 3.11): cauchy 75 MB, quantization
-    # 71 MB and stability 1,037 MB.  Before cauchy and quantization read their
+    # 71-73 MB and stability 1,037 MB.  Before cauchy and quantization read their
     # members off one walk of each chain, keeping only its path, they peaked
     # at 321 and 298 MB, over both caps.
     @staticmethod
