@@ -81,6 +81,7 @@ _EXP = MAX_EXPONENT  # mask of one exponent, shifted down to bit 0
 _FIRST = {"a": 0, "q": SLOTS, "x": 2 * SLOTS}
 _DEG_SHIFT = 3 * SLOTS * _W
 _GUARD = sum(1 << (f * _W + EXP_BITS) for f in range(3 * SLOTS + 1))
+_PAIR = _EXP | _EXP << _W  # the exponents of two adjacent fields, shifted down
 
 
 def _shift(family: str, index: int) -> int:
@@ -468,41 +469,112 @@ class Polynomial:
             acc[m + d * (ui - uj)] = c
         return _poly(acc)
 
-    def divided_difference(self, family: str, i: int) -> "Polynomial":
-        """(f - s_i f) / (v_i - v_{i+1}) for the variables v of `family`.
+    def divided_difference(
+        self, family: str, i: int, times: "Polynomial | None" = None
+    ) -> "Polynomial":
+        """(f - s_i f) / (v_i - v_{i+1}) for the variables v of `family`, with
+        f this polynomial times `times` when given; that product is never
+        formed.
 
         For a single monomial rest*v_i^p*v_{i+1}^r the quotient is the finite
         geometric sum rest * sum v_i^e v_{i+1}^{p+r-1-e}, so the division is
         exact by construction and no generic polynomial division is needed.
+        Fields i and i + 1 are adjacent, so one shift and one mask read both
+        p and r.  With `times`, each pair of terms gives its product key
+        m1 + m2 and is divided at once, as one pass over the pairs.
+
+        Overflow: with `times`, this raises ValueError exactly when
+        self * times does, that is when some product key m1 + m2 has a guard
+        bit set (`sum_of_products`).  Two valid keys add without a carry
+        between fields, so p and r, read from the exponent bits of fields i
+        and i + 1, are those of the product key, its guard bits aside.  For
+        `family` a or q an emitted key differs from its product key in those
+        exponent bits alone: they take values in [min(p, r), max(p, r) - 1],
+        inside 0..126, so nothing borrows from or carries into a guard bit,
+        and the emitted key has exactly the guard bits of its product key.
+        A product key with p = r emits nothing, so it is OR-ed into the final
+        guard check with the emitted keys, before cancelled keys are deleted;
+        the keys checked then hold the guard bits of every product key and no
+        others.  For x an emitted key also lowers the x-degree field by 1,
+        which can borrow from its guard bit; so the largest x-degree of the
+        product, that of the two largest keys added (keys compare x-degree
+        first), is checked up front.  Once it passes, no x field or x-degree
+        reaches 128, the x-degree is at least p + r >= 1 where a key is
+        emitted, and the argument above holds for the a and q guard bits.
+        Without `times` every exponent emitted is below one of the input, so
+        no check is needed.
 
         >>> print((a(1) ** 2).divided_difference("a", 1))
         a1 + a2
+        >>> print(a(1).divided_difference("a", 1, a(1) + q(1)))
+        a1 + a2 + q1
         """
         ui, uj = _unit((family, i)), _unit((family, i + 1))
-        si, sj = _shift(family, i), _shift(family, i + 1)
-        mi, mj = _EXP << si, _EXP << sj
+        si = _shift(family, i)
         step = ui - uj
         acc: dict = {}
         get = acc.get
-        for m, c in self.terms.items():
-            p = (m & mi) >> si
-            r = (m & mj) >> sj
-            # The exponent of v_i runs up from min(p, r) while that of
-            # v_{i+1} runs down from max(p, r) - 1, d terms in all.
-            if p > r:
-                d = p - r
-                key = m - d * ui + (d - 1) * uj
-            elif p < r:
-                c = -c
-                d = r - p
-                key = m - uj
-            else:
-                continue
-            acc[key] = get(key, 0) + c
-            for _ in range(d - 1):
-                key += step
+        # The exponent of v_i runs up from min(p, r) while that of v_{i+1}
+        # runs down from max(p, r) - 1, |d| = |p - r| terms in all: the
+        # first at m - ui (d > 0) or m - uj (d < 0), each next one a step on.
+        if times is None:
+            for m, c in self.terms.items():
+                pr = (m >> si) & _PAIR
+                d = (pr & _EXP) - (pr >> _W)
+                if not d:
+                    continue
+                if d == 1:
+                    key = m - ui
+                    acc[key] = get(key, 0) + c
+                    continue
+                if d == -1:
+                    key = m - uj
+                    acc[key] = get(key, 0) - c
+                    continue
+                if d > 0:
+                    key = m - ui - (d - 1) * step
+                else:
+                    key, c, d = m - uj, -c, -d
                 acc[key] = get(key, 0) + c
-        return _poly({m: c for m, c in acc.items() if c})
+                for _ in range(d - 1):
+                    key += step
+                    acc[key] = get(key, 0) + c
+        else:
+            if family == "x" and self.terms and times.terms:
+                _check_guard(max(self.terms) + max(times.terms), "product")
+            # Valid keys have no guard bits, so the fields i and i + 1 of two
+            # terms add up to those of their product key.
+            left = [(m, (m >> si) & _PAIR, c) for m, c in self.terms.items()]
+            symmetric = 0
+            for m2, c2 in times.terms.items():
+                pr2 = (m2 >> si) & _PAIR
+                mi, mj = m2 - ui, m2 - uj
+                for m1, pr1, c1 in left:
+                    pr = pr1 + pr2
+                    d = (pr & _EXP) - ((pr >> _W) & _EXP)
+                    if not d:
+                        symmetric |= m1 + m2
+                        continue
+                    if d == 1:
+                        key = m1 + mi
+                        acc[key] = get(key, 0) + c1 * c2
+                        continue
+                    if d == -1:
+                        key = m1 + mj
+                        acc[key] = get(key, 0) - c1 * c2
+                        continue
+                    if d > 0:
+                        key, c = m1 + mi - (d - 1) * step, c1 * c2
+                    else:
+                        key, c, d = m1 + mj, -c1 * c2, -d
+                    acc[key] = get(key, 0) + c
+                    for _ in range(d - 1):
+                        key += step
+                        acc[key] = get(key, 0) + c
+            _check_guard(reduce(or_, acc, symmetric), "product")
+        for m in [m for m, c in acc.items() if not c]:
+            del acc[m]
+        return _poly(acc)
 
     def divide_linear(self, divisor: "Polynomial") -> "Polynomial":
         """The exact quotient f / divisor for a linear form divisor (no

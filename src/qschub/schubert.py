@@ -14,13 +14,14 @@ quantum double member.
 The top product is never multiplied out.  Each a_i occurs in exactly one of
 its factors, and d_i commutes with multiplication by anything free of a_i and
 a_{i+1}.  So the chain keeps a partial result and the set of factors not yet
-used: before d_i it multiplies factors i and i+1 into the partial result, if
-they are still unused, and the factors left over, free of a_i and a_{i+1},
-pass through d_i untouched.  A member is its partial result times the
-factors left over; a reader that needs it once takes it as a last product
-(f, g) and keeps nothing, and a reader of every member of a composition
-walks the chain states depth first (`_chain_walk`), holding only those on
-its path.
+used.  Its step d_i multiplies factors i and i+1 together, those still
+unused, and takes one fused d_i of the partial result times their product,
+which is never formed (`Polynomial.divided_difference` with `times`); the
+factors left over, free of a_i and a_{i+1}, pass through d_i untouched.  A
+member is its partial result times the product of the factors left over; a
+reader that needs it once takes those two as a last product (f, g) and
+keeps nothing, and a reader of every member of a composition walks the
+chain states depth first (`_chain_walk`), holding only those on its path.
 
 There is one chain per composition, and every a-side member is a reading of
 its state: the quantum double member as it is, the double member with q set
@@ -96,11 +97,14 @@ def divided_difference(i: int, f: Polynomial) -> Polynomial:
 
 
 # perfbench's tracer times and counts the divided differences here
-# (`schubert.dd_calls`, `dd_terms_in`).
-def _divided_difference_in(fam: str, i: int, f: Polynomial) -> Polynomial:
+# (`schubert.dd_calls`, `dd_terms_in`, the terms of f alone).
+def _divided_difference_in(
+    fam: str, i: int, f: Polynomial, times: Polynomial | None = None
+) -> Polynomial:
+    """d_i of f, or of f * times when given, in the variables `fam`."""
     if i < 1:
         raise ValueError("divided difference index must be >= 1")
-    return f.divided_difference(fam, i)
+    return f.divided_difference(fam, i, times)
 
 
 # Unbounded, but small: one short coefficient tuple per composition asked
@@ -181,15 +185,18 @@ def _top_state(composition: tuple) -> tuple:
 
 def _chain_step(composition: tuple, i: int, state: tuple) -> tuple:
     """The chain state of s_i v from the state (partial, pending) of v, for
-    l(s_i v) = l(v) + 1: factors i and i + 1, if still pending, are
-    multiplied into `partial`, and d_i is applied.  Every factor left
+    l(s_i v) = l(v) + 1: factors i and i + 1, those still pending, are
+    multiplied together, and one fused d_i of `partial` times their product
+    (`Polynomial.divided_difference` with `times`) gives the new partial, so
+    `partial` times those factors is never formed.  Every factor left
     pending is free of a_i and a_{i+1}, so it passes through d_i."""
     partial, pending = state
     factors = _top_factors(composition)
+    times = None
     for t in (i, i + 1):
         if t in pending:
-            partial = partial * factors[t]
-    return divided_difference(i, partial), pending - {i, i + 1}
+            times = factors[t] if times is None else times * factors[t]
+    return _divided_difference_in("a", i, partial, times), pending - {i, i + 1}
 
 
 # Bounded: a long-running process must not pin every chain it ever ran.
@@ -277,21 +284,23 @@ def _last_product(composition: tuple, zero: str, v: Permutation, state: tuple) -
     """The chain state `state` of v as a last product, read with the
     variable family `zero` ("q" or "a", or "" for none) set to 0: (f, g)
     with f * g that reading of the chain for v times (-1)^l(v).  `partial`
-    and every pending factor of the state are read at 0; every such factor
-    but the last is multiplied into `partial`, giving f, and g is that last
-    factor with the sign on it.  With no factor pending, f is the signed
-    `partial` and g is 1."""
+    and every pending factor of the state are read at 0; f is `partial`,
+    and g is the product of the factors, multiplied smallest first, with
+    the sign on it, so `partial` is never multiplied by a factor here.  With
+    no factor pending, f is the signed `partial` and g is 1."""
     partial, pending = state
-    factors = [_top_factors(composition)[t] for t in sorted(pending)]
     partial = partial.zero_out(zero)
-    factors = [factor.zero_out(zero) for factor in factors]
+    factors = sorted(
+        (_top_factors(composition)[t].zero_out(zero) for t in pending),
+        key=lambda factor: len(factor.terms),
+    )
     odd = length(v) % 2
     if not factors:
         return (-partial if odd else partial), _ONE
-    *first, last = factors
-    for factor in first:
-        partial = partial * factor
-    return partial, (-last if odd else last)
+    g, *rest = factors
+    for factor in rest:
+        g = g * factor
+    return partial, (-g if odd else g)
 
 
 def _reading(composition: tuple, zero: str, v: Permutation, state: tuple) -> Polynomial:

@@ -9,15 +9,18 @@ q-free structure constants c_{u,v}^u from the Chevalley rule alone; the
 tests check them against the members of the ring at fixed points.
 `schubert._d_char_coeffs` finds det(D - t Id) by a recursion over the rows
 of D; the tests check it against the matrix D below and the Leibniz
-formula.  A parabolic context is a `weyl.ParabolicContext`.
+formula.  The chain takes each step as one fused divided difference and
+keeps the pending factors of a reading apart; the tests check it against
+the unfused chain below, which multiplies every factor in.  A parabolic
+context is a `weyl.ParabolicContext`.
 """
 
 import itertools
 import math
 
 from qschub.poly import Polynomial, a, q, x
-from qschub.schubert import _chain_member
-from qschub.weyl import apply_to, extend
+from qschub.schubert import _chain_member, _top_factors
+from qschub.weyl import apply_to, extend, length
 
 
 def is_cover(w, alpha) -> bool:
@@ -129,3 +132,34 @@ def localization(ctx, u, v) -> Polynomial:
     restricted to u, which is c_{u,v}^u at q = 0."""
     point = {("x", j): a(apply_to(u, j)) for j in range(1, ctx.n + 1)}
     return _chain_member(ctx.composition, "q", v).specialize(point)
+
+
+def unfused_chain_state(composition, word, memo: dict) -> tuple:
+    """The chain state (partial, pending) after the divided differences of
+    `word` applied from its end to the top product of the composition, by
+    the unfused step: the pending factors i and i + 1 are multiplied into
+    `partial` one at a time, then the plain d_i is taken.  `memo` maps the
+    words already run, as tuples, to their states."""
+    word = tuple(word)
+    if word not in memo:
+        factors = _top_factors(composition)
+        if not word:
+            memo[word] = (Polynomial.const(1), frozenset(factors))
+        else:
+            partial, pending = unfused_chain_state(composition, word[1:], memo)
+            i = word[0]
+            for t in (i, i + 1):
+                if t in pending:
+                    partial = partial * factors[t]
+            memo[word] = (partial.divided_difference("a", i), pending - {i, i + 1})
+    return memo[word]
+
+
+def unfused_reading(composition, zero: str, v, state) -> Polynomial:
+    """The chain state of v multiplied out, with the family `zero` set to 0
+    in `partial` and in every pending factor, times (-1)^l(v)."""
+    partial, pending = state
+    reading = partial.zero_out(zero)
+    for t in sorted(pending):
+        reading = reading * _top_factors(composition)[t].zero_out(zero)
+    return -reading if length(v) % 2 else reading

@@ -215,6 +215,85 @@ def test_divided_differences_match_reference(f, fam, i):
     assert to_ref(got) == ref_divided_difference(fam, i, f)
 
 
+def pair_refs(fam, i):
+    """Polynomials whose exponents in (fam, i) and (fam, i + 1) run over 0..6,
+    so that products of two of them meet p > r, p < r, |p - r| >= 2 and
+    full cancellation in those two fields."""
+
+    def mono(t):
+        base, p, r = t
+        d = {v: e for v, e in base if v not in ((fam, i), (fam, i + 1))}
+        d.update({v: e for v, e in (((fam, i), p), ((fam, i + 1), r)) if e})
+        return tuple(sorted(d.items()))
+
+    pair_monomials = st.tuples(monomials, st.integers(0, 6), st.integers(0, 6)).map(mono)
+    return st.dictionaries(pair_monomials, st.integers(-9, 9).filter(bool), max_size=6)
+
+
+@st.composite
+def fused_cases(draw):
+    """(fam, i, f, times): `times` is a polynomial, a constant, zero or None."""
+    fam, i = draw(st.sampled_from("xaq")), draw(st.integers(1, 4))
+    f = draw(pair_refs(fam, i))
+    times = draw(
+        st.one_of(
+            pair_refs(fam, i),
+            st.integers(-3, 3).map(lambda c: {(): c} if c else {}),
+            st.none(),
+        )
+    )
+    return fam, i, f, times
+
+
+@SETTINGS
+@given(fused_cases())
+def test_fused_divided_difference_matches_reference(case):
+    fam, i, f, times = case
+    if times is None:
+        got = Polynomial(f).divided_difference(fam, i)
+        expected = ref_divided_difference(fam, i, f)
+    else:
+        got = Polynomial(f).divided_difference(fam, i, Polynomial(times))
+        expected = ref_divided_difference(fam, i, ref_mul(f, times))
+    assert to_ref(got) == expected
+    assert all(got.terms.values())
+
+
+def test_fused_divided_difference_of_nothing_is_zero():
+    f = a(1) ** 2 - a(2) * x(1)
+    for fam in "xaq":
+        assert not f.divided_difference(fam, 1, Polynomial.zero()).terms
+        assert not Polynomial.zero().divided_difference(fam, 1, f).terms
+
+
+# Each case overflows in the product: f * g raises, and so must the fused
+# d_i of f times g, whether the key at fault emits terms or not.
+FUSED_OVERFLOWS = {
+    # p = r = 128: the key emits nothing, and only the check of the
+    # symmetric keys sees it.
+    "field i, symmetric": (a(1) ** 100 * a(2) ** 100, a(1) ** 28 * a(2) ** 28, "a"),
+    # p = 100 + 28 reads as 0 against r = 3: the emitted keys carry the
+    # guard bit of field i.
+    "field i": (a(1) ** 100, a(1) ** 28 * a(2) ** 3, "a"),
+    "field i + 1": (a(2) ** 100 * q(1), a(1) ** 3 * a(2) ** 28, "a"),
+    "another field": (q(1) * q(3) ** 100, q(3) ** 28, "q"),
+    # Each x exponent fits, but the x-degree is 128: the emitted keys lower
+    # it to 127, so it is checked before any key is emitted.
+    "x-degree": (x(1) ** 100, x(2) ** 28, "x"),
+}
+
+
+@pytest.mark.parametrize("case", FUSED_OVERFLOWS)
+def test_fused_divided_difference_rejects_a_carry_like_the_product(case):
+    f, g, fam = FUSED_OVERFLOWS[case]
+    with pytest.raises(ValueError, match="packed layout"):
+        (f * g).divided_difference(fam, 1)
+    with pytest.raises(ValueError, match="packed layout"):
+        f.divided_difference(fam, 1, g)
+    with pytest.raises(ValueError, match="packed layout"):
+        f.divided_difference(fam, 1, g + x(4))  # among valid terms
+
+
 @SETTINGS
 @given(refs, st.sampled_from("xaq"), st.integers(1, 5), st.integers(1, 5))
 def test_substitutions_match_reference(f, fam, i, j):

@@ -1,7 +1,8 @@
 """The packed-monomial kernel against sympy, an independent polynomial library.
 
 Every solved table coefficient goes through `Polynomial.divide_linear`, and
-every member through `Polynomial.divided_difference` and `sum_of_products`.
+every member through `Polynomial.divided_difference`, alone or fused with a
+product, and `sum_of_products`.
 Hypothesis draws random polynomials and linear forms; sympy divides, expands
 and cancels the same ones.  sympy is a test-only dependency.
 """
@@ -104,3 +105,12 @@ def test_divided_difference_matches_cancel(f, fam, i):
     expected = sympy.cancel((g - swapped) / (vi - vj))
     assert same(f.divided_difference(fam, i), expected)
 
+
+@SETTINGS
+@given(polys, polys, st.sampled_from("xaq"), st.sampled_from(INDICES[:-1]))
+def test_fused_divided_difference_matches_cancel(f, g, fam, i):
+    vi, vj = SYMBOLS[fam, i], SYMBOLS[fam, i + 1]
+    h = sympy.expand(to_sympy(f) * to_sympy(g))
+    swapped = h.subs({vi: vj, vj: vi}, simultaneous=True)
+    expected = sympy.cancel((h - swapped) / (vi - vj))
+    assert same(f.divided_difference(fam, i, g), expected)

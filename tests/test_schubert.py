@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from oracles import bruhat_leq, d_matrix, leibniz_det
+from oracles import (
+    bruhat_leq,
+    d_matrix,
+    leibniz_det,
+    unfused_chain_state,
+    unfused_reading,
+)
 from qschub import schubert
 from qschub.poly import Polynomial, a, elementary_symmetric, graded_degree, q, x
 from qschub.schubert import (
@@ -266,6 +272,23 @@ def test_chain_walk_yields_each_ideal_before_its_w():
         for w, _, _ in walk:
             assert set(weak_order_ideal(w)) - {w} <= yielded, (comp, w)
             yielded.add(w)
+
+
+def test_fused_chain_matches_the_unfused_oracle():
+    # The oracle multiplies each pending factor into the partial result and
+    # then takes the plain d_i, along a reduced word of its own; a reading
+    # multiplies every factor in.  So it shares no step with the fused one.
+    for comp, _, walk in _walks():
+        memo: dict = {}
+        for w, v, state in walk:
+            expected = unfused_chain_state(comp, reduced_word(v), memo)
+            assert state == expected == schubert._dd_from_top(comp, v), (comp, w)
+            # With no factor pending, the sign is on f and g is 1.
+            sign = -1 if not state[1] and length(v) % 2 else 1
+            for zero in ("", "q", "a"):
+                f, g = schubert._last_product(comp, zero, v, state)
+                assert f == sign * expected[0].zero_out(zero), (comp, w, zero)
+                assert f * g == unfused_reading(comp, zero, v, expected), (comp, w, zero)
 
 
 def test_walked_suites_fill_no_chain_cache():
