@@ -70,10 +70,10 @@ VERIFY_SUITES = {
 # and 125 MB (--flavor double alone 0.7-1.0 s and 65 MB, as its members are
 # the quantum double chain read at q = 0), at n = 6 MemoryError after 47 s;
 # bijection at n = 7 in 27 s and 74 MB; at n = 6, cauchy in 21-26 s and
-# 69 MB, quantization in 16-23 s and 70 MB (both read their members off one
-# walk of each chain, keeping only its path), and stability in 36-42 s and
-# 1,022 MB (it keeps no member it reads once, but holds the chain states),
-# while a quantum double member of S_7 (w_0) alone reaches MemoryError.
+# 83-85 MB, quantization in 16-23 s and 85 MB, and stability in 21-22 s and
+# 130 MB (all three read their members off walks of each chain, keeping only
+# the path), while a quantum double member of S_7 (w_0) alone reaches
+# MemoryError.
 VERIFY_MAX_N = {
     "chevalley": 5,
     "cauchy": 6,

@@ -686,26 +686,20 @@ def elementary_symmetric(k: int, variables: list) -> Polynomial:
     return _poly({sum(combo): 1 for combo in itertools.combinations(units, k)})
 
 
-def graded_degree(f: Polynomial, q_degrees=None):
-    """Degree of f under deg x_i = deg a_i = 1 and deg q_j = q_degrees[j].
+def graded_degree(f: Polynomial):
+    """Degree of f under deg x_i = deg a_i = 1 and deg q_j = 2.
 
-    With q_degrees None every q_j has degree 2.  Returns the common degree of
-    all terms, or None when f is not homogeneous.  The zero polynomial reports
-    degree 0.
+    Returns the common degree of all terms, or None when f is not
+    homogeneous.  The zero polynomial reports degree 0.
 
     >>> graded_degree(q(1))
     2
     >>> graded_degree(x(1) + q(1)) is None
     True
     """
-    degs = set()
     width = f.max_index("q")
-    for m in f.terms:
-        d = _degree(m)
-        for t, e in enumerate(_exponents(m, "q", width), start=1):
-            if e:
-                d += e * ((2 if q_degrees is None else q_degrees[t]) - 1)
-        degs.add(d)
+    # _degree weighs each q_j 1, so its exponent is added once more.
+    degs = {_degree(m) + sum(_exponents(m, "q", width)) for m in f.terms}
     if not degs:
         return 0
     if len(degs) > 1:

@@ -68,6 +68,7 @@ from .weyl import (
     inverse,
     length,
     perm_from_code,
+    reduced_word,
     simple,
     trim,
 )
@@ -206,8 +207,9 @@ def _chain_step(composition: tuple, i: int, state: tuple) -> tuple:
 # longest S_7 chain, v = w0, peaks at 279,654.  The full flag is the
 # composition (1, ..., 1), so its members share entries with the parabolic
 # ones.  Filled by the readers of single members; the suites that read every
-# member of a composition once (`verify cauchy`, `verify quantization`)
-# take their states from `_chain_walk` and leave it untouched.
+# member of a composition once (`verify cauchy`, `verify quantization`,
+# `verify stability`) take their states from `_chain_walk` and leave it
+# untouched.
 @lru_cache(maxsize=2048)
 def _dd_from_top(composition: tuple, v: Permutation) -> tuple:
     """The chain for v as a state (partial, pending): the divided differences
@@ -221,34 +223,42 @@ def _dd_from_top(composition: tuple, v: Permutation) -> tuple:
     return _chain_step(composition, i, _dd_from_top(composition, compose(simple(i), v)))
 
 
-def _chain_walk(composition: tuple):
-    """(w, v, state) for every w in W^P of the composition, with
-    v = w (w_0^P)^{-1} and `state` the chain state of v that `_dd_from_top`
-    gives, in the post-order of a depth-first search of the left weak order
-    down from w_0^P, where v is the identity and the state the top product.
-    The search steps from w to s_i w for each left descent i of w not yet
-    reached, that is from v to s_i v one longer, and builds that state from
-    the state of v by `_chain_step`.  It holds only the states on its path
-    and reads or fills no member or chain cache.
+def _chain_walk(composition: tuple, top: Permutation | None = None):
+    """(w, v, state) for every w in the left weak order ideal of `top`, an
+    element of W^P of the composition that defaults to w_0^P, with
+    v = w (w_0^P)^{-1} and `state` the chain state of v that
+    `_dd_from_top` gives, in the post-order of a depth-first search of the
+    left weak order down from `top`.  The first state, that of
+    v_0 = top (w_0^P)^{-1}, is built by `_chain_step` along
+    `reduced_word(v_0)` from the top product; for top = w_0^P, v_0 is the
+    identity and its state the top product.  The search steps from w to s_i w
+    for each left descent i of w not yet reached, that is from v to s_i v
+    one longer, and builds that state from the state of v by `_chain_step`.
+    It holds only the states on its path and reads or fills no member or
+    chain cache.  The order of the w depends on `top` and the left descents
+    alone, not on the composition.
 
-    The search reaches all of W^P, and nothing else.  For w in W^P,
-    l(w w_{0,P}) = l(w) + l(w_{0,P}), so
+    The search reaches the ideal of `top`, which lies in W^P, and for
+    top = w_0^P all of W^P.  W^P is an order ideal of the left weak order:
+    a right descent s_j of s_i w inside W_P would be one of w.  For w in
+    W^P, l(w w_{0,P}) = l(w) + l(w_{0,P}), so
     l(w_0^P w^{-1}) = l(w_0 (w w_{0,P})^{-1}) = l(w_0^P) - l(w): every w lies
     below w_0^P in the left weak order, and peeling a reduced word of
-    w_0^P w^{-1} off the left of w_0^P reaches w by left descents.  W^P is
-    an order ideal of that order: a right descent s_j of s_i w inside W_P
-    would be one of w.
+    w_0^P w^{-1} off the left of w_0^P reaches w by left descents.  So
+    w_0^P = y w with lengths adding and v = y^{-1}, of length
+    l(w_0^P) - l(w): each step lengthens v by one.
 
     1. A state can come from any left descent, so the state of v does not
-       depend on which parent the search built it from.  Along any reduced
-       word of v the steps keep partial times the pending factors equal to
-       the divided differences of the word applied to the top product, since
-       factor t is the only one holding a_t; by the braid relations that
-       value depends on v alone.  `pending` is the top factors less the
-       union of {i, i + 1} over the letters of the word, and every reduced
-       word of v has the same letters, since any two are joined by braid
-       moves (Matsumoto, Tits), which keep them.  So `pending` is the same
-       for every word, and `partial` is the value divided by the pending
+       depend on which parent the search built it from, nor on the word
+       that built the first state.  Along any reduced word of v the steps
+       keep partial times the pending factors equal to the divided
+       differences of the word applied to the top product, since factor t
+       is the only one holding a_t; by the braid relations that value
+       depends on v alone.  `pending` is the top factors less the union of
+       {i, i + 1} over the letters of the word, and every reduced word of v
+       has the same letters, since any two are joined by braid moves
+       (Matsumoto, Tits), which keep them.  So `pending` is the same for
+       every word, and `partial` is the value divided by the pending
        factors, which is unique in a ring with no zero divisors.  The state
        is therefore the one `_dd_from_top` builds along its first left
        descents.
@@ -262,9 +272,14 @@ def _chain_walk(composition: tuple):
        ideal of w maps to {v' >=_L v}, and every right factor a Cauchy sum
        of w reads (`_cauchy_pairs`) was yielded before w.
     """
-    top = ParabolicContext(composition).w0_p()
+    w0_p = ParabolicContext(composition).w0_p()
+    top = w0_p if top is None else top
+    v = compose(top, inverse(w0_p))
+    state = _top_state(composition)
+    for i in reversed(reduced_word(v)):
+        state = _chain_step(composition, i, state)
     reached = {top}
-    path = [(top, identity, _top_state(composition), iter(_left_descents(top)))]
+    path = [(top, v, state, iter(_left_descents(top)))]
     while path:
         w, v, state, descents = path[-1]
         for i in descents:
@@ -318,10 +333,10 @@ def _reading(composition: tuple, zero: str, v: Permutation, state: tuple) -> Pol
 # more than once: the Chevalley rule members, `expand`, the public member
 # functions and the public Cauchy sums (`cauchy_rhs`,
 # `parabolic_cauchy_rhs`), whose right factors are a = 0 readings.  The
-# suites that read each member once keep it nowhere: `verify stability`
-# reads pairs, and `verify cauchy` and `verify quantization` read the walk
-# and leave it untouched.  The three readings of a chain share its state,
-# so a double member read alone pays for the quantum double chain.
+# suites that read each member once (`verify cauchy`, `verify
+# quantization`, `verify stability`) read the walk and leave it untouched.
+# The three readings of a chain share its state, so a double member read
+# alone pays for the quantum double chain.
 @lru_cache(maxsize=2048)
 def _signed_chain(composition: tuple, zero: str, v: Permutation) -> Polynomial:
     """The chain for v applied to the top product, times (-1)^l(v), read
@@ -335,27 +350,13 @@ def _w0_p_inverse(composition: tuple) -> Permutation:
     return inverse(ParabolicContext(composition).w0_p())
 
 
-def _chain_index(composition: tuple, w: Permutation) -> tuple:
-    """(composition, v) of the chain that gives the member of w: the
-    composition followed by as many singleton blocks as w needs past its n,
-    and v = w (w_0^P)^{-1}."""
-    composition += (1,) * (len(w) - sum(composition))
-    return composition, compose(w, _w0_p_inverse(composition))
-
-
 def _chain_member(composition: tuple, zero: str, w: Permutation) -> Polynomial:
-    """The signed chain for v = w (w_0^P)^{-1} (`_chain_index`), with the
-    variable family `zero` set to 0: "" gives the member on the composition,
-    "q" its double and "a" its quantum member."""
-    composition, v = _chain_index(composition, w)
-    return _signed_chain(composition, zero, v)
-
-
-def _member_pair(composition: tuple, zero: str, w: Permutation) -> tuple:
-    """`_chain_member` as its `_last_product` (f, g), kept nowhere: for a
-    reader that reads the member once, in a sum of products."""
-    composition, v = _chain_index(composition, w)
-    return _last_product(composition, zero, v, _dd_from_top(composition, v))
+    """The signed chain for v = w (w_0^P)^{-1}, with the variable family
+    `zero` set to 0: "" gives the member on the composition, "q" its double
+    and "a" its quantum member.  The composition is first followed by as
+    many singleton blocks as w needs past its n."""
+    composition += (1,) * (len(w) - sum(composition))
+    return _signed_chain(composition, zero, compose(w, _w0_p_inverse(composition)))
 
 
 @lru_cache(maxsize=2048)

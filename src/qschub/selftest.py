@@ -38,7 +38,6 @@ from .schubert import (
     _chain_walk,
     _classical_member,
     _last_product,
-    _member_pair,
     _reading,
     divided_difference,
     expand_in_schubert_basis,
@@ -46,11 +45,11 @@ from .schubert import (
 )
 from .weyl import (
     ParabolicContext,
+    _left_descents,
     all_perms,
     code,
     compose,
     cycle,
-    inverse,
     length,
     perm_from_word,
     reduced_word,
@@ -179,16 +178,35 @@ def check_cauchy(max_n: int = 4) -> tuple:
 def check_stability(max_n: int) -> tuple:
     """Members are unchanged by appending a trailing singleton block.
 
-    Each identity is one sum of products, the wider member's pair minus the
-    member's own (`_member_pair`), so no member is kept.
+    Each composition c is walked (`_chain_walk`) in step with the walk of
+    c' = c + (1,) from top = w_0^P of c, and each pair of states is checked
+    as it is yielded.  The two walks line up:
+
+    - the depth-first order depends only on `top` and the left descents, so
+      both walks yield the same w in the same order;
+    - w_0^P of c lies in W^{P'} of c': it fixes n + 1, so its right descents
+      are those it has in S_n, none inside a block of c, and the block {n + 1}
+      adds none.  Its left weak order ideal in S_{n+1} lies in S_n, since
+      each u in it ends a reduced word of w_0^P, which holds no s_n; so
+      that ideal is W^P of c, all of which the walk of c yields;
+    - a state does not depend on the word that built it (`_chain_walk`), so
+      each state of the walk of c' is that of v' = w (w_0^{P'})^{-1} on c'.
+
+    Each identity is one sum of products, the wider member's
+    `_last_product` minus the member's own (`_differs`), so no member is
+    kept and no chain or member cache is read or filled.  On a falsified run
+    the w reported is the first failure in walk order.
     """
     count = 0
     for n in range(2, max_n + 1):
         for comp in compositions(n):
-            for w in ParabolicContext(comp).minimal_reps():
-                f, g = _member_pair(comp + (1,), "", w)
-                h, k = _member_pair(comp, "", w)
-                if sum_of_products([(f, g), (h, -k)]).terms:
+            wider = comp + (1,)
+            top = ParabolicContext(comp).w0_p()
+            for (w, v, state), (_, v_wider, state_wider) in zip(
+                _chain_walk(comp), _chain_walk(wider, top)
+            ):
+                member = _last_product(comp, "", v, state)
+                if _differs([_last_product(wider, "", v_wider, state_wider)], member):
                     return False, f"extension changes the member at {comp}, {list(w)}"
                 count += 1
     return True, f"{count} members stable under extension"
@@ -309,9 +327,7 @@ def _random_reduced_word(w, rng: random.Random) -> tuple:
     word = []
     w = trim(w)
     while w:
-        winv = inverse(w)
-        descents = [i for i in range(1, len(w)) if winv[i - 1] > winv[i]]
-        i = rng.choice(descents)
+        i = rng.choice(_left_descents(w))
         word.append(i)
         w = compose(simple(i), w)
     return tuple(word)

